@@ -32,8 +32,6 @@ from .engine import (
     NeuronState,
     RunStats,
     SnnRun,
-    SpikeTrain,
-    rate_output,
     run_snn,
     spiking_layer_indices,
     step_layer,

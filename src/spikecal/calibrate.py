@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import store
 from .engine import LayerSnnConfig, rate_at_layer, run_snn, spiking_layer_indices
 from .nn import ModelGraph
 from .store import CalibrationCache
@@ -202,9 +203,6 @@ class LayerErrorBreakdown:
 class ConversionMetrics:
     layers: list[LayerErrorBreakdown]
 
-    def by_layer(self) -> dict[int, LayerErrorBreakdown]:
-        return {b.layer: b for b in self.layers}
-
     def mean_abs_total(self) -> float:
         return float(np.mean([b.mean_abs("total") for b in self.layers]))
 
@@ -268,5 +266,4 @@ def write_calibration_report(path, fits: list[ThresholdFit], metrics: Conversion
             f"share_quantization {shares['quantization']!r} "
             f"share_unevenness {shares['unevenness']!r}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_atomic(path, lines)

@@ -2,11 +2,11 @@
 
 Configuration comes from an optional JSON file (``--config``) merged over
 defaults, with individual flags winning over both. Every artifact is written
-atomically (temp file, then rename) and contains no timestamps, so a rerun
+atomically (``store.write_atomic``) and contains no timestamps, so a rerun
 with the same seed is byte-identical.
 
-Exit codes: 0 success, 1 user error (bad paths, malformed config), 2 internal
-invariant violation.
+Exit codes: 0 success, 1 user error (bad paths, malformed config, malformed or
+mismatched artifacts), 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,19 +30,14 @@ class UserError(Exception):
     """Bad inputs: missing files, malformed config, impossible requests."""
 
 
-class InternalError(Exception):
-    """A broken invariant inside the pipeline; indicates a bug."""
-
-
 @contextlib.contextmanager
 def _stage(name: str):
     """Tag expected failures with the pipeline stage that raised them."""
     try:
         yield
-    except (UserError, InternalError):
+    except UserError:
         raise
-    except (store.StoreError, train.TrainingDivergedError, FileNotFoundError,
-            IsADirectoryError, ValueError, KeyError, OSError) as err:
+    except (store.StoreError, train.TrainingDivergedError, ValueError, OSError) as err:
         raise UserError(f"[{name}] {err}") from err
 
 
@@ -231,31 +225,6 @@ class Artifacts:
     exit_histogram = property(lambda self: os.path.join(self.report_dir, "exit_histogram.csv"))
 
 
-def _atomic(path: str, writer) -> None:
-    """Run ``writer(tmp_path)`` then atomically move the result into place."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _write_text(path: str, text: str) -> None:
-    def writer(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    _atomic(path, writer)
-
-
-def _write_csv(path: str, header: str, rows: list[str]) -> None:
-    _write_text(path, "\n".join([header, *rows]) + "\n")
-
-
 def _require(paths: dict[str, str], stage: str) -> None:
     missing = [f"{name} ({p})" for name, p in paths.items() if not os.path.exists(p)]
     if missing:
@@ -309,12 +278,24 @@ def _flatten_if_needed(model: nn.ModelGraph, images: np.ndarray) -> np.ndarray:
     return images
 
 
-def _best_configs(art: Artifacts) -> tuple[list[engine.LayerSnnConfig], list[int], str]:
+def _load_configs(path: str, model: nn.ModelGraph) -> list[engine.LayerSnnConfig]:
+    """Configs from ``path``, whose layer labels must be the model's spiking layers."""
+    with _stage("load-configs"):
+        configs, layers = engine.load_configs(path)
+    spiking = engine.spiking_layer_indices(model)
+    if layers != spiking:
+        raise UserError(
+            f"[load-configs] {path} configures layers {layers}, "
+            f"but the model's spiking layers are {spiking}"
+        )
+    return configs
+
+
+def _best_configs(art: Artifacts, model: nn.ModelGraph) -> tuple[list[engine.LayerSnnConfig], str]:
     """Most derived config file present: full > phi > base."""
     for path in (art.configs_full, art.configs_phi, art.configs_base):
         if os.path.exists(path):
-            configs, layers = engine.load_configs(path)
-            return configs, layers, path
+            return _load_configs(path, model), path
     raise UserError(
         "no neuron config file found; run 'convert' first "
         f"(expected {art.configs_base})"
@@ -356,11 +337,10 @@ def cmd_train(cfg: RunConfig) -> int:
         train_acc = train.accuracy(trained, dataset.images, dataset.labels)
         eval_acc = train.accuracy(trained, eval_set.images, eval_set.labels)
     with _stage("save-model"):
-        _atomic(art.model, lambda tmp: store.save_model(trained, tmp))
-        _write_csv(
+        store.save_model(trained, art.model)
+        store.write_atomic(
             art.train_report,
-            "metric,value",
-            [f"train_accuracy,{train_acc!r}", f"eval_accuracy,{eval_acc!r}"],
+            ["metric,value", f"train_accuracy,{train_acc!r}", f"eval_accuracy,{eval_acc!r}"],
         )
     print(f"trained model -> {art.model}")
     print(f"train accuracy {train_acc:.4f}, eval accuracy {eval_acc:.4f}")
@@ -379,7 +359,7 @@ def cmd_convert(cfg: RunConfig) -> int:
     with _stage("calibration-cache"):
         samples = min(cfg.calib_samples, len(dataset))
         cache = store.build_calibration_cache(model, dataset, samples, cfg.seed)
-        _atomic(art.cache, lambda tmp: store.save_cache(cache, tmp))
+        store.save_cache(cache, art.cache)
     with _stage("fit-thresholds"):
         grid = calibrate.GridSpec(size=cfg.grid_size)
         fits = calibrate.fit_all_thresholds(model, cache, cfg.timesteps, phi=1, grid=grid)
@@ -388,17 +368,14 @@ def cmd_convert(cfg: RunConfig) -> int:
         calibrated = calibrate.calibrate_biases(
             model, configs, cache, cfg.timesteps, membrane_init=cfg.membrane_init
         )
-        _atomic(art.calibrated, lambda tmp: store.save_model(calibrated, tmp))
+        store.save_model(calibrated, art.calibrated)
         spiking = engine.spiking_layer_indices(calibrated)
-        _atomic(art.configs_base, lambda tmp: engine.save_configs(configs, spiking, tmp))
+        engine.save_configs(configs, spiking, art.configs_base)
     with _stage("measure-errors"):
         metrics = calibrate.measure_unevenness(
             calibrated, configs, cache, cfg.timesteps, membrane_init=cfg.membrane_init
         )
-        _atomic(
-            art.calibration_report,
-            lambda tmp: calibrate.write_calibration_report(tmp, fits, metrics),
-        )
+        calibrate.write_calibration_report(art.calibration_report, fits, metrics)
     print(f"calibrated model -> {art.calibrated}")
     for fit in fits:
         flag = " (degenerate)" if fit.degenerate else ""
@@ -419,7 +396,7 @@ def cmd_search_phi(cfg: RunConfig) -> int:
     art = Artifacts(cfg.out_dir)
     model, cache = _load_search_inputs(cfg, art, "search-phi")
     _require({"base configs": art.configs_base}, "search-phi")
-    configs, layers = engine.load_configs(art.configs_base)
+    configs = _load_configs(art.configs_base, model)
     em = _energy_model(cfg)
     with _stage("sensitivity-table"):
         table = search.build_table(
@@ -427,7 +404,7 @@ def cmd_search_phi(cfg: RunConfig) -> int:
             candidates=cfg.search.phi_candidates, energy=em,
             membrane_init=cfg.membrane_init,
         )
-        _atomic(art.sensitivity_phi, lambda tmp: search.table_to_csv(table, tmp))
+        search.table_to_csv(table, art.sensitivity_phi)
     with _stage("budget"):
         if cfg.search.e_target == "auto":
             ref_value = cfg.search.phi_candidates[min(1, len(cfg.search.phi_candidates) - 1)]
@@ -445,9 +422,9 @@ def cmd_search_phi(cfg: RunConfig) -> int:
         budget = search.SearchBudget("energy_cap", cap)
     with _stage("pareto-search"):
         plan = search.pareto_search(table, budget)
-        _atomic(art.plan_phi, lambda tmp: search.save_plan(plan, tmp))
+        search.save_plan(plan, art.plan_phi)
         planned = search.apply_plan(configs, plan)
-        _atomic(art.configs_phi, lambda tmp: engine.save_configs(planned, layers, tmp))
+        engine.save_configs(planned, plan.layers, art.configs_phi)
     feas = "feasible" if plan.feasible else "INFEASIBLE (cheapest plan written)"
     print(f"burst plan ({feas}): " + " ".join(
         f"layer{l}->phi{plan.choice[l]}" for l in plan.layers
@@ -460,7 +437,7 @@ def cmd_search_rho(cfg: RunConfig) -> int:
     art = Artifacts(cfg.out_dir)
     model, cache = _load_search_inputs(cfg, art, "search-rho")
     _require({"burst-plan configs": art.configs_phi}, "search-rho")
-    configs, layers = engine.load_configs(art.configs_phi)
+    configs = _load_configs(art.configs_phi, model)
     em = _energy_model(cfg)
     with _stage("sensitivity-table"):
         table = search.build_table(
@@ -468,7 +445,7 @@ def cmd_search_rho(cfg: RunConfig) -> int:
             candidates=cfg.search.rho_candidates, energy=em,
             membrane_init=cfg.membrane_init,
         )
-        _atomic(art.sensitivity_rho, lambda tmp: search.table_to_csv(table, tmp))
+        search.table_to_csv(table, art.sensitivity_rho)
     with _stage("budget"):
         if cfg.search.s_target == "auto":
             base = sum(table.s[(layer, 1)] for layer in table.layers) if 1 in table.candidates \
@@ -479,9 +456,9 @@ def cmd_search_rho(cfg: RunConfig) -> int:
         budget = search.SearchBudget("sensitivity_cap", cap)
     with _stage("pareto-search"):
         plan = search.pareto_search(table, budget)
-        _atomic(art.plan_rho, lambda tmp: search.save_plan(plan, tmp))
+        search.save_plan(plan, art.plan_rho)
         planned = search.apply_plan(configs, plan)
-        _atomic(art.configs_full, lambda tmp: engine.save_configs(planned, layers, tmp))
+        engine.save_configs(planned, plan.layers, art.configs_full)
     feas = "feasible" if plan.feasible else "INFEASIBLE (cheapest plan written)"
     print(f"compression plan ({feas}): " + " ".join(
         f"layer{l}->rho{plan.choice[l]}" for l in plan.layers
@@ -493,14 +470,14 @@ def cmd_search_rho(cfg: RunConfig) -> int:
 def cmd_fit_exit(cfg: RunConfig) -> int:
     art = Artifacts(cfg.out_dir)
     model, cache = _load_search_inputs(cfg, art, "fit-exit")
-    configs, _, used = _best_configs(art)
+    configs, used = _best_configs(art, model)
     with _stage("fit-exit"):
         policy = early_exit.fit_exit_policy(
             model, configs, cache, cfg.t_max,
             alpha_base=cfg.exit.alpha_base, beta=cfg.exit.beta, delta=cfg.exit.delta,
             membrane_init=cfg.membrane_init,
         )
-        _atomic(art.policy, lambda tmp: early_exit.save_policy(policy, tmp))
+        early_exit.save_policy(policy, art.policy)
     bounds = policy.boundaries()
     print(f"exit policy (configs: {os.path.basename(used)}) -> {art.policy}")
     print("boundaries: " + " ".join(f"{b:.4f}" for b in bounds))
@@ -512,7 +489,7 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
     _require({"calibrated model": art.calibrated}, "eval")
     with _stage("eval-setup"):
         model = store.load_model(art.calibrated)
-        configs, _, used = _best_configs(art)
+        configs, used = _best_configs(art, model)
         eval_set = _load_dataset(cfg, "eval")
         images = _flatten_if_needed(model, eval_set.images)
         labels = np.asarray(eval_set.labels)
@@ -532,7 +509,7 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
                 model, configs, images[:1], cfg.timesteps,
                 membrane_init=cfg.membrane_init, record_trains=True,
             )
-            _atomic(art.spike_trace, lambda tmp: engine.dump_trace(one, tmp))
+            engine.dump_trace(one, art.spike_trace)
     if os.path.exists(art.policy):
         with _stage("eval-adaptive"):
             policy = early_exit.load_policy(art.policy)
@@ -545,12 +522,11 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
                 f"adaptive,{policy.t_max},{adaptive.accuracy!r},{adaptive.mean_exit_t!r},"
                 f"{adaptive.stats.total_spikes / len(labels)!r},{energy!r}"
             )
-            _atomic(art.exit_trace, lambda tmp: early_exit.write_exit_trace(tmp, adaptive))
+            early_exit.write_exit_trace(art.exit_trace, adaptive)
     with _stage("write-eval"):
-        _write_csv(
+        store.write_atomic(
             art.eval_report,
-            "mode,timesteps,accuracy,mean_exit_t,spikes_per_input,energy",
-            rows,
+            ["mode,timesteps,accuracy,mean_exit_t,spikes_per_input,energy", *rows],
         )
     print(f"eval (configs: {os.path.basename(used)}) -> {art.eval_report}")
     for row in rows:
@@ -560,9 +536,9 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
 
 def _ablation_rows(cfg: RunConfig, art: Artifacts):
     model = store.load_model(art.calibrated)
-    base, layers = engine.load_configs(art.configs_base)
-    phi_cfgs, _ = engine.load_configs(art.configs_phi)
-    full_cfgs, _ = engine.load_configs(art.configs_full)
+    base = _load_configs(art.configs_base, model)
+    phi_cfgs = _load_configs(art.configs_phi, model)
+    full_cfgs = _load_configs(art.configs_full, model)
     cache = store.load_cache(art.cache)
     eval_set = _load_dataset(cfg, "eval")
     images = _flatten_if_needed(model, eval_set.images)
@@ -618,10 +594,9 @@ def cmd_ablate(cfg: RunConfig) -> int:
         for name, acc, energy, mean_t, spikes in results:
             delta = 0.0 if name == "baseline" else (energy - base_energy) / base_energy * 100.0
             rows.append(f"{name},{acc!r},{energy!r},{mean_t!r},{spikes!r},{delta!r}")
-        _write_csv(
+        store.write_atomic(
             art.ablation,
-            "variant,accuracy,energy,mean_t,spikes_per_input,energy_delta_pct",
-            rows,
+            ["variant,accuracy,energy,mean_t,spikes_per_input,energy_delta_pct", *rows],
         )
     print(f"ablation -> {art.ablation}")
     for row in rows:
@@ -642,7 +617,7 @@ def cmd_report(cfg: RunConfig) -> int:
     _require(expected, "report")
     with _stage("report-setup"):
         model = store.load_model(art.calibrated)
-        configs, _, _ = _best_configs(art)
+        configs, _ = _best_configs(art, model)
         eval_set = _load_dataset(cfg, "eval")
         images = _flatten_if_needed(model, eval_set.images)
         labels = np.asarray(eval_set.labels)
@@ -652,23 +627,26 @@ def cmd_report(cfg: RunConfig) -> int:
         for t in ACCURACY_CURVE_TIMESTEPS:
             r = _fixed_eval(model, configs, images, labels, t, em, cfg.membrane_init)
             rows.append(f"{t},{r['accuracy']!r},{r['spikes_per_input']!r},{r['energy']!r}")
-        _write_csv(art.accuracy_curve, "timesteps,accuracy,spikes_per_input,energy", rows)
+        store.write_atomic(
+            art.accuracy_curve, ["timesteps,accuracy,spikes_per_input,energy", *rows]
+        )
     with _stage("frontier"):
         rows = []
         for kind, path in (("phi", art.plan_phi), ("rho", art.plan_rho)):
             plan = search.load_plan(path)
             for s, e in sorted(set(plan.frontier)):
                 rows.append(f"{kind},{s!r},{e!r}")
-        _write_csv(art.frontier, "kind,s_sum,e_sum", rows)
+        store.write_atomic(art.frontier, ["kind,s_sum,e_sum", *rows])
     with _stage("exit-histogram"):
         policy = early_exit.load_policy(art.policy)
-        with open(art.exit_trace, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()[1:]
-        exits = np.array([int(line.split(",")[1]) for line in lines], dtype=np.int64)
-        rows = []
-        for t in range(1, policy.t_max + 1):
-            rows.append(f"{t},{int(np.sum(exits == t))}")
-        _write_csv(art.exit_histogram, "exit_t,count", rows)
+        exits = early_exit.load_exit_steps(art.exit_trace, policy.t_max)
+        if len(exits) != len(labels):
+            raise UserError(
+                f"[exit-histogram] {art.exit_trace} holds {len(exits)} rows "
+                f"for {len(labels)} eval inputs"
+            )
+        rows = [f"{t},{int(np.sum(exits == t))}" for t in range(1, policy.t_max + 1)]
+        store.write_atomic(art.exit_histogram, ["exit_t,count", *rows])
     print(f"report bundle -> {art.report_dir}")
     return 0
 

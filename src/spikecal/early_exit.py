@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import store
 from .engine import LayerSnnConfig, RunStats, layer_fanout, run_snn, spiking_layer_indices
 from .nn import ModelGraph, softmax
 from .store import CalibrationCache
@@ -213,35 +214,40 @@ def save_policy(policy: ExitPolicy, path) -> None:
     ]
     for t, value in enumerate(policy.mean_entropy, start=1):
         lines.append(f"mean_entropy t {t} value {float(value)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_atomic(path, lines)
 
 
 def load_policy(path) -> ExitPolicy:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != "format snnc-exit-policy":
-        raise ValueError("not an exit policy file")
-    meta: dict[str, str] = {}
-    entries: list[float] = []
-    for line in lines[1:]:
-        tokens = line.split()
-        if tokens[0] == "mean_entropy":
-            entries.append(float(tokens[4]))
-        else:
-            meta[tokens[0]] = tokens[1]
+    """Read a policy; every key is required and ``mean_entropy`` runs t = 1..t_max."""
+    doc = store.read_lines(path, "format snnc-exit-policy")
+    (alpha_base,) = doc.take("alpha_base", float)
+    (beta,) = doc.take("beta", float)
+    (delta,) = doc.take("delta", float)
+    if not delta > 0:
+        raise doc.error(f"delta must be positive, got {delta!r}")
+    (t_max,) = doc.take("t_max", int)
+    if t_max < 1:
+        raise doc.error("t_max must be at least 1")
+    (kind,) = doc.take("confidence_kind", str)
+    if kind not in ("entropy", "max_prob"):
+        raise doc.error(f"unknown confidence kind {kind!r}")
+    entries = [doc.take("mean_entropy", "t", str(t), "value", float)[0] for t in range(1, t_max + 1)]
+    doc.end()
     return ExitPolicy(
-        alpha_base=float(meta["alpha_base"]),
-        beta=float(meta["beta"]),
-        delta=float(meta["delta"]),
-        t_max=int(meta["t_max"]),
+        alpha_base=alpha_base,
+        beta=beta,
+        delta=delta,
+        t_max=t_max,
         mean_entropy=np.asarray(entries, dtype=np.float64),
-        confidence_kind=meta.get("confidence_kind", "entropy"),
+        confidence_kind=kind,
     )
 
 
+_EXIT_TRACE_HEADER = "input_index,exit_t,confidence,predicted,label"
+
+
 def write_exit_trace(path, trace: ExitTrace) -> None:
-    lines = ["input_index,exit_t,confidence,predicted,label"]
+    lines = [_EXIT_TRACE_HEADER]
     labels = trace.labels
     for i in range(len(trace.exit_t)):
         label = "" if labels is None else int(labels[i])
@@ -249,5 +255,18 @@ def write_exit_trace(path, trace: ExitTrace) -> None:
             f"{i},{int(trace.exit_t[i])},{float(trace.confidence[i])!r},"
             f"{int(trace.predicted[i])},{label}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_atomic(path, lines)
+
+
+def load_exit_steps(path, t_max: int) -> np.ndarray:
+    """The ``exit_t`` column of an exit trace; rows run 0, 1, ... and exit within t_max."""
+    doc = store.read_lines(path, _EXIT_TRACE_HEADER, sep=",")
+    exits: list[int] = []
+    while doc.peek():
+        index, exit_t, _, _, _ = doc.take(int, int, float, int, str)
+        if index != len(exits):
+            raise doc.error(f"expected input_index {len(exits)}, found {index}")
+        if not 1 <= exit_t <= t_max:
+            raise doc.error(f"exit_t {exit_t} outside 1..{t_max}")
+        exits.append(exit_t)
+    return np.asarray(exits, dtype=np.int64)

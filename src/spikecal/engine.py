@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import store
 from .nn import ModelGraph, Tensor, apply_layer
 
 DEFAULT_MEMBRANE_INIT = 0.5
@@ -44,8 +45,8 @@ class LayerSnnConfig:
     phi: int = 1
 
     def __post_init__(self):
-        if not (self.v_th > 0):
-            raise ValueError(f"v_th must be positive, got {self.v_th}")
+        if not (0 < self.v_th < np.inf):
+            raise ValueError(f"v_th must be positive and finite, got {self.v_th}")
         if not isinstance(self.rho, (int, np.integer)) or self.rho < 1:
             raise ValueError(f"rho must be an integer >= 1, got {self.rho!r}")
         if not isinstance(self.phi, (int, np.integer)) or self.phi < 1:
@@ -63,17 +64,6 @@ class NeuronState:
 
     u: np.ndarray
     v: np.ndarray
-
-
-@dataclass
-class SpikeTrain:
-    """Per-timestep emitted amplitudes for one layer."""
-
-    steps: list[np.ndarray]
-
-    @property
-    def timesteps(self) -> int:
-        return len(self.steps)
 
 
 @dataclass
@@ -98,7 +88,7 @@ class SnnRun:
     emitted: dict[int, np.ndarray]
     v_first: dict[int, np.ndarray]
     v_last: dict[int, np.ndarray]
-    trains: dict[int, SpikeTrain] | None = None
+    trains: dict[int, list[np.ndarray]] | None = None  # per-step emissions
     step_scores: np.ndarray | None = None
     step_spikes: np.ndarray | None = None
 
@@ -244,7 +234,7 @@ def run_snn(
         emitted=emitted_sum,
         v_first=v_first,
         v_last={i: states[i].v.copy() for i in active},
-        trains={i: SpikeTrain(trains[i]) for i in active} if record_trains else None,
+        trains=trains if record_trains else None,
         step_scores=np.stack(step_scores) if (collect_steps and full_run) else None,
         step_spikes=step_spikes,
     )
@@ -269,13 +259,6 @@ def rate_at_layer(
     return run.rates[layer_index]
 
 
-def rate_output(train: SpikeTrain) -> np.ndarray:
-    """Mean emitted amplitude over a train's timesteps."""
-    if train.timesteps == 0:
-        raise ValueError("cannot take the rate of an empty spike train")
-    return np.mean(np.stack(train.steps), axis=0)
-
-
 def save_configs(configs: list[LayerSnnConfig], layers: list[int], path) -> None:
     """Persist per-layer neuron configs, labeled by graph layer index."""
     if len(configs) != len(layers):
@@ -285,25 +268,19 @@ def save_configs(configs: list[LayerSnnConfig], layers: list[int], path) -> None
     lines = ["format snnc-configs"]
     for idx, cfg in zip(layers, configs):
         lines.append(f"layer {idx} v_th {cfg.v_th!r} rho {cfg.rho} phi {cfg.phi}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_atomic(path, lines)
 
 
 def load_configs(path) -> tuple[list[LayerSnnConfig], list[int]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "format snnc-configs":
-        raise ValueError(f"{path} is not a neuron config file")
+    """Configs and the graph layer index each line is labeled with."""
+    doc = store.read_lines(path, "format snnc-configs")
     configs: list[LayerSnnConfig] = []
     layers: list[int] = []
-    for line in lines[1:]:
-        tokens = line.split()
-        layers.append(int(tokens[1]))
-        configs.append(
-            LayerSnnConfig(
-                v_th=float(tokens[3]), rho=int(tokens[5]), phi=int(tokens[7])
-            )
-        )
+    while doc.peek():
+        idx, v_th, rho, phi = doc.take("layer", int, "v_th", float, "rho", int, "phi", int)
+        with doc.check():
+            configs.append(LayerSnnConfig(v_th=v_th, rho=rho, phi=phi))
+        layers.append(idx)
     return configs, layers
 
 
@@ -317,9 +294,8 @@ def dump_trace(run: SnnRun, path, input_index: int = 0) -> None:
         raise ValueError("run was made without record_trains=True")
     lines = ["layer,timestep,neuron_index,emitted_amplitude"]
     for layer_idx in sorted(run.trains):
-        for t, emitted in enumerate(run.trains[layer_idx].steps):
+        for t, emitted in enumerate(run.trains[layer_idx]):
             flat = emitted[input_index].reshape(-1)
             for neuron in np.nonzero(flat)[0]:
                 lines.append(f"{layer_idx},{t + 1},{int(neuron)},{float(flat[neuron])!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_atomic(path, lines)

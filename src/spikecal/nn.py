@@ -186,6 +186,8 @@ class ModelGraph:
                 ph, pw = layer.padding
                 if sh < 1 or sw < 1 or ph < 0 or pw < 0:
                     raise ShapeError(f"layer {i} (conv2d): bad stride/padding")
+            if layer.kind == "avgpool2d" and min(*layer.kernel, *layer.stride) < 1:
+                raise ShapeError(f"layer {i} (avgpool2d): bad kernel/stride")
             try:
                 shape = layer_output_shape(layer, shape)
             except ShapeError as err:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import store
 from .engine import LayerSnnConfig, RunStats, run_snn, spiking_layer_indices
 from .nn import ModelGraph, softmax
 from .store import CalibrationCache
@@ -81,12 +82,6 @@ class SensitivityTable:
     def __post_init__(self):
         if self.kind not in ("phi", "rho"):
             raise ValueError(f"table kind must be phi or rho, got {self.kind!r}")
-
-    def sensitivity(self, layer: int, candidate: int) -> float:
-        return self.s[(layer, candidate)]
-
-    def energy(self, layer: int, candidate: int) -> float:
-        return self.e[(layer, candidate)]
 
 
 @dataclass(frozen=True)
@@ -213,11 +208,6 @@ def _plan_sums(table: SensitivityTable, choice: dict[int, int]) -> tuple[float, 
     s = sum(table.s[(i, choice[i])] for i in table.layers)
     e = sum(table.e[(i, choice[i])] for i in table.layers)
     return float(s), float(e)
-
-
-def _objective_pair(table, choice, minimize_s):
-    s, e = _plan_sums(table, choice)
-    return (s, e) if minimize_s else (e, s)
 
 
 def _select_best(table, plans, cap, minimize_s):
@@ -351,43 +341,42 @@ def apply_plan(configs: list[LayerSnnConfig], plan: LayerPlan) -> list[LayerSnnC
 # ---------------------------------------------------------------------------
 # persistence
 
+_TABLE_HEADER = "layer,candidate,kind,S,E,N"
+
+
 def table_to_csv(table: SensitivityTable, path) -> None:
-    lines = ["layer,candidate,kind,S,E,N"]
+    lines = [_TABLE_HEADER]
     for layer in table.layers:
         for cand in table.candidates:
             lines.append(
                 f"{layer},{cand},{table.kind},"
                 f"{table.s[(layer, cand)]!r},{table.e[(layer, cand)]!r},{table.sample_count}"
             )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_atomic(path, lines)
 
 
 def table_from_csv(path) -> SensitivityTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != "layer,candidate,kind,S,E,N":
-        raise ValueError(f"unexpected sensitivity table header: {lines[0]!r}")
-    layers: list[int] = []
-    candidates: list[int] = []
-    kind = None
+    """Read a table; its rows must cover every (layer, candidate) pair once."""
+    doc = store.read_lines(path, _TABLE_HEADER, sep=",")
     s: dict[tuple[int, int], float] = {}
     e: dict[tuple[int, int], float] = {}
-    sample_count = 0
-    for line in lines[1:]:
-        layer_s, cand_s, kind_s, s_s, e_s, n_s = line.split(",")
-        layer, cand = int(layer_s), int(cand_s)
-        kind = kind_s
-        sample_count = int(n_s)
-        if layer not in layers:
-            layers.append(layer)
-        if cand not in candidates:
-            candidates.append(cand)
-        s[(layer, cand)] = float(s_s)
-        e[(layer, cand)] = float(e_s)
-    table = SensitivityTable(
-        kind=kind, layers=layers, candidates=candidates, sample_count=sample_count
-    )
+    kind_n = None
+    while doc.peek():
+        layer, cand, kind, s_val, e_val, n = doc.take(int, int, str, float, float, int)
+        if (layer, cand) in s:
+            raise doc.error(f"layer {layer} candidate {cand} appears twice")
+        if kind_n not in (None, (kind, n)):
+            raise doc.error(f"kind and N differ from the first row's {kind_n}")
+        kind_n = (kind, n)
+        s[(layer, cand)], e[(layer, cand)] = s_val, e_val
+    layers = list(dict.fromkeys(layer for layer, _ in s))
+    candidates = list(dict.fromkeys(cand for _, cand in s))
+    if not s or len(s) != len(layers) * len(candidates):
+        raise doc.error("rows do not cover every (layer, candidate) pair")
+    with doc.check():
+        table = SensitivityTable(
+            kind=kind_n[0], layers=layers, candidates=candidates, sample_count=kind_n[1]
+        )
     table.s, table.e = s, e
     return table
 
@@ -405,40 +394,30 @@ def save_plan(plan: LayerPlan, path) -> None:
         lines.append(f"choice layer {layer} value {plan.choice[layer]}")
     for s, e in plan.frontier:
         lines.append(f"frontier {s!r} {e!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_atomic(path, lines)
 
 
 def load_plan(path) -> LayerPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != "format snnc-plan":
-        raise ValueError("not a plan file")
-    kind = ""
-    budget = SearchBudget("energy_cap", np.inf)
-    feasible = True
-    s_sum = e_sum = 0.0
-    layers: list[int] = []
+    doc = store.read_lines(path, "format snnc-plan")
+    (kind,) = doc.take("kind", str)
+    if kind not in ("phi", "rho"):
+        raise doc.error(f"plan kind must be phi or rho, got {kind!r}")
+    budget_kind, cap = doc.take("budget", str, float)
+    with doc.check():
+        budget = SearchBudget(budget_kind, cap)
+    (feasible,) = doc.take("feasible", bool)
+    (s_sum,) = doc.take("s_sum", float)
+    (e_sum,) = doc.take("e_sum", float)
     choice: dict[int, int] = {}
-    frontier: list[tuple[float, float]] = []
-    for line in lines[1:]:
-        tokens = line.split()
-        if tokens[0] == "kind":
-            kind = tokens[1]
-        elif tokens[0] == "budget":
-            budget = SearchBudget(tokens[1], float(tokens[2]))
-        elif tokens[0] == "feasible":
-            feasible = tokens[1] == "true"
-        elif tokens[0] == "s_sum":
-            s_sum = float(tokens[1])
-        elif tokens[0] == "e_sum":
-            e_sum = float(tokens[1])
-        elif tokens[0] == "choice":
-            layers.append(int(tokens[2]))
-            choice[int(tokens[2])] = int(tokens[4])
-        elif tokens[0] == "frontier":
-            frontier.append((float(tokens[1]), float(tokens[2])))
+    while doc.peek()[:1] == ["choice"]:
+        layer, value = doc.take("choice", "layer", int, "value", int)
+        if layer in choice:
+            raise doc.error(f"layer {layer} chosen twice")
+        choice[layer] = value
+    frontier = []
+    while doc.peek():
+        frontier.append(tuple(doc.take("frontier", float, float)))
     return LayerPlan(
-        kind=kind, layers=layers, choice=choice, s_sum=s_sum, e_sum=e_sum,
+        kind=kind, layers=list(choice), choice=choice, s_sum=s_sum, e_sum=e_sum,
         feasible=feasible, budget=budget, frontier=frontier,
     )

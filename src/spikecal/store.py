@@ -21,15 +21,27 @@ with offsets and sizes counted in float32 elements::
     ...
     blob_size 235146
 
-Parameter sections must tile the blob exactly (sorted, contiguous, no
-overlap). The calibration cache uses the same envelope with magic ``SNNX``
-and byte-addressed, per-array dtypes, since it mixes float and int arrays.
+Parameter sections must tile the blob exactly, in header order. The
+calibration cache uses the same envelope with magic ``SNNX`` and
+byte-addressed, per-array dtypes, since it mixes float and int arrays.
+
+Every text artifact of the pipeline (neuron configs, plans, exit policy,
+CSV tables) and the envelope headers above are read through ``Lines``, which
+checks each line's keywords, field count and value types and reports any
+fault as a ``StoreError`` naming ``<file>:<line>``. Every artifact is written
+through ``write_atomic``: a temp file in the target directory, then
+``os.replace``, so a reader never sees a half-written file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import math
+import os
+import re
 import struct
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,51 +86,226 @@ class CacheMismatchError(StoreError):
 
 
 # ---------------------------------------------------------------------------
-# envelope helpers
+# artifact text and atomic writes
+
+# Every integer in an artifact (indices, counts, sizes, seeds) is
+# nonnegative and fits int64; floats are Python reprs, never NaN.
+_INT = re.compile(r"[0-9]{1,18}")
+_FLOAT = re.compile(r"[+-]?(?:inf|[0-9]+(?:\.[0-9]+)?(?:e[+-]?[0-9]+)?)")
+
+
+def write_atomic(path, content: bytes | list[str]) -> None:
+    """Write bytes, or text lines each ended by a newline, to ``path``.
+
+    The data goes to a temp file in the same directory, which then replaces
+    ``path``; missing directories are created.
+    """
+    if not isinstance(content, bytes):
+        content = ("\n".join(content) + "\n").encode("utf-8")
+    directory = os.path.dirname(os.fspath(path)) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _split_text(where: str, data: bytes) -> list[str]:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data[: err.start].count(b"\n") + 1
+        raise HeaderError(f"{where}:{line}: not UTF-8 text") from None
+    lines = text.split("\n")
+    if lines.pop() != "":
+        raise HeaderError(f"{where}:{len(lines) + 1}: line cut short (no final newline)")
+    return lines
+
+
+class Lines:
+    """The lines of one text artifact, read front to back.
+
+    The first line must equal ``first``: a ``format ...`` line or a CSV
+    header. Fields within a line are separated by exactly one ``sep``.
+    ``error`` builds a ``HeaderError`` at the line taken last, so checks made
+    right after a ``take`` point at the offending line.
+    """
+
+    def __init__(self, where: str, lines: list[str], first: str, sep: str = " "):
+        self.where = where
+        self.number = 1
+        self._lines = lines
+        self._sep = sep
+        if not lines or lines[0] != first:
+            raise self.error(f"expected {first!r} as the first line")
+
+    def error(self, message: str, kind: type[StoreError] | None = None) -> StoreError:
+        return (kind or HeaderError)(f"{self.where}:{self.number}: {message}")
+
+    @contextlib.contextmanager
+    def check(self):
+        """Report a ValueError raised while building a record at the current line."""
+        try:
+            yield
+        except ValueError as err:
+            raise self.error(str(err)) from None
+
+    def peek(self) -> list[str]:
+        """Fields of the next line; an empty list at the end of the file."""
+        if self.number < len(self._lines):
+            return self._lines[self.number].split(self._sep)
+        return []
+
+    def take(self, *pattern) -> list:
+        """Values of the next line, which must match ``pattern`` exactly.
+
+        A string in the pattern is a literal keyword; ``int``, ``float``,
+        ``bool`` (``true``/``false``) and ``str`` each stand for one field of
+        that type; ``(int,)`` stands for one or more ints running up to the
+        next keyword.
+        """
+        tokens = self.peek()
+        self.number += 1
+        if not tokens:
+            raise self.error(f"expected a {pattern[0]!r} line, found the end of the file")
+        values, i = [], 0
+        for k, want in enumerate(pattern):
+            if isinstance(want, tuple):
+                stop = pattern[k + 1] if k + 1 < len(pattern) else None
+                j = i
+                while j < len(tokens) and tokens[j] != stop:
+                    j += 1
+                if j == i:
+                    raise self.error(f"expected at least one {want[0].__name__}")
+                values.append(tuple(self._value(t, want[0]) for t in tokens[i:j]))
+                i = j
+            elif i >= len(tokens):
+                raise self.error(f"too few fields ({len(tokens)})")
+            elif isinstance(want, str):
+                if tokens[i] != want:
+                    raise self.error(f"expected {want!r}, found {tokens[i]!r}")
+                i += 1
+            else:
+                values.append(self._value(tokens[i], want))
+                i += 1
+        if i != len(tokens):
+            raise self.error(f"too many fields ({len(tokens)})")
+        return values
+
+    def end(self) -> None:
+        """The file must hold no further lines."""
+        if self.peek():
+            self.number += 1
+            raise self.error("unexpected line")
+
+    def _value(self, token: str, kind: type):
+        if kind is str:
+            return token
+        if kind is bool and token in ("true", "false"):
+            return token == "true"
+        if kind in (int, float) and (_INT if kind is int else _FLOAT).fullmatch(token):
+            return kind(token)
+        raise self.error(f"expected {kind.__name__}, found {token!r}")
+
+
+def read_lines(path, first: str, sep: str = " ") -> Lines:
+    """Open a text artifact for strict reading; see ``Lines``."""
+    where = os.fspath(path)
+    with open(path, "rb") as fh:
+        return Lines(where, _split_text(where, fh.read()), first, sep)
+
 
 def _pack_envelope(magic: bytes, header_lines: list[str], blob: bytes) -> bytes:
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
     return magic + struct.pack("<HI", FORMAT_VERSION, len(header)) + header + blob
 
 
-def _unpack_envelope(data: bytes, magic: bytes) -> tuple[list[str], bytes]:
+def _unpack_envelope(data: bytes, magic: bytes, where: str) -> tuple[list[str], bytes]:
     if len(data) < 10 or data[:4] != magic:
         raise BadMagicError(
-            f"expected magic {magic!r}, found {data[:4]!r}"
+            f"{where}:1: expected magic {magic!r}, found {data[:4]!r}"
         )
     version, header_len = struct.unpack("<HI", data[4:10])
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(
-            f"format version {version} not supported (expected {FORMAT_VERSION})"
+            f"{where}:1: format version {version} not supported (expected {FORMAT_VERSION})"
         )
     if len(data) < 10 + header_len:
         raise TruncatedBlobError(
-            f"header declares {header_len} bytes but only {len(data) - 10} remain"
+            f"{where}:1: header declares {header_len} bytes but only {len(data) - 10} remain"
         )
-    header = data[10 : 10 + header_len].decode("utf-8")
-    return header.splitlines(), data[10 + header_len :]
+    return _split_text(where, data[10 : 10 + header_len]), data[10 + header_len :]
+
+
+def _take_section(doc: Lines, blob: bytes, cursor: int, shape, offset: int, size: int,
+                  dtype: str, unit: int) -> np.ndarray:
+    """The blob section a param/array line declares, in ``unit``-byte offsets.
+
+    Sections must follow one another with no gap (``cursor`` is where the
+    last one ended) and hold exactly ``shape``'s values.
+    """
+    if offset != cursor:
+        raise doc.error(
+            f"section starts at {offset}, previous section ended at {cursor}", OffsetError
+        )
+    count = math.prod(shape)
+    if count * np.dtype(dtype).itemsize != size * unit:
+        raise doc.error(f"shape {shape} does not match size {size}")
+    if (offset + size) * unit > len(blob):
+        raise doc.error(
+            f"section ends at byte {(offset + size) * unit}, blob holds {len(blob)}",
+            TruncatedBlobError,
+        )
+    return np.frombuffer(blob, dtype=dtype, count=count, offset=offset * unit).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
 # model serialization
 
-def _layer_struct_line(i: int, layer: LayerSpec) -> str:
-    kind = layer.kind
+# Fields after ``layer <i> <kind>``, per kind: keywords and int placeholders.
+_LAYER_FIELDS = {
+    "dense": ("in_features", int, "out_features", int),
+    "conv2d": (
+        "in_channels", int, "out_channels", int,
+        "kernel", int, int, "stride", int, int, "padding", int, int,
+    ),
+    "avgpool2d": ("kernel", int, int, "stride", int, int),
+    "flatten": (),
+    "relu": (),
+}
+
+
+def _layer_dims(layer: LayerSpec) -> list[int]:
+    """The ints a layer line carries, in ``_LAYER_FIELDS`` order."""
+    if layer.kind == "dense":
+        return [layer.in_features, layer.out_features]
+    if layer.kind == "conv2d":
+        return [layer.in_channels, layer.out_channels, *layer.kernel, *layer.stride, *layer.padding]
+    if layer.kind == "avgpool2d":
+        return [*layer.kernel, *layer.stride]
+    return []
+
+
+def _make_layer(kind: str, dims: list[int], params: dict[str, np.ndarray]) -> LayerSpec:
+    """Inverse of ``_layer_dims``, given the layer's parameter arrays."""
     if kind == "dense":
-        return f"layer {i} dense in_features {layer.in_features} out_features {layer.out_features}"
+        return nn.dense(*dims, **params)
     if kind == "conv2d":
-        kh, kw = layer.kernel
-        sh, sw = layer.stride
-        ph, pw = layer.padding
-        return (
-            f"layer {i} conv2d in_channels {layer.in_channels} out_channels {layer.out_channels} "
-            f"kernel {kh} {kw} stride {sh} {sw} padding {ph} {pw}"
-        )
+        c_in, c_out, kh, kw, sh, sw, ph, pw = dims
+        return nn.conv2d(c_in, c_out, (kh, kw), (sh, sw), (ph, pw), **params)
     if kind == "avgpool2d":
-        kh, kw = layer.kernel
-        sh, sw = layer.stride
-        return f"layer {i} avgpool2d kernel {kh} {kw} stride {sh} {sw}"
-    return f"layer {i} {kind}"
+        return nn.avgpool2d(dims[:2], dims[2:])
+    return nn.flatten() if kind == "flatten" else nn.relu()
+
+
+def _layer_struct_line(i: int, layer: LayerSpec) -> str:
+    dims = iter(_layer_dims(layer))
+    fields = [f if isinstance(f, str) else str(next(dims)) for f in _LAYER_FIELDS[layer.kind]]
+    return " ".join(["layer", str(i), layer.kind, *fields])
 
 
 def serialize_model(model: ModelGraph) -> bytes:
@@ -128,7 +315,6 @@ def serialize_model(model: ModelGraph) -> bytes:
     lines.append(f"classes {model.class_count}")
     blobs: list[bytes] = []
     offset = 0
-    param_lines: list[str] = []
     for i, layer in enumerate(model.layers):
         lines.append(_layer_struct_line(i, layer))
         if layer.parameterized:
@@ -145,110 +331,63 @@ def serialize_model(model: ModelGraph) -> bytes:
 
 
 def save_model(model: ModelGraph, path) -> None:
-    data = serialize_model(model)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    write_atomic(path, serialize_model(model))
 
 
-def _parse_layer_line(tokens: list[str]) -> LayerSpec:
-    kind = tokens[2]
-    kv = {}
-    rest = tokens[3:]
-    i = 0
-    while i < len(rest):
-        key = rest[i]
-        if key in ("kernel", "stride", "padding"):
-            kv[key] = (int(rest[i + 1]), int(rest[i + 2]))
-            i += 3
-        else:
-            kv[key] = int(rest[i + 1])
-            i += 2
-    if kind == "dense":
-        return nn.dense(kv["in_features"], kv["out_features"])
-    if kind == "conv2d":
-        return nn.conv2d(
-            kv["in_channels"], kv["out_channels"], kv["kernel"],
-            stride=kv["stride"], padding=kv["padding"],
-        )
-    if kind == "avgpool2d":
-        return nn.avgpool2d(kv["kernel"], kv["stride"])
-    if kind == "flatten":
-        return nn.flatten()
-    if kind == "relu":
-        return nn.relu()
-    raise HeaderError(f"unknown layer kind {kind!r} in header")
-
-
-def deserialize_model(data: bytes) -> ModelGraph:
-    lines, blob = _unpack_envelope(data, MODEL_MAGIC)
-    if not lines or lines[0] != "format snnc-model":
-        raise HeaderError("missing 'format snnc-model' header line")
-    input_shape: tuple[int, ...] | None = None
-    classes: int | None = None
-    blob_size: int | None = None
-    layers: dict[int, LayerSpec] = {}
-    params: list[tuple[int, str, tuple[int, ...], int, int]] = []
-    for line in lines[1:]:
-        tokens = line.split()
-        if not tokens:
-            continue
-        if tokens[0] == "input_shape":
-            input_shape = tuple(int(t) for t in tokens[1:])
-        elif tokens[0] == "classes":
-            classes = int(tokens[1])
-        elif tokens[0] == "blob_size":
-            blob_size = int(tokens[1])
-        elif tokens[0] == "layer":
-            layers[int(tokens[1])] = _parse_layer_line(tokens)
-        elif tokens[0] == "param":
-            idx, name = int(tokens[1]), tokens[2]
-            if tokens[3] != "shape":
-                raise HeaderError(f"malformed param line: {line!r}")
-            off_at = tokens.index("offset")
-            shape = tuple(int(t) for t in tokens[4:off_at])
-            offset = int(tokens[off_at + 1])
-            size = int(tokens[off_at + 3])
-            params.append((idx, name, shape, offset, size))
-        else:
-            raise HeaderError(f"unknown header line: {line!r}")
-    if input_shape is None or classes is None or blob_size is None:
-        raise HeaderError("header missing input_shape, classes, or blob_size")
-
-    actual = len(blob) // 4
-    if len(blob) % 4 or actual != blob_size:
-        raise TruncatedBlobError(
-            f"blob declares {blob_size} float32 values ({blob_size * 4} bytes), "
-            f"file carries {len(blob)} bytes"
-        )
-    spans = sorted((p[3], p[3] + p[4]) for p in params)
+def deserialize_model(data: bytes, where: str = "<model bytes>") -> ModelGraph:
+    """Parse a model envelope; ``where`` names the source in error messages."""
+    lines, blob = _unpack_envelope(data, MODEL_MAGIC, where)
+    doc = Lines(where, lines, "format snnc-model")
+    (input_shape,) = doc.take("input_shape", (int,))
+    (classes,) = doc.take("classes", int)
+    layers: list[LayerSpec] = []
     cursor = 0
-    for start, end in spans:
-        if start != cursor:
-            raise OffsetError(
-                f"param sections must tile the blob exactly; section at {start} "
-                f"but previous ended at {cursor}"
-            )
-        cursor = end
-    if cursor != blob_size:
-        raise OffsetError(
-            f"param sections cover {cursor} values, blob declares {blob_size}"
+    while doc.peek()[:1] == ["layer"]:
+        kind = (doc.peek() + ["", ""])[2]
+        idx, *dims = doc.take("layer", int, kind, *_LAYER_FIELDS.get(kind, ()))
+        if kind not in _LAYER_FIELDS:
+            raise doc.error(f"unknown layer kind {kind!r}")
+        if idx != len(layers):
+            raise doc.error(f"expected layer {len(layers)}, found layer {idx}")
+        params = {}
+        if kind in ("dense", "conv2d"):
+            for name in ("weight", "bias"):
+                pidx, shape, offset, size = doc.take(
+                    "param", int, name, "shape", (int,), "offset", int, "size", int
+                )
+                if pidx != idx:
+                    raise doc.error(f"param for layer {pidx} follows layer {idx}")
+                section = _take_section(doc, blob, cursor, shape, offset, size, "<f4", 4)
+                params[name] = section.astype(np.float32)
+                cursor += size
+        with doc.check():
+            layer = _make_layer(kind, dims, params)
+        for name, arr in params.items():
+            if getattr(layer, name).shape != arr.shape:
+                raise doc.error(f"{name} shape {arr.shape} does not fit layer {idx}")
+        layers.append(layer)
+    (blob_size,) = doc.take("blob_size", int)
+    if blob_size != cursor:
+        raise doc.error(f"param sections cover {cursor} values, blob declares {blob_size}",
+                        OffsetError)
+    if len(blob) != 4 * blob_size:
+        raise doc.error(
+            f"blob declares {blob_size} float32 values ({blob_size * 4} bytes), "
+            f"file carries {len(blob)} bytes",
+            TruncatedBlobError,
         )
-
-    ordered = [layers[i] for i in sorted(layers)]
-    flat = np.frombuffer(blob, dtype="<f4")
-    for idx, name, shape, offset, size in params:
-        if int(np.prod(shape)) != size:
-            raise HeaderError(f"param {idx} {name}: shape {shape} does not match size {size}")
-        arr = flat[offset : offset + size].reshape(shape).astype(np.float32)
-        setattr(ordered[idx], name, arr)
-    model = ModelGraph(ordered, input_shape, classes)
-    model.validate()
+    doc.end()
+    model = ModelGraph(layers, input_shape, classes)
+    try:
+        model.validate()
+    except ValueError as err:
+        raise HeaderError(f"{where}: {err}") from None
     return model
 
 
 def load_model(path) -> ModelGraph:
     with open(path, "rb") as fh:
-        return deserialize_model(fh.read())
+        return deserialize_model(fh.read(), os.fspath(path))
 
 
 def model_digest(model: ModelGraph) -> str:
@@ -463,15 +602,13 @@ def build_calibration_cache(
 
 
 _CACHE_DTYPES = {"f32": "<f4", "i64": "<i8"}
+# The arrays every cache holds, in file order; tap_<layer> arrays follow.
+_CACHE_ARRAYS = (("indices", "i64"), ("labels", "i64"), ("inputs", "f32"), ("logits", "f32"))
+_ARRAY_TAIL = ("shape", (int,), "offset", int, "size", int)
 
 
 def save_cache(cache: CalibrationCache, path) -> None:
-    arrays: list[tuple[str, str, np.ndarray]] = [
-        ("indices", "i64", cache.indices),
-        ("labels", "i64", cache.labels),
-        ("inputs", "f32", cache.inputs),
-        ("logits", "f32", cache.logits),
-    ]
+    arrays = [(name, tag, getattr(cache, name)) for name, tag in _CACHE_ARRAYS]
     for idx in sorted(cache.taps):
         arrays.append((f"tap_{idx}", "f32", cache.taps[idx]))
     lines = [
@@ -488,42 +625,44 @@ def save_cache(cache: CalibrationCache, path) -> None:
         lines.append(f"array {name} {tag} shape {shape} offset {offset} size {len(raw)}")
         blobs.append(raw)
         offset += len(raw)
-    with open(path, "wb") as fh:
-        fh.write(_pack_envelope(CACHE_MAGIC, lines, b"".join(blobs)))
+    write_atomic(path, _pack_envelope(CACHE_MAGIC, lines, b"".join(blobs)))
 
 
 def load_cache(path) -> CalibrationCache:
+    where = os.fspath(path)
     with open(path, "rb") as fh:
-        lines, blob = _unpack_envelope(fh.read(), CACHE_MAGIC)
-    if not lines or lines[0] != "format snnc-cache":
-        raise HeaderError("missing 'format snnc-cache' header line")
-    meta: dict[str, str] = {}
-    arrays: dict[str, np.ndarray] = {}
-    for line in lines[1:]:
-        tokens = line.split()
-        if tokens[0] == "array":
-            name, tag = tokens[1], tokens[2]
-            off_at = tokens.index("offset")
-            shape = tuple(int(t) for t in tokens[4:off_at])
-            offset = int(tokens[off_at + 1])
-            size = int(tokens[off_at + 3])
-            if offset + size > len(blob):
-                raise TruncatedBlobError(
-                    f"array {name} wants bytes [{offset}, {offset + size}), "
-                    f"blob holds {len(blob)}"
-                )
-            arr = np.frombuffer(blob[offset : offset + size], dtype=_CACHE_DTYPES[tag])
-            arrays[name] = arr.reshape(shape).copy()
-        else:
-            meta[tokens[0]] = tokens[1]
-    taps = {
-        int(name.split("_", 1)[1]): arr.astype(np.float32)
-        for name, arr in arrays.items()
-        if name.startswith("tap_")
+        lines, blob = _unpack_envelope(fh.read(), CACHE_MAGIC, where)
+    doc = Lines(where, lines, "format snnc-cache")
+    (digest,) = doc.take("model_digest", str)
+    (seed,) = doc.take("seed", int)
+    (samples,) = doc.take("samples", int)
+    cursor = 0
+
+    def section(shape, offset, size, tag) -> np.ndarray:
+        nonlocal cursor
+        if shape[0] != samples:
+            raise doc.error(f"array holds {shape[0]} samples, header declares {samples}")
+        arr = _take_section(doc, blob, cursor, shape, offset, size, _CACHE_DTYPES[tag], 1)
+        cursor += size
+        return arr
+
+    arrays = {
+        name: section(*doc.take("array", name, tag, *_ARRAY_TAIL), tag)
+        for name, tag in _CACHE_ARRAYS
     }
+    taps: dict[int, np.ndarray] = {}
+    while doc.peek():
+        name, *tail = doc.take("array", str, "f32", *_ARRAY_TAIL)
+        layer = name.removeprefix("tap_")
+        if not name.startswith("tap_") or not _INT.fullmatch(layer) or int(layer) in taps:
+            raise doc.error(f"expected a new tap_<layer> array, found {name!r}")
+        taps[int(layer)] = section(*tail, "f32").astype(np.float32)
+    if cursor != len(blob):
+        raise doc.error(f"arrays cover {cursor} bytes, blob holds {len(blob)}",
+                        TruncatedBlobError)
     return CalibrationCache(
-        model_digest=meta["model_digest"],
-        seed=int(meta["seed"]),
+        model_digest=digest,
+        seed=seed,
         indices=arrays["indices"].astype(np.int64),
         labels=arrays["labels"].astype(np.int64),
         inputs=arrays["inputs"].astype(np.float32),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import ModelGraph, Tensor, _col2im, _im2col, softmax
+from .nn import ModelGraph, Tensor, _col2im, _im2col, apply_layer, softmax
 
 
 class TrainingDivergedError(RuntimeError):
@@ -24,53 +24,27 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> float:
 
 
 def _forward_cached(model: ModelGraph, x: Tensor):
-    cache = []
+    """Logits plus each layer's input, which is all the backward pass needs."""
+    inputs = []
     for layer in model.layers:
-        entry = {"x": x}
-        if layer.kind == "conv2d":
-            cols, out_hw = _im2col(x, layer.kernel, layer.stride, layer.padding)
-            entry["cols"] = cols
-            entry["out_hw"] = out_hw
-            w2 = layer.weight.reshape(layer.out_channels, -1)
-            y = np.einsum("oc,ncl->nol", w2, cols, optimize=True)
-            x = y.reshape(x.shape[0], layer.out_channels, *out_hw) + layer.bias.reshape(1, -1, 1, 1)
-        elif layer.kind == "dense":
-            x = x @ layer.weight.T + layer.bias
-        elif layer.kind == "avgpool2d":
-            kh, kw = layer.kernel
-            sh, sw = layer.stride
-            n, c, h, w = x.shape
-            ho = (h - kh) // sh + 1
-            wo = (w - kw) // sw + 1
-            acc = np.zeros((n, c, ho, wo), dtype=x.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    acc += x[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-            x = acc / (kh * kw)
-        elif layer.kind == "flatten":
-            x = x.reshape(x.shape[0], -1)
-        elif layer.kind == "relu":
-            x = np.maximum(x, 0)
-        entry["y"] = x
-        cache.append(entry)
-    return x, cache
+        inputs.append(x)
+        x = apply_layer(layer, x)
+    return x, inputs
 
 
-def _backward(model: ModelGraph, cache, dlogits: Tensor):
+def _backward(model: ModelGraph, inputs, dlogits: Tensor):
     grads: dict[int, tuple[Tensor, Tensor]] = {}
     dy = dlogits
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
-        entry = cache[i]
-        x = entry["x"]
+        x = inputs[i]
         if layer.kind == "dense":
             grads[i] = (dy.T @ x, dy.sum(axis=0))
             dy = dy @ layer.weight
         elif layer.kind == "conv2d":
-            n = x.shape[0]
-            ho, wo = entry["out_hw"]
-            dflat = dy.reshape(n, layer.out_channels, ho * wo)
-            dw = np.einsum("nol,ncl->oc", dflat, entry["cols"], optimize=True)
+            cols, (ho, wo) = _im2col(x, layer.kernel, layer.stride, layer.padding)
+            dflat = dy.reshape(x.shape[0], layer.out_channels, ho * wo)
+            dw = np.einsum("nol,ncl->oc", dflat, cols, optimize=True)
             grads[i] = (
                 dw.reshape(layer.weight.shape),
                 dy.sum(axis=(0, 2, 3)),
@@ -92,7 +66,7 @@ def _backward(model: ModelGraph, cache, dlogits: Tensor):
         elif layer.kind == "flatten":
             dy = dy.reshape(x.shape)
         elif layer.kind == "relu":
-            dy = dy * (entry["y"] > 0)
+            dy = dy * (x > 0)
     return grads
 
 
@@ -127,7 +101,7 @@ def train_reference(
         for start in range(0, n, batch_size):
             pick = order[start : start + batch_size]
             xb, yb = images[pick], labels[pick]
-            logits, cache = _forward_cached(trained, xb)
+            logits, inputs = _forward_cached(trained, xb)
             loss = cross_entropy(logits, yb)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
@@ -136,7 +110,7 @@ def train_reference(
             probs = softmax(logits, axis=1)
             probs[np.arange(len(yb)), yb] -= 1.0
             dlogits = (probs / len(yb)).astype(np.float32)
-            grads = _backward(trained, cache, dlogits)
+            grads = _backward(trained, inputs, dlogits)
             for idx, (dw, db) in grads.items():
                 layer = trained.layers[idx]
                 layer.weight -= np.float32(lr) * dw.astype(np.float32)

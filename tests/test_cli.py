@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 
 import pytest
 
@@ -89,6 +91,52 @@ def test_rerun_is_idempotent(finished_run):
     assert cli.main(["search-phi", "--config", str(config)]) == 0
     for p, blob in before.items():
         assert open(p, "rb").read() == blob
+
+
+def _relabel(text):
+    return text.replace("layer 1 ", "layer 7 ").replace("layer 3 ", "layer 9 ")
+
+
+def _swap_last_two(text):
+    lines = text.splitlines()
+    lines[-2], lines[-1] = lines[-1], lines[-2]
+    return "\n".join(lines) + "\n"
+
+
+def _drop_last(text):
+    return "\n".join(text.splitlines()[:-1]) + "\n"
+
+
+def _drop_beta(text):
+    return "".join(line for line in text.splitlines(True) if not line.startswith("beta "))
+
+
+# case -> (stage, artifact, edit, pattern the error message must match)
+DAMAGE = {
+    "truncated-configs": ("eval", "snn_configs_full.txt", lambda t: t[:-12],
+                          r"snn_configs_full\.txt:3: "),
+    "relabelled-configs": ("eval", "snn_configs_full.txt", _relabel, r"snn_configs_full\.txt"),
+    "swapped-configs": ("eval", "snn_configs_full.txt", _swap_last_two, r"snn_configs_full\.txt"),
+    "short-configs": ("search-rho", "snn_configs_phi.txt", _drop_last, r"snn_configs_phi\.txt"),
+    "short-policy": ("eval", "exit_policy.txt", _drop_last, r"exit_policy\.txt:\d+: "),
+    "policy-without-beta": ("eval", "exit_policy.txt", _drop_beta, r"exit_policy\.txt:3: "),
+    "truncated-plan": ("report", "plan_rho.txt", lambda t: t[:-9], r"plan_rho\.txt:\d+: "),
+    "short-exit-trace": ("report", "exit_trace.csv", _drop_last, r"exit_trace\.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGE))
+def test_damaged_artifact_is_user_error(finished_run, tmp_path, capsys, case):
+    stage, name, edit, pattern = DAMAGE[case]
+    _, _, raw = finished_run
+    out = tmp_path / "copy"
+    shutil.copytree(raw["out_dir"], out)
+    (out / name).write_text(edit((out / name).read_text()))
+    config, _ = write_config(tmp_path, out_dir=str(out))
+    capsys.readouterr()
+    assert cli.main([stage, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(pattern, err), err
 
 
 def test_missing_artifacts_listed_by_name(tmp_path):
