@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import store
-from .engine import LayerSnnConfig, rate_at_layer, run_snn, spiking_layer_indices
+from .engine import (
+    LayerSnnConfig,
+    _as_batch,
+    _check_run,
+    _run_layer,
+    run_snn,
+    spiking_layer_indices,
+)
 from .nn import ModelGraph
 from .store import CalibrationCache
 
@@ -148,20 +155,26 @@ def calibrate_biases(
     into the biases feeding each spiking layer.
 
     Works input to output so each correction sees the layers before it
-    already corrected.
+    already corrected. One walk over the layers: each spiking layer is
+    simulated from the corrected train of the layer before it, once to
+    measure its rates and once more, after its feeder's bias is corrected,
+    to give the train the next layer starts from.
     """
     cache.check_model(model)
+    _check_run(model, configs, timesteps)
     corrected = model.clone()
-    for idx in spiking_layer_indices(corrected):
-        rates = rate_at_layer(
-            corrected, configs, cache.inputs, timesteps, idx,
-            membrane_init=membrane_init,
-        )
+    source, start = _as_batch(corrected, cache.inputs), 0
+    for pos, idx in enumerate(spiking_layer_indices(corrected)):
+        segment = corrected.layers[start:idx]
+        emitted = _run_layer(segment, configs[pos], source, timesteps, membrane_init).emitted
+        rates = emitted / float(timesteps)
         tap = np.asarray(cache.taps[idx], dtype=np.float64)
         axes = _channel_axes(tap)
         correction = tap.mean(axis=axes) - rates.mean(axis=axes)
         feeder = corrected.layers[idx - 1]
         feeder.bias = (feeder.bias.astype(np.float64) + correction).astype(np.float32)
+        source = _run_layer(segment, configs[pos], source, timesteps, membrane_init).train
+        start = idx + 1
     return corrected
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,11 +124,32 @@ _SECTIONS = {
 }
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a config field's type; a bool is no number."""
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    if hint is type(None):
+        return value is None
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    return isinstance(value, hint)
+
+
 def _fill(cls, data: dict, where: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise UserError(f"unknown config key(s) in {where}: {sorted(unknown)}")
+    for key, value in data.items():
+        hint = hints[key]
+        if not _fits(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else hint
+            raise UserError(f"config key {key!r} in {where} must be {expected}, got {value!r}")
     return cls(**data)
 
 

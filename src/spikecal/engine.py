@@ -18,6 +18,16 @@ The analog input batch is injected as a constant current every timestep, and
 the dense head never spikes; its accumulated membrane divided by T is the
 score vector. State is carried in float64 so charge bookkeeping stays exact
 at desk scale.
+
+The net is feed-forward, so a layer's whole T-step train depends only on the
+train entering it. Simulation is therefore layer-major: each spiking layer
+runs all T steps before the next one starts, and what passes between layers
+is a ``SpikeTrain`` of integer quanta counts. Everything before the first
+relu sees a constant input and is computed once. Every dense, conv or pool
+call is still one call per timestep over the batch's N rows, the same
+products a time-major sweep makes, so results match it bit for bit. A run
+can also start at any layer from a train recorded earlier, which is how the
+sensitivity table and bias calibration reuse a shared upstream prefix.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import store
-from .nn import ModelGraph, Tensor, apply_layer
+from .nn import ModelGraph, apply_layer
 
 DEFAULT_MEMBRANE_INIT = 0.5
 
@@ -60,10 +70,25 @@ class LayerSnnConfig:
 
 @dataclass
 class NeuronState:
-    """Pre-spike potential ``u`` and post-reset potential ``v``."""
+    """Membrane potential ``v`` after the soft reset."""
 
-    u: np.ndarray
     v: np.ndarray
+
+
+@dataclass
+class SpikeTrain:
+    """One spiking layer's emissions at every step, as quanta counts.
+
+    ``counts[t]`` holds at most ``phi`` per neuron in the smallest unsigned
+    dtype that fits, so a train costs a byte per neuron and step rather than
+    eight. ``amplitudes(t)`` rebuilds the float64 emissions bit for bit.
+    """
+
+    counts: np.ndarray  # [T, N, ...]
+    threshold: float
+
+    def amplitudes(self, t: int) -> np.ndarray:
+        return self.counts[t] * self.threshold
 
 
 @dataclass
@@ -81,14 +106,14 @@ class RunStats:
 class SnnRun:
     """Everything a simulation produced; optional fields are None unless asked for."""
 
-    scores: np.ndarray | None
+    scores: np.ndarray
     stats: RunStats
     rates: dict[int, np.ndarray]
     charge: dict[int, np.ndarray]
     emitted: dict[int, np.ndarray]
     v_first: dict[int, np.ndarray]
     v_last: dict[int, np.ndarray]
-    trains: dict[int, list[np.ndarray]] | None = None  # per-step emissions
+    trains: dict[int, SpikeTrain] | None = None
     step_scores: np.ndarray | None = None
     step_spikes: np.ndarray | None = None
 
@@ -130,12 +155,133 @@ def step_layer(
     u = state.v + current
     k = np.clip(np.floor(u / thr), 0.0, float(config.phi))
     emitted = k * thr
-    return NeuronState(u=u, v=u - emitted), emitted
+    return NeuronState(v=u - emitted), emitted
 
 
 def initial_state(config: LayerSnnConfig, shape, membrane_init: float) -> NeuronState:
-    v0 = np.full(shape, membrane_init * config.threshold, dtype=np.float64)
-    return NeuronState(u=v0.copy(), v=v0)
+    return NeuronState(v=np.full(shape, membrane_init * config.threshold, dtype=np.float64))
+
+
+def _check_run(model: ModelGraph, configs: list[LayerSnnConfig], timesteps: int) -> None:
+    """Reject a horizon under one step, or configs that miss spiking layers."""
+    if timesteps < 1:
+        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
+    spiking = spiking_layer_indices(model)
+    if len(configs) != len(spiking):
+        raise ConfigMismatchError(
+            f"model has {len(spiking)} spiking layers, got {len(configs)} configs"
+        )
+
+
+def _as_batch(model: ModelGraph, batch) -> np.ndarray:
+    """The input batch as float64 with a leading batch axis, shape-checked."""
+    x0 = np.asarray(batch, dtype=np.float64)
+    if x0.ndim == len(model.input_shape):
+        x0 = x0[None]
+    if tuple(x0.shape[1:]) != model.input_shape:
+        raise ConfigMismatchError(
+            f"batch shape {tuple(x0.shape[1:])} does not match model input {model.input_shape}"
+        )
+    return x0
+
+
+@dataclass
+class _LayerRun:
+    """One spiking layer simulated over every step."""
+
+    train: SpikeTrain | None
+    step_spikes: np.ndarray  # [T, N] unit spikes per step and input
+    charge: np.ndarray
+    emitted: np.ndarray
+    v_first: np.ndarray
+    v_last: np.ndarray
+
+
+@dataclass
+class _Simulation:
+    layers: dict[int, _LayerRun]
+    scores: np.ndarray
+    step_scores: list[np.ndarray]
+
+
+def _currents(layers, source: np.ndarray | SpikeTrain, timesteps: int):
+    """The output of ``layers`` at each step, fed ``source``.
+
+    A constant array goes through ``layers`` once; a spike train goes through
+    them once per step.
+    """
+    if isinstance(source, SpikeTrain):
+        for t in range(timesteps):
+            x = source.amplitudes(t)
+            for layer in layers:
+                x = apply_layer(layer, x)
+            yield x
+        return
+    for layer in layers:
+        source = apply_layer(layer, source)
+    for _ in range(timesteps):
+        yield source
+
+
+def _run_layer(
+    layers, config: LayerSnnConfig, source, timesteps: int, membrane_init: float
+) -> _LayerRun:
+    """Feed ``source`` through ``layers`` into one spiking layer, every step."""
+    thr = config.threshold
+    for t, current in enumerate(_currents(layers, source, timesteps)):
+        if t == 0:
+            state = initial_state(config, current.shape, membrane_init)
+            v_first = state.v
+            charge = np.zeros_like(current, dtype=np.float64)
+            emitted_sum = np.zeros_like(current, dtype=np.float64)
+            counts = np.empty((timesteps, *current.shape), np.min_scalar_type(config.phi))
+        state, emitted = step_layer(state, current, config)
+        charge += current
+        emitted_sum += emitted
+        counts[t] = np.rint(emitted / thr)
+    step_spikes = counts.reshape(timesteps, counts.shape[1], -1).sum(axis=2, dtype=np.int64)
+    return _LayerRun(SpikeTrain(counts, thr), step_spikes, charge, emitted_sum, v_first, state.v)
+
+
+def _simulate(
+    model: ModelGraph,
+    configs: list[LayerSnnConfig],
+    start: int,
+    source,
+    timesteps: int,
+    membrane_init: float,
+    *,
+    keep_trains: bool = False,
+    collect_steps: bool = False,
+) -> _Simulation:
+    """Run ``model.layers[start:]`` layer by layer, all steps of one layer
+    before the next.
+
+    ``source`` enters layer ``start``: the constant input batch, or the train
+    of the spiking layer just before ``start``. ``configs`` covers every
+    spiking layer of the model. Only the train being read and the one being
+    written are held, unless ``keep_trains`` asks for all of them.
+    """
+    position = {idx: p for p, idx in enumerate(spiking_layer_indices(model))}
+    runs: dict[int, _LayerRun] = {}
+    begin = start
+    for i in range(start, len(model.layers)):
+        if model.layers[i].kind != "relu":
+            continue
+        run = _run_layer(
+            model.layers[begin:i], configs[position[i]], source, timesteps, membrane_init
+        )
+        source, begin = run.train, i + 1
+        if not keep_trains:
+            run.train = None
+        runs[i] = run
+    acc = None
+    step_scores = []
+    for t, y in enumerate(_currents(model.layers[begin:], source, timesteps)):
+        acc = y if acc is None else acc + y
+        if collect_steps:
+            step_scores.append(acc / float(t + 1))
+    return _Simulation(runs, acc / float(timesteps), step_scores)
 
 
 def run_snn(
@@ -147,116 +293,45 @@ def run_snn(
     membrane_init: float = DEFAULT_MEMBRANE_INIT,
     record_trains: bool = False,
     collect_steps: bool = False,
-    stop_layer: int | None = None,
 ) -> SnnRun:
     """Simulate the converted net for ``timesteps`` steps of constant current.
 
-    ``stop_layer`` truncates the per-step sweep after that layer index, which
-    is how partial (prefix) rates are measured during calibration; score
-    accumulation only happens on full runs. ``collect_steps`` additionally
-    records cumulative scores and per-layer unit-spike counts after every
-    step, which the early-exit runtime consumes.
+    ``record_trains`` keeps every spiking layer's train. ``collect_steps``
+    additionally records cumulative scores and per-layer unit-spike counts
+    after every step, which the early-exit runtime consumes.
     """
-    if timesteps < 1:
-        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
-    spiking = spiking_layer_indices(model)
-    if len(configs) != len(spiking):
-        raise ConfigMismatchError(
-            f"model has {len(spiking)} spiking layers, got {len(configs)} configs"
-        )
-    position = {idx: p for p, idx in enumerate(spiking)}
-
-    x0 = np.asarray(batch, dtype=np.float64)
-    if x0.ndim == len(model.input_shape):
-        x0 = x0[None]
-    if tuple(x0.shape[1:]) != model.input_shape:
-        raise ConfigMismatchError(
-            f"batch shape {tuple(x0.shape[1:])} does not match model input {model.input_shape}"
-        )
-    n = x0.shape[0]
-
-    layers = model.layers if stop_layer is None else model.layers[: stop_layer + 1]
-    active = [i for i in spiking if i < len(layers)]
-    full_run = stop_layer is None
-
-    states: dict[int, NeuronState] = {}
-    v_first: dict[int, np.ndarray] = {}
-    charge: dict[int, np.ndarray] = {}
-    emitted_sum: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {i: 0 for i in active}
-    trains: dict[int, list[np.ndarray]] = {i: [] for i in active} if record_trains else {}
-    out_acc: np.ndarray | None = None
-    step_scores: list[np.ndarray] = []
-    step_spikes = (
-        np.zeros((timesteps, len(active), n), dtype=np.int64) if collect_steps else None
+    _check_run(model, configs, timesteps)
+    x0 = _as_batch(model, batch)
+    sim = _simulate(
+        model, configs, 0, x0, timesteps, membrane_init,
+        keep_trains=record_trains, collect_steps=collect_steps,
     )
-
-    for t in range(timesteps):
-        x = x0
-        for i, layer in enumerate(layers):
-            if layer.kind != "relu":
-                x = apply_layer(layer, x)
-                continue
-            cfg = configs[position[i]]
-            if t == 0:
-                states[i] = initial_state(cfg, x.shape, membrane_init)
-                v_first[i] = states[i].v.copy()
-                charge[i] = np.zeros_like(x, dtype=np.float64)
-                emitted_sum[i] = np.zeros_like(x, dtype=np.float64)
-            state, emitted = step_layer(states[i], x, cfg)
-            states[i] = state
-            charge[i] += x
-            emitted_sum[i] += emitted
-            k_units = np.rint(emitted / cfg.threshold).astype(np.int64)
-            counts[i] += int(k_units.sum())
-            if collect_steps:
-                step_spikes[t, position[i]] = k_units.reshape(n, -1).sum(axis=1)
-            if record_trains:
-                trains[i].append(emitted.copy())
-            x = emitted
-        if full_run:
-            out_acc = x if out_acc is None else out_acc + x
-            if collect_steps:
-                step_scores.append(out_acc / float(t + 1))
-
+    runs = sim.layers
+    counts = {i: int(r.step_spikes.sum()) for i, r in runs.items()}
     stats = RunStats(
         total_spikes=int(sum(counts.values())),
-        layer_spikes={i: counts[i] for i in active},
-        layer_synops={i: counts[i] * layer_fanout(model, i) for i in active},
-        layer_residual={i: float(states[i].v.sum()) for i in active},
+        layer_spikes=counts,
+        layer_synops={i: counts[i] * layer_fanout(model, i) for i in runs},
+        layer_residual={i: float(r.v_last.sum()) for i, r in runs.items()},
         timesteps=int(timesteps),
     )
+    step_spikes = None
+    if collect_steps:
+        step_spikes = np.zeros((timesteps, len(runs), x0.shape[0]), dtype=np.int64)
+        for pos, r in enumerate(runs.values()):
+            step_spikes[:, pos] = r.step_spikes
     return SnnRun(
-        scores=(out_acc / float(timesteps)) if full_run else None,
+        scores=sim.scores,
         stats=stats,
-        rates={i: emitted_sum[i] / float(timesteps) for i in active},
-        charge=charge,
-        emitted=emitted_sum,
-        v_first=v_first,
-        v_last={i: states[i].v.copy() for i in active},
-        trains=trains if record_trains else None,
-        step_scores=np.stack(step_scores) if (collect_steps and full_run) else None,
+        rates={i: r.emitted / float(timesteps) for i, r in runs.items()},
+        charge={i: r.charge for i, r in runs.items()},
+        emitted={i: r.emitted for i, r in runs.items()},
+        v_first={i: r.v_first for i, r in runs.items()},
+        v_last={i: r.v_last for i, r in runs.items()},
+        trains={i: r.train for i, r in runs.items()} if record_trains else None,
+        step_scores=np.stack(sim.step_scores) if collect_steps else None,
         step_spikes=step_spikes,
     )
-
-
-def rate_at_layer(
-    model: ModelGraph,
-    configs: list[LayerSnnConfig],
-    batch,
-    timesteps: int,
-    layer_index: int,
-    *,
-    membrane_init: float = DEFAULT_MEMBRANE_INIT,
-) -> np.ndarray:
-    """Mean emitted amplitude of one spiking layer, simulating only its prefix."""
-    if layer_index not in spiking_layer_indices(model):
-        raise ConfigMismatchError(f"layer {layer_index} is not a spiking layer")
-    run = run_snn(
-        model, configs, batch, timesteps,
-        membrane_init=membrane_init, stop_layer=layer_index,
-    )
-    return run.rates[layer_index]
 
 
 def save_configs(configs: list[LayerSnnConfig], layers: list[int], path) -> None:
@@ -294,8 +369,9 @@ def dump_trace(run: SnnRun, path, input_index: int = 0) -> None:
         raise ValueError("run was made without record_trains=True")
     lines = ["layer,timestep,neuron_index,emitted_amplitude"]
     for layer_idx in sorted(run.trains):
-        for t, emitted in enumerate(run.trains[layer_idx]):
-            flat = emitted[input_index].reshape(-1)
+        train = run.trains[layer_idx]
+        for t in range(len(train.counts)):
+            flat = train.amplitudes(t)[input_index].reshape(-1)
             for neuron in np.nonzero(flat)[0]:
                 lines.append(f"{layer_idx},{t + 1},{int(neuron)},{float(flat[neuron])!r}")
     store.write_atomic(path, lines)

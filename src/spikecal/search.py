@@ -27,7 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import store
-from .engine import LayerSnnConfig, RunStats, run_snn, spiking_layer_indices
+from .engine import (
+    LayerSnnConfig,
+    RunStats,
+    _as_batch,
+    _simulate,
+    layer_fanout,
+    run_snn,
+    spiking_layer_indices,
+)
 from .nn import ModelGraph, softmax
 from .store import CalibrationCache
 
@@ -124,6 +132,23 @@ def _with_candidate(
     return out
 
 
+def _check_sensitivity_inputs(model: ModelGraph, cache: CalibrationCache) -> np.ndarray:
+    """The source net's output distribution on the calibration subset."""
+    cache.check_model(model)
+    if model.class_count != cache.logits.shape[1]:
+        raise ValueError(
+            f"model emits {model.class_count} classes, cache logits carry {cache.logits.shape[1]}"
+        )
+    return softmax(np.asarray(cache.logits, dtype=np.float64), axis=1)
+
+
+def _measure(model, layer, target, scores, spikes, energy, sample_count) -> tuple[float, float]:
+    """S of a trial's scores against ``target``, and E of ``layer``'s unit spikes."""
+    s = float(np.mean(kl_divergence(target, softmax(scores, axis=1))))
+    count = spikes * layer_fanout(model, layer) if energy.mode == "synop" else spikes
+    return s, float(count) / sample_count / 1e-3 * energy.mu
+
+
 def layer_sensitivity(
     model: ModelGraph,
     configs: list[LayerSnnConfig],
@@ -136,26 +161,21 @@ def layer_sensitivity(
     *,
     membrane_init: float = 0.5,
 ) -> tuple[float, float]:
-    """(S, E) for one layer trying one candidate, others at baseline."""
-    cache.check_model(model)
+    """(S, E) for one layer trying one candidate, others at baseline.
+
+    Simulates the whole net from its input; ``build_table`` gives the same
+    numbers for every pair at once.
+    """
+    target = _check_sensitivity_inputs(model, cache)
     spiking = spiking_layer_indices(model)
     if layer not in spiking:
         raise ValueError(f"layer {layer} is not a spiking layer")
-    if model.class_count != cache.logits.shape[1]:
-        raise ValueError(
-            f"model emits {model.class_count} classes, cache logits carry {cache.logits.shape[1]}"
-        )
     trial = _with_candidate(configs, spiking.index(layer), kind, candidate)
     run = run_snn(model, trial, cache.inputs, timesteps, membrane_init=membrane_init)
-    p = softmax(np.asarray(cache.logits, dtype=np.float64), axis=1)
-    q = softmax(run.scores, axis=1)
-    s = float(np.mean(kl_divergence(p, q)))
-    if energy.mode == "synop":
-        count = run.stats.layer_synops[layer]
-    else:
-        count = run.stats.layer_spikes[layer]
-    e = float(count) / cache.sample_count / 1e-3 * energy.mu
-    return s, e
+    return _measure(
+        model, layer, target, run.scores, run.stats.layer_spikes[layer], energy,
+        cache.sample_count,
+    )
 
 
 def build_table(
@@ -169,7 +189,14 @@ def build_table(
     *,
     membrane_init: float = 0.5,
 ) -> SensitivityTable:
-    """Measure S and E for every (spiking layer, candidate) pair."""
+    """Measure S and E for every (spiking layer, candidate) pair.
+
+    Each pair equals ``layer_sensitivity`` bit for bit. A trial changes one
+    layer, so everything upstream of it runs at baseline: the baseline run
+    (the trunk) is made once and keeps its spike trains, and each trial
+    resumes from the trunk's train entering the layer it changes. A candidate
+    equal to the baseline value is the trunk itself.
+    """
     if kind not in ("phi", "rho"):
         raise ValueError(f"table kind must be phi or rho, got {kind!r}")
     if candidates is None:
@@ -177,59 +204,79 @@ def build_table(
     candidates = [int(c) for c in candidates]
     if not candidates:
         raise ValueError("candidate set is empty")
+    target = _check_sensitivity_inputs(model, cache)
     layers = spiking_layer_indices(model)
     table = SensitivityTable(
         kind=kind, layers=layers, candidates=candidates, sample_count=cache.sample_count
     )
-    for layer in layers:
+    trunk = run_snn(
+        model, configs, cache.inputs, timesteps, membrane_init=membrane_init, record_trains=True
+    )
+    # keep what the trials read, not the trunk's per-layer float64 bookkeeping
+    base_scores, base_spikes, trains = trunk.scores, trunk.stats.layer_spikes, trunk.trains
+    del trunk
+    source, start = _as_batch(model, cache.inputs), 0
+    for pos, layer in enumerate(layers):
         for cand in candidates:
-            s, e = layer_sensitivity(
-                model, configs, layer, cand, kind, cache, timesteps, energy,
-                membrane_init=membrane_init,
+            if cand == getattr(configs[pos], kind):
+                scores, spikes = base_scores, base_spikes[layer]
+            else:
+                trial = _with_candidate(configs, pos, kind, cand)
+                sim = _simulate(model, trial, start, source, timesteps, membrane_init)
+                scores, spikes = sim.scores, int(sim.layers[layer].step_spikes.sum())
+            table.s[(layer, cand)], table.e[(layer, cand)] = _measure(
+                model, layer, target, scores, spikes, energy, cache.sample_count
             )
-            table.s[(layer, cand)] = s
-            table.e[(layer, cand)] = e
+        source, start = trains[layer], layer + 1
     return table
 
 
-def _pareto_filter(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Mutually nondominated subset (minimizing both coordinates)."""
-    uniq = sorted(set(points))
-    keep: list[tuple[float, float]] = []
-    best_second = np.inf
-    for a, b in uniq:
-        if b < best_second:
-            keep.append((a, b))
-            best_second = b
-    return keep
+def _pareto_filter(s_sums: np.ndarray, e_sums: np.ndarray) -> list[tuple[float, float]]:
+    """Mutually nondominated (S, E) points (minimizing both), sorted by S.
+
+    In (S, E) order a point is kept when its E is below every E before it;
+    a repeated point never is, so each survives once.
+    """
+    order = np.lexsort((e_sums, s_sums))
+    s, e = s_sums[order], e_sums[order]
+    lowest_before = np.minimum.accumulate(np.concatenate(([np.inf], e[:-1])))
+    keep = e < lowest_before
+    return [(float(a), float(b)) for a, b in zip(s[keep], e[keep])]
 
 
-def _plan_sums(table: SensitivityTable, choice: dict[int, int]) -> tuple[float, float]:
-    s = sum(table.s[(i, choice[i])] for i in table.layers)
-    e = sum(table.e[(i, choice[i])] for i in table.layers)
-    return float(s), float(e)
+def _plan_sums(table: SensitivityTable, plans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Total S and E of each plan (a row of candidate indices, one per layer).
+
+    Added up layer by layer in table order, the same additions as a Python
+    ``sum`` over one plan's layers.
+    """
+    s_sums = np.zeros(len(plans))
+    e_sums = np.zeros(len(plans))
+    for j, layer in enumerate(table.layers):
+        s_sums += np.array([table.s[(layer, c)] for c in table.candidates])[plans[:, j]]
+        e_sums += np.array([table.e[(layer, c)] for c in table.candidates])[plans[:, j]]
+    return s_sums, e_sums
 
 
-def _select_best(table, plans, cap, minimize_s):
-    """Pick the feasible plan with the best objective; ties go to lower energy."""
-    best_choice = None
-    best_key = None
-    cheapest_choice = None
-    cheapest_key = None
-    for choice in plans:
-        s, e = _plan_sums(table, choice)
-        constrained = e if minimize_s else s
-        objective = s if minimize_s else e
-        # tie-break second slot: energy when minimizing S, sensitivity otherwise
-        key = (objective, e if minimize_s else s)
-        ckey = (constrained, objective)
-        if cheapest_key is None or ckey < cheapest_key:
-            cheapest_key = ckey
-            cheapest_choice = choice
-        if constrained <= cap and (best_key is None or key < best_key):
-            best_key = key
-            best_choice = choice
-    return best_choice, cheapest_choice
+def _first_min(primary: np.ndarray, secondary: np.ndarray, mask: np.ndarray) -> int:
+    """First row under ``mask`` with the least (primary, secondary) pair."""
+    mask = mask & (primary == primary[mask].min())
+    mask &= secondary == secondary[mask].min()
+    return int(np.argmax(mask))
+
+
+def _select_best(s_sums, e_sums, cap, minimize_s) -> tuple[int | None, int]:
+    """Rows of the best feasible plan (None if none is) and of the cheapest plan.
+
+    The best plan has the least objective among those within the cap, ties
+    going to the lesser constrained sum; the cheapest has the least
+    constrained sum, ties going to the lesser objective. Exact ties go to the
+    first row.
+    """
+    objective, constrained = (s_sums, e_sums) if minimize_s else (e_sums, s_sums)
+    feasible = constrained <= cap
+    best = _first_min(objective, constrained, feasible) if feasible.any() else None
+    return best, _first_min(constrained, objective, np.ones_like(feasible))
 
 
 def _sweep_lambdas(table: SensitivityTable, minimize_s: bool) -> list[float]:
@@ -256,32 +303,31 @@ def _sweep_lambdas(table: SensitivityTable, minimize_s: bool) -> list[float]:
     return sorted(lams)
 
 
-def _sweep_plans(table: SensitivityTable, minimize_s: bool) -> list[dict[int, int]]:
+def _sweep_plans(table: SensitivityTable, minimize_s: bool) -> np.ndarray:
+    """Distinct per-layer argmin plans over the multiplier sweep, as index rows."""
     plans = []
     seen = set()
     for lam in _sweep_lambdas(table, minimize_s):
-        choice: dict[int, int] = {}
+        row = []
         for layer in table.layers:
-            best_cand, best_key = None, None
-            for cand in table.candidates:
+            best_j, best_key = None, None
+            for j, cand in enumerate(table.candidates):
                 s, e = table.s[(layer, cand)], table.e[(layer, cand)]
                 cost = s + lam * e if minimize_s else e + lam * s
                 key = (cost, e, s)  # ties toward lower energy
                 if best_key is None or key < best_key:
-                    best_key, best_cand = key, cand
-            choice[layer] = best_cand
-        sig = tuple(choice[i] for i in table.layers)
-        if sig not in seen:
-            seen.add(sig)
-            plans.append(choice)
-    return plans
+                    best_key, best_j = key, j
+            row.append(best_j)
+        if tuple(row) not in seen:
+            seen.add(tuple(row))
+            plans.append(row)
+    return np.array(plans, dtype=np.intp).reshape(len(plans), len(table.layers))
 
 
-def _exhaustive_plans(table: SensitivityTable) -> list[dict[int, int]]:
-    return [
-        dict(zip(table.layers, combo))
-        for combo in itertools.product(table.candidates, repeat=len(table.layers))
-    ]
+def _exhaustive_plans(table: SensitivityTable) -> np.ndarray:
+    """Every plan as a row of candidate indices, in ``itertools.product`` order."""
+    n_layers, n_cands = len(table.layers), len(table.candidates)
+    return np.indices((n_cands,) * n_layers).reshape(n_layers, n_cands**n_layers).T
 
 
 def pareto_search(
@@ -305,19 +351,18 @@ def pareto_search(
     plans = (
         _exhaustive_plans(table) if method == "exhaustive" else _sweep_plans(table, minimize_s)
     )
-    best, cheapest = _select_best(table, plans, budget.cap, minimize_s)
-    frontier = _pareto_filter([_plan_sums(table, c) for c in plans])
-    choice = best if best is not None else cheapest
-    s, e = _plan_sums(table, choice)
+    s_sums, e_sums = _plan_sums(table, plans)
+    best, cheapest = _select_best(s_sums, e_sums, budget.cap, minimize_s)
+    pick = cheapest if best is None else best
     return LayerPlan(
         kind=table.kind,
         layers=list(table.layers),
-        choice=dict(choice),
-        s_sum=s,
-        e_sum=e,
+        choice={layer: table.candidates[j] for layer, j in zip(table.layers, plans[pick])},
+        s_sum=float(s_sums[pick]),
+        e_sum=float(e_sums[pick]),
         feasible=best is not None,
         budget=budget,
-        frontier=frontier,
+        frontier=_pareto_filter(s_sums, e_sums),
     )
 
 

@@ -98,16 +98,20 @@ def write_atomic(path, content: bytes | list[str]) -> None:
     """Write bytes, or text lines each ended by a newline, to ``path``.
 
     The data goes to a temp file in the same directory, which then replaces
-    ``path``; missing directories are created.
+    ``path``; missing directories are created. The file gets the mode a plain
+    ``open`` would give it (0666 less the umask), not the temp file's 0600.
     """
     if not isinstance(content, bytes):
         content = ("\n".join(content) + "\n").encode("utf-8")
     directory = os.path.dirname(os.fspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0o077)  # the umask is read by setting it; restored at once
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(content)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

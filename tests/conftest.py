@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from spikecal import nn, store, train  # noqa: E402
+from spikecal import calibrate, engine, nn, store, train  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +32,34 @@ def calibration(trained_mlp, blob_dataset):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+def _random_net(arch: str, seed: int, n: int = 6):
+    """A small untrained MLP or CNN, a calibration cache of ``n`` inputs, and
+    fitted thresholds with random burst caps and compression ratios."""
+    rng = np.random.default_rng(seed)
+    if arch == "mlp":
+        dim = int(rng.integers(3, 9))
+        hidden = [int(w) for w in rng.integers(2, 7, size=int(rng.integers(1, 4)))]
+        model = nn.build_mlp(dim, hidden, 3, seed=seed)
+        shape = (dim,)
+    else:
+        channels = [int(c) for c in rng.integers(1, 4, size=int(rng.integers(1, 3)))]
+        model = nn.build_cnn((1, 6, 6), channels, 3, seed=seed)
+        shape = (1, 6, 6)
+    images = rng.standard_normal((n, *shape)).astype(np.float32)
+    data = store.DatasetHandle(images=images, labels=rng.integers(0, 3, size=n))
+    cache = store.build_calibration_cache(model, data, n, seed=seed)
+    configs = [
+        engine.LayerSnnConfig(
+            v_th=f.v_th, rho=int(rng.integers(1, 3)), phi=int(rng.integers(1, 4))
+        )
+        for f in calibrate.fit_all_thresholds(model, cache, timesteps=4)
+    ]
+    return model, cache, configs
+
+
+@pytest.fixture()
+def random_net():
+    """``random_net(arch, seed)`` -> (model, calibration cache, configs)."""
+    return _random_net

@@ -125,7 +125,7 @@ def test_criterion_1_worked_burst_example():
 
 def _trace(charges, phi):
     cfg = engine.LayerSnnConfig(v_th=1.0, phi=phi)
-    state = engine.NeuronState(u=np.zeros(1), v=np.zeros(1))
+    state = engine.NeuronState(v=np.zeros(1))
     total = 0.0
     for c in charges:
         state, emitted = engine.step_layer(state, np.array([c]), cfg)
@@ -184,9 +184,7 @@ def test_criterion_3_rate_convergence():
                 v_th = float(np.exp(rng.uniform(np.log(0.2), np.log(4.0))))
                 current = w @ x
                 cfg = engine.LayerSnnConfig(v_th=v_th)
-                state = engine.NeuronState(
-                    u=np.zeros(n_out), v=np.full(n_out, v_th / 2.0)
-                )
+                state = engine.NeuronState(v=np.full(n_out, v_th / 2.0))
                 emitted = np.zeros(n_out)
                 for _step in range(timesteps):
                     state, e = engine.step_layer(state, current, cfg)

@@ -6,6 +6,8 @@ replaced bytes. For the binary envelopes the text header is also damaged on
 its own and repacked with a correct length, so the header parser is reached.
 """
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -140,3 +142,17 @@ def test_write_atomic_leaves_no_temp_files(tmp_path):
     store.write_atomic(path, b"z")
     assert path.read_bytes() == b"z"
     assert [p.name for p in (tmp_path / "sub").iterdir()] == ["a.txt"]
+
+
+def test_write_atomic_mode_follows_umask(tmp_path):
+    path = tmp_path / "a.txt"
+    saved = os.umask(0o022)
+    try:
+        store.write_atomic(path, ["x"])
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        os.umask(0o027)
+        store.write_atomic(path, b"y")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    finally:
+        os.umask(saved)
+    assert path.read_bytes() == b"y"

@@ -131,8 +131,9 @@ def test_bias_calibration_reduces_rate_mismatch(trained_mlp, calibration):
 
     def mean_gap(model):
         gaps = []
-        for pos, idx in enumerate(engine.spiking_layer_indices(model)):
-            rates = engine.rate_at_layer(model, configs, calibration.inputs, 8, idx)
+        run = engine.run_snn(model, configs, calibration.inputs, 8)
+        for idx in engine.spiking_layer_indices(model):
+            rates = run.rates[idx]
             tap = calibration.taps[idx]
             axes = tuple(a for a in range(tap.ndim) if a != 1) if tap.ndim > 2 else (0,)
             gaps.append(np.abs(tap.mean(axis=axes) - rates.mean(axis=axes)).mean())
@@ -142,6 +143,31 @@ def test_bias_calibration_reduces_rate_mismatch(trained_mlp, calibration):
     adjusted = calibrate.calibrate_biases(trained_mlp, configs, calibration, timesteps=8)
     after = mean_gap(adjusted)
     assert after <= before + 1e-9
+
+
+def _calibrate_reference(model, configs, cache, timesteps):
+    """Bias calibration with one full run per layer, O(L^2) layer simulations."""
+    corrected = model.clone()
+    for idx in engine.spiking_layer_indices(corrected):
+        rates = engine.run_snn(corrected, configs, cache.inputs, timesteps).rates[idx]
+        tap = np.asarray(cache.taps[idx], dtype=np.float64)
+        axes = (0,) if tap.ndim <= 2 else (0, *range(2, tap.ndim))
+        correction = tap.mean(axis=axes) - rates.mean(axis=axes)
+        feeder = corrected.layers[idx - 1]
+        feeder.bias = (feeder.bias.astype(np.float64) + correction).astype(np.float32)
+    return corrected
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+@pytest.mark.parametrize("timesteps", [1, 3, 8])
+def test_bias_calibration_equals_full_run_loop(random_net, arch, timesteps):
+    for seed in range(3):
+        model, cache, configs = random_net(arch, 10 * timesteps + seed)
+        fast = calibrate.calibrate_biases(model, configs, cache, timesteps)
+        slow = _calibrate_reference(model, configs, cache, timesteps)
+        for a, b in zip(fast.layers, slow.layers):
+            if a.bias is not None:
+                np.testing.assert_array_equal(a.bias, b.bias)
 
 
 def test_bias_calibration_is_contractive(trained_mlp, calibration):

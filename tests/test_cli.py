@@ -172,6 +172,17 @@ def test_unknown_section_key_rejected(tmp_path):
     assert cli.main(["train", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"timesteps": "8"}, "'timesteps'"),
+    ({"dataset": {"kind": "blobs", "n": "100", "eval_n": 50, "dim": [32], "classes": 4}}, "'n'"),
+])
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, overrides, key):
+    config, _ = write_config(tmp_path, **overrides)
+    assert cli.main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "must be int" in err
+
+
 def test_malformed_json_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

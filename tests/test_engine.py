@@ -23,7 +23,7 @@ def single_neuron_model():
 
 def step_sequence(charges, v_th, phi, rho=1, v0=0.0):
     cfg = engine.LayerSnnConfig(v_th=v_th, rho=rho, phi=phi)
-    state = engine.NeuronState(u=np.zeros(1), v=np.full(1, v0))
+    state = engine.NeuronState(v=np.full(1, v0))
     emitted = []
     for c in charges:
         state, e = engine.step_layer(state, np.array([float(c)]), cfg)
@@ -62,7 +62,7 @@ def test_negative_membrane_never_fires():
 def test_compressed_quantum_amplitude():
     # one step: v=0, input 5, v_th=1, rho=2 -> effective threshold 2
     cfg = engine.LayerSnnConfig(v_th=1.0, rho=2, phi=2)
-    state = engine.NeuronState(u=np.zeros(1), v=np.zeros(1))
+    state = engine.NeuronState(v=np.zeros(1))
     state, emitted = engine.step_layer(state, np.array([5.0]), cfg)
     assert float(emitted[0]) == 4.0  # two quanta of amplitude 2
     assert float(state.v[0]) == 1.0
@@ -176,6 +176,56 @@ def test_compression_preserves_rate_when_ratio_divides_horizon(trained_mlp, blob
     # and it spends strictly fewer unit spikes when anything fires at all
     if r_base.stats.layer_spikes[first] > 0:
         assert r_comp.stats.layer_spikes[first] < r_base.stats.layer_spikes[first]
+
+
+def _time_major_run(model, configs, x, timesteps, membrane_init=0.5):
+    """The whole net once per step, input to head: the reference ordering.
+
+    Returns scores, per-step scores, each spiking layer's per-step emissions
+    and its final state.
+    """
+    x0 = np.asarray(x, dtype=np.float64)
+    spiking = engine.spiking_layer_indices(model)
+    states, trains = {}, {i: [] for i in spiking}
+    acc, step_scores = None, []
+    for t in range(timesteps):
+        h = x0
+        for i, layer in enumerate(model.layers):
+            if layer.kind != "relu":
+                h = nn.apply_layer(layer, h)
+                continue
+            cfg = configs[spiking.index(i)]
+            if t == 0:
+                states[i] = engine.initial_state(cfg, h.shape, membrane_init)
+            states[i], h = engine.step_layer(states[i], h, cfg)
+            trains[i].append(h)
+        acc = h if acc is None else acc + h
+        step_scores.append(acc / float(t + 1))
+    return acc / float(timesteps), np.stack(step_scores), trains, states
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+@pytest.mark.parametrize("timesteps", [1, 3, 8])
+def test_layer_major_run_equals_time_major_sweep(random_net, arch, timesteps):
+    for seed in range(3):
+        model, cache, configs = random_net(arch, 10 * timesteps + seed)
+        run = engine.run_snn(
+            model, configs, cache.inputs, timesteps, collect_steps=True, record_trains=True
+        )
+        scores, step_scores, trains, states = _time_major_run(
+            model, configs, cache.inputs, timesteps
+        )
+        np.testing.assert_array_equal(run.scores, scores)
+        np.testing.assert_array_equal(run.step_scores, step_scores)
+        for pos, (i, steps) in enumerate(trains.items()):
+            np.testing.assert_array_equal(run.v_last[i], states[i].v)
+            emitted = np.zeros_like(steps[0])
+            for t, want in enumerate(steps):
+                np.testing.assert_array_equal(run.trains[i].amplitudes(t), want)
+                k = np.rint(want / configs[pos].threshold).reshape(len(want), -1)
+                np.testing.assert_array_equal(run.step_spikes[t, pos], k.sum(axis=1))
+                emitted += want
+            np.testing.assert_array_equal(run.emitted[i], emitted)
 
 
 def test_config_count_mismatch_raises(trained_mlp, blob_dataset):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -383,3 +385,74 @@ def test_early_layers_tolerate_bursts_better_than_the_head(calibration):
     first, last = table.layers[0], table.layers[-1]
     assert drops[first] >= 0.0
     assert drops[last] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# fast paths against their slow references
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+@pytest.mark.parametrize("timesteps", [1, 3, 8])
+def test_build_table_equals_layer_sensitivity(random_net, arch, timesteps):
+    """The prefix-sharing table gives each pair's full-run (S, E) bit for bit,
+    with the baseline value in the candidate set or not."""
+    for seed in range(3):
+        model, cache, configs = random_net(arch, 10 * timesteps + seed)
+        em = search.EnergyModel(mode="synop" if seed % 2 else "spike_count")
+        init = 0.0 if seed == 2 else 0.5
+        # baseline phi is 1..3 and rho 1..2: the first set of each holds it
+        for kind, candidates in (("phi", [1, 2, 3]), ("phi", [4, 5]), ("rho", [1, 2]), ("rho", [3])):
+            table = search.build_table(
+                model, configs, cache, timesteps, kind, candidates, em, membrane_init=init
+            )
+            for layer in table.layers:
+                for cand in candidates:
+                    want = search.layer_sensitivity(
+                        model, configs, layer, cand, kind, cache, timesteps, em,
+                        membrane_init=init,
+                    )
+                    assert (table.s[(layer, cand)], table.e[(layer, cand)]) == want
+
+
+def _pareto_reference(table, budget):
+    """Exhaustive search as a loop over dict plans: Python sums, the first
+    strict minimum wins, frontier from the sorted set of points."""
+    minimize_s = budget.kind == "energy_cap"
+    best = cheapest = None
+    points = []
+    for combo in itertools.product(table.candidates, repeat=len(table.layers)):
+        choice = dict(zip(table.layers, combo))
+        s = float(sum(table.s[(i, choice[i])] for i in table.layers))
+        e = float(sum(table.e[(i, choice[i])] for i in table.layers))
+        points.append((s, e))
+        objective, constrained = (s, e) if minimize_s else (e, s)
+        if cheapest is None or (constrained, objective) < cheapest[0]:
+            cheapest = ((constrained, objective), choice, s, e)
+        if constrained <= budget.cap and (best is None or (objective, constrained) < best[0]):
+            best = ((objective, constrained), choice, s, e)
+    frontier, lowest = [], np.inf
+    for s, e in sorted(set(points)):
+        if e < lowest:
+            frontier.append((s, e))
+            lowest = e
+    _, choice, s, e = best if best is not None else cheapest
+    return choice, s, e, best is not None, frontier
+
+
+def test_exhaustive_search_equals_dict_loop(rng):
+    """Vectorized plan scoring picks the same plan, sums, feasibility and
+    frontier as a plain loop, ties included (values on a coarse grid)."""
+    for trial in range(40):
+        table = random_table(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        for layer, cand in table.s:
+            table.s[(layer, cand)] = float(rng.integers(0, 4)) * 0.1
+            table.e[(layer, cand)] = float(rng.integers(1, 4)) * 0.3
+        kind = "energy_cap" if trial % 2 else "sensitivity_cap"
+        for cap in (0.0, float(rng.uniform(0.0, 3.0)), np.inf):
+            budget = search.SearchBudget(kind, cap)
+            plan = search.pareto_search(table, budget, method="exhaustive")
+            choice, s, e, feasible, frontier = _pareto_reference(table, budget)
+            assert plan.choice == choice and plan.feasible == feasible
+            assert (plan.s_sum, plan.e_sum) == (s, e)
+            assert plan.frontier == frontier
+            assert all(type(v) is float for v in (plan.s_sum, plan.e_sum, *sum(plan.frontier, ())))
