@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import types
@@ -125,11 +126,12 @@ _SECTIONS = {
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a config field's type; a bool is no number."""
+    """Whether a JSON value fits a config field's type; a bool is no number,
+    and a float must be finite (JSON readers accept ``NaN`` and ``Infinity``)."""
     if hint in (int, float) and isinstance(value, bool):
         return False
     if hint is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
     if hint is type(None):
         return value is None
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -148,7 +150,9 @@ def _fill(cls, data: dict, where: str):
     for key, value in data.items():
         hint = hints[key]
         if not _fits(value, hint):
-            expected = hint.__name__ if isinstance(hint, type) else hint
+            expected = "a finite float" if hint is float else (
+                hint.__name__ if isinstance(hint, type) else hint
+            )
             raise UserError(f"config key {key!r} in {where} must be {expected}, got {value!r}")
     return cls(**data)
 
@@ -325,16 +329,20 @@ def _best_configs(art: Artifacts, model: nn.ModelGraph) -> tuple[list[engine.Lay
 
 
 def _energy_model(cfg: RunConfig) -> search.EnergyModel:
-    return search.EnergyModel(mu=cfg.energy.mu, mode=cfg.energy.mode)
+    with _stage("energy"):
+        return search.EnergyModel(mu=cfg.energy.mu, mode=cfg.energy.mode)
 
 
-def _fixed_eval(model, configs, images, labels, timesteps, em, membrane_init):
-    run = engine.run_snn(model, configs, images, timesteps, membrane_init=membrane_init)
-    predicted = np.argmax(run.scores, axis=1)
-    acc = float(np.mean(predicted == labels))
-    spikes = run.stats.total_spikes / len(labels)
-    energy = search.energy_of(run.stats, em) / len(labels)
-    return {"accuracy": acc, "spikes_per_input": spikes, "energy": energy, "stats": run.stats}
+def _eval_set(cfg: RunConfig, model: nn.ModelGraph) -> tuple[np.ndarray, np.ndarray]:
+    eval_set = _load_dataset(cfg, "eval")
+    return _flatten_if_needed(model, eval_set.images), np.asarray(eval_set.labels)
+
+
+def _fixed_eval(model, run: engine.SnnRun, timesteps: int, labels, em):
+    """Accuracy, spikes and energy per input of ``run`` stopped after ``timesteps``."""
+    stats = engine.stats_at(model, run.step_spikes, timesteps - 1)
+    acc = float(np.mean(np.argmax(run.step_scores[timesteps - 1], axis=1) == labels))
+    return acc, stats.total_spikes / len(labels), search.energy_of(stats, em) / len(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +520,18 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
     with _stage("eval-setup"):
         model = store.load_model(art.calibrated)
         configs, used = _best_configs(art, model)
-        eval_set = _load_dataset(cfg, "eval")
-        images = _flatten_if_needed(model, eval_set.images)
-        labels = np.asarray(eval_set.labels)
+        images, labels = _eval_set(cfg, model)
     em = _energy_model(cfg)
+    with _stage("eval-adaptive"):
+        policy = early_exit.load_policy(art.policy) if os.path.exists(art.policy) else None
     rows = []
     with _stage("eval-fixed"):
-        fixed = _fixed_eval(
-            model, configs, images, labels, cfg.timesteps, em, cfg.membrane_init
-        )
+        # one run answers the fixed horizon and the exit gate alike
+        horizon = cfg.timesteps if policy is None else max(cfg.timesteps, policy.t_max)
+        run = engine.run_snn(model, configs, images, horizon, membrane_init=cfg.membrane_init)
+        acc, spikes, energy = _fixed_eval(model, run, cfg.timesteps, labels, em)
         rows.append(
-            f"fixed,{cfg.timesteps},{fixed['accuracy']!r},{float(cfg.timesteps)!r},"
-            f"{fixed['spikes_per_input']!r},{fixed['energy']!r}"
+            f"fixed,{cfg.timesteps},{acc!r},{float(cfg.timesteps)!r},{spikes!r},{energy!r}"
         )
     if trace:
         with _stage("spike-trace"):
@@ -532,13 +540,9 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
                 membrane_init=cfg.membrane_init, record_trains=True,
             )
             engine.dump_trace(one, art.spike_trace)
-    if os.path.exists(art.policy):
+    if policy is not None:
         with _stage("eval-adaptive"):
-            policy = early_exit.load_policy(art.policy)
-            adaptive = early_exit.infer_adaptive(
-                model, configs, policy, images, labels,
-                membrane_init=cfg.membrane_init,
-            )
+            adaptive = early_exit.apply_gate(model, run, policy, labels)
             energy = search.energy_of(adaptive.stats, em) / len(labels)
             rows.append(
                 f"adaptive,{policy.t_max},{adaptive.accuracy!r},{adaptive.mean_exit_t!r},"
@@ -557,44 +561,43 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
 
 
 def _ablation_rows(cfg: RunConfig, art: Artifacts):
+    """(variant, accuracy, energy, mean_t, spikes per input) for each variant.
+
+    Each config set makes one eval-set run; its exit variant gates that run
+    with a policy fitted at ``timesteps``, like for like with the fixed row.
+    """
     model = store.load_model(art.calibrated)
-    base = _load_configs(art.configs_base, model)
-    phi_cfgs = _load_configs(art.configs_phi, model)
-    full_cfgs = _load_configs(art.configs_full, model)
+    variants = [
+        (name, _load_configs(path, model))
+        for name, path in (
+            ("baseline", art.configs_base),
+            ("burst", art.configs_phi),
+            ("burst+compress", art.configs_full),
+        )
+    ]
     cache = store.load_cache(art.cache)
-    eval_set = _load_dataset(cfg, "eval")
-    images = _flatten_if_needed(model, eval_set.images)
-    labels = np.asarray(eval_set.labels)
+    images, labels = _eval_set(cfg, model)
     em = _energy_model(cfg)
-
-    def fixed_row(configs):
-        r = _fixed_eval(model, configs, images, labels, cfg.timesteps, em, cfg.membrane_init)
-        return r["accuracy"], r["energy"], float(cfg.timesteps), r["spikes_per_input"]
-
-    def adaptive_row(configs):
-        policy = early_exit.fit_exit_policy(
-            model, configs, cache, cfg.timesteps,
+    n, T = len(labels), cfg.timesteps
+    fixed, gated = [], []
+    for name, configs in variants:
+        # fit first, drop the run after: no two simulations are held at once
+        policy = None if name == "baseline" else early_exit.fit_exit_policy(
+            model, configs, cache, T,
             alpha_base=cfg.exit.alpha_base, beta=cfg.exit.beta, delta=cfg.exit.delta,
             membrane_init=cfg.membrane_init,
         )
-        tr = early_exit.infer_adaptive(
-            model, configs, policy, images, labels, membrane_init=cfg.membrane_init
-        )
-        energy = search.energy_of(tr.stats, em) / len(labels)
-        return tr.accuracy, energy, tr.mean_exit_t, tr.stats.total_spikes / len(labels)
-
-    combos = [
-        ("baseline", fixed_row, base),
-        ("burst", fixed_row, phi_cfgs),
-        ("burst+compress", fixed_row, full_cfgs),
-        ("burst+exit", adaptive_row, phi_cfgs),
-        ("burst+compress+exit", adaptive_row, full_cfgs),
-    ]
-    results = []
-    for name, runner, configs in combos:
-        acc, energy, mean_t, spikes = runner(configs)
-        results.append((name, acc, energy, mean_t, spikes))
-    return results
+        run = engine.run_snn(model, configs, images, T, membrane_init=cfg.membrane_init)
+        acc, spikes, energy = _fixed_eval(model, run, T, labels, em)
+        fixed.append((name, acc, energy, float(T), spikes))
+        if policy is not None:
+            tr = early_exit.apply_gate(model, run, policy, labels)
+            energy = search.energy_of(tr.stats, em) / n
+            gated.append(
+                (f"{name}+exit", tr.accuracy, energy, tr.mean_exit_t, tr.stats.total_spikes / n)
+            )
+        del run
+    return fixed + gated
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
@@ -640,15 +643,17 @@ def cmd_report(cfg: RunConfig) -> int:
     with _stage("report-setup"):
         model = store.load_model(art.calibrated)
         configs, _ = _best_configs(art, model)
-        eval_set = _load_dataset(cfg, "eval")
-        images = _flatten_if_needed(model, eval_set.images)
-        labels = np.asarray(eval_set.labels)
+        images, labels = _eval_set(cfg, model)
         em = _energy_model(cfg)
     with _stage("accuracy-curve"):
+        run = engine.run_snn(
+            model, configs, images, max(ACCURACY_CURVE_TIMESTEPS),
+            membrane_init=cfg.membrane_init,
+        )
         rows = []
         for t in ACCURACY_CURVE_TIMESTEPS:
-            r = _fixed_eval(model, configs, images, labels, t, em, cfg.membrane_init)
-            rows.append(f"{t},{r['accuracy']!r},{r['spikes_per_input']!r},{r['energy']!r}")
+            acc, spikes, energy = _fixed_eval(model, run, t, labels, em)
+            rows.append(f"{t},{acc!r},{spikes!r},{energy!r}")
         store.write_atomic(
             art.accuracy_curve, ["timesteps,accuracy,spikes_per_input,energy", *rows]
         )

@@ -13,8 +13,8 @@ come from calibration-set entropy statistics:
 so steps whose mean entropy is near the minimum demand the most confidence,
 and the gate relaxes as entropy climbs away from it. ``beta = 0`` collapses to
 a fixed boundary. Exits only stop accounting (spikes, energy, latency); they
-never change the dynamics, so the runtime simulates the full horizon once and
-applies the gate per input afterwards.
+never change the dynamics, so the gate reads the per-step record of any run
+at least ``t_max`` steps long (``apply_gate``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import store
-from .engine import LayerSnnConfig, RunStats, layer_fanout, run_snn, spiking_layer_indices
+from .engine import LayerSnnConfig, RunStats, SnnRun, run_snn, stats_at
 from .nn import ModelGraph, softmax
 from .store import CalibrationCache
 
@@ -103,10 +103,7 @@ def fit_exit_policy(
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     cache.check_model(model)
-    run = run_snn(
-        model, configs, cache.inputs, t_max,
-        membrane_init=membrane_init, collect_steps=True,
-    )
+    run = run_snn(model, configs, cache.inputs, t_max, membrane_init=membrane_init)
     probs = softmax(run.step_scores, axis=-1)  # [T, N, classes]
     ebar = entropy(probs).mean(axis=1)
     return ExitPolicy(
@@ -142,6 +139,36 @@ class ExitTrace:
         return float(np.mean(self.predicted == self.labels))
 
 
+def apply_gate(model: ModelGraph, run: SnnRun, policy: ExitPolicy, labels=None) -> ExitTrace:
+    """Gate each input of ``run``; spike accounting stops at its exit.
+
+    Only the first ``policy.t_max`` steps are read. They are what a
+    ``t_max``-step run records, so a longer run gates the same way.
+    """
+    t_max = policy.t_max
+    if len(run.step_scores) < t_max:
+        raise ValueError(f"run has {len(run.step_scores)} steps, the policy needs {t_max}")
+    step_scores = run.step_scores[:t_max]  # [T, N, Y]
+    n = step_scores.shape[1]
+    conf = np.stack([
+        confidence(step_scores[t], model.class_count, policy.confidence_kind) for t in range(t_max)
+    ])
+    hit = conf >= policy.boundaries()[:, None]
+    exit_idx = np.where(hit.any(axis=0), hit.argmax(axis=0), t_max - 1)
+    picker = (exit_idx, np.arange(n))
+    scores = step_scores[picker]
+    spikes = np.cumsum(run.step_spikes[:t_max].sum(axis=1), axis=0)[picker]  # [N]
+    return ExitTrace(
+        exit_t=(exit_idx + 1).astype(np.int64),
+        confidence=conf[picker],
+        predicted=np.argmax(scores, axis=1).astype(np.int64),
+        scores=scores,
+        spikes_per_input=spikes.astype(np.int64),
+        stats=stats_at(model, run.step_spikes, exit_idx),
+        labels=None if labels is None else np.asarray(labels, dtype=np.int64),
+    )
+
+
 def infer_adaptive(
     model: ModelGraph,
     configs: list[LayerSnnConfig],
@@ -151,53 +178,9 @@ def infer_adaptive(
     *,
     membrane_init: float = 0.5,
 ) -> ExitTrace:
-    """Run with the exit gate; spike accounting stops at each input's exit."""
-    run = run_snn(
-        model, configs, batch, policy.t_max,
-        membrane_init=membrane_init, collect_steps=True,
-    )
-    step_scores = run.step_scores  # [T, N, Y]
-    t_max, n, _ = step_scores.shape
-    conf = np.stack(
-        [
-            confidence(step_scores[t], model.class_count, policy.confidence_kind)
-            for t in range(t_max)
-        ]
-    )
-    bounds = policy.boundaries()[:, None]
-    hit = conf >= bounds
-    has_hit = hit.any(axis=0)
-    first = hit.argmax(axis=0)
-    exit_idx = np.where(has_hit, first, t_max - 1)
-    exit_t = exit_idx + 1
-
-    picker = (exit_idx, np.arange(n))
-    scores = step_scores[picker]
-    cum_per_layer = np.cumsum(run.step_spikes, axis=0)  # [T, L, N]
-    cum_total = cum_per_layer.sum(axis=1)  # [T, N]
-    spikes = cum_total[picker]
-
-    spiking = spiking_layer_indices(model)
-    layer_counts = {
-        idx: int(cum_per_layer[exit_idx, pos, np.arange(n)].sum())
-        for pos, idx in enumerate(spiking)
-    }
-    stats = RunStats(
-        total_spikes=int(spikes.sum()),
-        layer_spikes=layer_counts,
-        layer_synops={i: c * layer_fanout(model, i) for i, c in layer_counts.items()},
-        layer_residual=dict(run.stats.layer_residual),
-        timesteps=int(t_max),
-    )
-    return ExitTrace(
-        exit_t=exit_t.astype(np.int64),
-        confidence=conf[picker],
-        predicted=np.argmax(scores, axis=1).astype(np.int64),
-        scores=scores,
-        spikes_per_input=spikes.astype(np.int64),
-        stats=stats,
-        labels=None if labels is None else np.asarray(labels, dtype=np.int64),
-    )
+    """Run ``policy.t_max`` steps and gate each input (``apply_gate``)."""
+    run = run_snn(model, configs, batch, policy.t_max, membrane_init=membrane_init)
+    return apply_gate(model, run, policy, labels)
 
 
 # ---------------------------------------------------------------------------

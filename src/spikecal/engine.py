@@ -93,18 +93,20 @@ class SpikeTrain:
 
 @dataclass
 class RunStats:
-    """Unit-spike counts and end-of-run bookkeeping for one simulation."""
+    """Unit-spike counts of one simulation, per spiking layer and in total."""
 
     total_spikes: int
     layer_spikes: dict[int, int]
     layer_synops: dict[int, float]
-    layer_residual: dict[int, float]
-    timesteps: int
 
 
 @dataclass
 class SnnRun:
-    """Everything a simulation produced; optional fields are None unless asked for."""
+    """Everything a simulation produced; ``trains`` is None unless asked for.
+
+    ``step_scores[t]`` and ``step_spikes[:t + 1]`` are exactly what a run of
+    t + 1 steps gives, so one run answers every shorter horizon.
+    """
 
     scores: np.ndarray
     stats: RunStats
@@ -113,9 +115,9 @@ class SnnRun:
     emitted: dict[int, np.ndarray]
     v_first: dict[int, np.ndarray]
     v_last: dict[int, np.ndarray]
+    step_scores: np.ndarray  # [T, N, classes] cumulative scores after each step
+    step_spikes: np.ndarray  # [T, L, N] unit spikes per step, spiking layer and input
     trains: dict[int, SpikeTrain] | None = None
-    step_scores: np.ndarray | None = None
-    step_spikes: np.ndarray | None = None
 
 
 def spiking_layer_indices(model: ModelGraph) -> list[int]:
@@ -159,7 +161,8 @@ def step_layer(
 
 
 def initial_state(config: LayerSnnConfig, shape, membrane_init: float) -> NeuronState:
-    return NeuronState(v=np.full(shape, membrane_init * config.threshold, dtype=np.float64))
+    """Every membrane at ``membrane_init`` thresholds: one value, broadcast read-only."""
+    return NeuronState(v=np.broadcast_to(np.float64(membrane_init * config.threshold), shape))
 
 
 def _check_run(model: ModelGraph, configs: list[LayerSnnConfig], timesteps: int) -> None:
@@ -200,8 +203,7 @@ class _LayerRun:
 @dataclass
 class _Simulation:
     layers: dict[int, _LayerRun]
-    scores: np.ndarray
-    step_scores: list[np.ndarray]
+    step_scores: np.ndarray  # [T, N, classes]; the run's scores are the last row
 
 
 def _currents(layers, source: np.ndarray | SpikeTrain, timesteps: int):
@@ -252,7 +254,6 @@ def _simulate(
     membrane_init: float,
     *,
     keep_trains: bool = False,
-    collect_steps: bool = False,
 ) -> _Simulation:
     """Run ``model.layers[start:]`` layer by layer, all steps of one layer
     before the next.
@@ -275,13 +276,30 @@ def _simulate(
         if not keep_trains:
             run.train = None
         runs[i] = run
-    acc = None
-    step_scores = []
     for t, y in enumerate(_currents(model.layers[begin:], source, timesteps)):
-        acc = y if acc is None else acc + y
-        if collect_steps:
-            step_scores.append(acc / float(t + 1))
-    return _Simulation(runs, acc / float(timesteps), step_scores)
+        if t == 0:
+            acc = y
+            step_scores = np.empty((timesteps, *y.shape), dtype=y.dtype)
+        else:
+            acc = acc + y
+        step_scores[t] = acc / float(t + 1)
+    return _Simulation(runs, step_scores)
+
+
+def stats_at(model: ModelGraph, step_spikes: np.ndarray, last) -> RunStats:
+    """Spike counts of a run that stops input n after step ``last[n]``.
+
+    ``step_spikes`` is a run's [T, L, N] array and steps count from 0; a
+    scalar ``last`` stops every input at the same step.
+    """
+    counted = np.arange(len(step_spikes))[:, None, None] <= np.asarray(last)  # [T, 1, N or 1]
+    per_layer = (step_spikes * counted).sum(axis=(0, 2))
+    counts = {idx: int(c) for idx, c in zip(spiking_layer_indices(model), per_layer)}
+    return RunStats(
+        total_spikes=sum(counts.values()),
+        layer_spikes=counts,
+        layer_synops={i: c * layer_fanout(model, i) for i, c in counts.items()},
+    )
 
 
 def run_snn(
@@ -292,45 +310,31 @@ def run_snn(
     *,
     membrane_init: float = DEFAULT_MEMBRANE_INIT,
     record_trains: bool = False,
-    collect_steps: bool = False,
 ) -> SnnRun:
     """Simulate the converted net for ``timesteps`` steps of constant current.
 
-    ``record_trains`` keeps every spiking layer's train. ``collect_steps``
-    additionally records cumulative scores and per-layer unit-spike counts
-    after every step, which the early-exit runtime consumes.
+    ``record_trains`` keeps every spiking layer's train. The cumulative scores
+    and per-layer unit spikes after every step are always recorded; they are
+    what the early-exit gate and every shorter horizon read.
     """
     _check_run(model, configs, timesteps)
     x0 = _as_batch(model, batch)
-    sim = _simulate(
-        model, configs, 0, x0, timesteps, membrane_init,
-        keep_trains=record_trains, collect_steps=collect_steps,
-    )
+    sim = _simulate(model, configs, 0, x0, timesteps, membrane_init, keep_trains=record_trains)
     runs = sim.layers
-    counts = {i: int(r.step_spikes.sum()) for i, r in runs.items()}
-    stats = RunStats(
-        total_spikes=int(sum(counts.values())),
-        layer_spikes=counts,
-        layer_synops={i: counts[i] * layer_fanout(model, i) for i in runs},
-        layer_residual={i: float(r.v_last.sum()) for i, r in runs.items()},
-        timesteps=int(timesteps),
-    )
-    step_spikes = None
-    if collect_steps:
-        step_spikes = np.zeros((timesteps, len(runs), x0.shape[0]), dtype=np.int64)
-        for pos, r in enumerate(runs.values()):
-            step_spikes[:, pos] = r.step_spikes
+    step_spikes = np.zeros((timesteps, len(runs), x0.shape[0]), dtype=np.int64)
+    for pos, r in enumerate(runs.values()):
+        step_spikes[:, pos] = r.step_spikes
     return SnnRun(
-        scores=sim.scores,
-        stats=stats,
+        scores=sim.step_scores[-1],
+        stats=stats_at(model, step_spikes, timesteps - 1),
         rates={i: r.emitted / float(timesteps) for i, r in runs.items()},
         charge={i: r.charge for i, r in runs.items()},
         emitted={i: r.emitted for i, r in runs.items()},
         v_first={i: r.v_first for i, r in runs.items()},
         v_last={i: r.v_last for i, r in runs.items()},
-        trains={i: r.train for i, r in runs.items()} if record_trains else None,
-        step_scores=np.stack(sim.step_scores) if collect_steps else None,
+        step_scores=sim.step_scores,
         step_spikes=step_spikes,
+        trains={i: r.train for i, r in runs.items()} if record_trains else None,
     )
 
 

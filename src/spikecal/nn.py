@@ -324,6 +324,8 @@ def _he_conv(rng: np.random.Generator, c_in: int, c_out: int, k: int, padding: i
 
 def build_mlp(input_dim: int, hidden: list[int], classes: int, seed: int = 0) -> ModelGraph:
     """Fully connected relu net: input_dim -> hidden[0] -> ... -> classes."""
+    if not hidden or min(hidden) < 1:
+        raise ValueError(f"hidden must list one or more positive widths, got {list(hidden)}")
     rng = np.random.default_rng(seed)
     layers: list[LayerSpec] = []
     prev = int(input_dim)
@@ -346,6 +348,8 @@ def build_cnn(
     pool: int = 2,
 ) -> ModelGraph:
     """Conv/relu/avgpool blocks followed by a dense head."""
+    if not channels or min(channels) < 1:
+        raise ValueError(f"channels must list one or more positive widths, got {list(channels)}")
     rng = np.random.default_rng(seed)
     c, h, w = (int(d) for d in input_shape)
     layers: list[LayerSpec] = []

@@ -223,7 +223,7 @@ def build_table(
             else:
                 trial = _with_candidate(configs, pos, kind, cand)
                 sim = _simulate(model, trial, start, source, timesteps, membrane_init)
-                scores, spikes = sim.scores, int(sim.layers[layer].step_spikes.sum())
+                scores, spikes = sim.step_scores[-1], int(sim.layers[layer].step_spikes.sum())
             table.s[(layer, cand)], table.e[(layer, cand)] = _measure(
                 model, layer, target, scores, spikes, energy, cache.sample_count
             )

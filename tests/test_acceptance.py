@@ -140,10 +140,7 @@ def test_criterion_2_formula_unit_suite():
         checks.append(abs(float(clip_floor(np.array(1.3), 4, 2.0, 1)) - 1.0) < 1e-6)
         checks.append(abs(float(clip_floor(np.array(3.0), 2, 1.0, 2)) - 2.0) < 1e-6)
         # energy: 1e6 unit spikes at 1 pJ in the 1 ms window -> 1 mW
-        stats = engine.RunStats(
-            total_spikes=10 ** 6, layer_spikes={}, layer_synops={},
-            layer_residual={}, timesteps=1,
-        )
+        stats = engine.RunStats(total_spikes=10 ** 6, layer_spikes={}, layer_synops={})
         e = search.energy_of(stats, search.EnergyModel(mu=1e-12))
         checks.append(abs(e - 1e-3) < 1e-6)
         # entropy (negative-sum form, so a uniform pair gives +ln 2)
@@ -359,7 +356,7 @@ def test_criterion_8_adaptive_exit_latency(pipeline):
         trace = early_exit.infer_adaptive(
             snn, configs, flat, eval_set.images, eval_set.labels
         )
-        run = engine.run_snn(snn, configs, eval_set.images, T_MAX, collect_steps=True)
+        run = engine.run_snn(snn, configs, eval_set.images, T_MAX)
         conf = np.stack([
             early_exit.confidence(run.step_scores[st], snn.class_count)
             for st in range(T_MAX)

@@ -183,6 +183,44 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, overrides, key):
     assert key in err and "must be int" in err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"membrane_init": float("nan")}, "'membrane_init' in top level must be a finite float"),
+    ({"exit": {"alpha_base": float("nan")}}, "'alpha_base' in exit must be a finite float"),
+    ({"search": {"s_target_slack": float("inf")}}, "'s_target_slack' in search must be a finite"),
+    ({"model": {"hidden": [0]}}, "hidden must list one or more positive widths, got [0]"),
+    ({"model": {"hidden": []}}, "hidden must list one or more positive widths, got []"),
+    (
+        {
+            "model": {"arch": "cnn", "channels": [0]},
+            "dataset": {"kind": "blobs", "n": 40, "eval_n": 20, "dim": [1, 6, 6], "classes": 4},
+        },
+        "channels must list one or more positive widths, got [0]",
+    ),
+], ids=["nan-membrane-init", "nan-alpha-base", "inf-slack", "zero-width", "no-hidden-layer",
+        "zero-channels"])
+def test_config_value_out_of_range_rejected(tmp_path, capsys, overrides, message):
+    config, _ = write_config(tmp_path, **overrides)
+    assert cli.main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("energy, message", [
+    ({"mu": 0}, "mu must be positive, got 0"),
+    ({"mode": "x"}, "unknown energy mode 'x'"),
+], ids=["zero-mu", "unknown-mode"])
+def test_bad_energy_setting_is_user_error(finished_run, tmp_path, capsys, energy, message):
+    _, _, raw = finished_run
+    out = tmp_path / "copy"
+    shutil.copytree(raw["out_dir"], out)
+    config, _ = write_config(tmp_path, out_dir=str(out), energy=energy)
+    for stage in ("search-phi", "search-rho", "eval", "ablate", "report"):
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(config)]) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, (stage, err)
+
+
 def test_malformed_json_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,9 +186,7 @@ def test_flat_boundary_equals_manual_thresholding(snn, calibration):
     trace = early_exit.infer_adaptive(
         model, configs, policy, calibration.inputs, calibration.labels
     )
-    run = engine.run_snn(
-        model, configs, calibration.inputs, 8, collect_steps=True
-    )
+    run = engine.run_snn(model, configs, calibration.inputs, 8)
     for i in range(calibration.sample_count):
         exit_t = 8
         for t in range(8):
@@ -214,6 +214,41 @@ def test_adaptive_matches_fixed_when_exits_disabled(snn, calibration):
     run = engine.run_snn(model, configs, calibration.inputs, 8)
     np.testing.assert_allclose(trace.scores, run.scores, atol=1e-9)
     assert trace.stats.total_spikes == run.stats.total_spikes
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_gate_on_longer_run_equals_adaptive_run(random_net, arch):
+    """Gating the first t_max steps of a longer run is a t_max-step run's gate."""
+    exits = set()
+    for seed in range(3):
+        model, cache, configs = random_net(arch, seed)
+        run = engine.run_snn(model, configs, cache.inputs, 9)
+        conf = early_exit.confidence(run.step_scores, model.class_count)
+        for t_max in (1, 4, 8):
+            # boundaries spread over the confidences seen, so exits spread too
+            for alpha_base in np.quantile(conf, [0.25, 0.5, 0.75]):
+                policy = early_exit.fit_exit_policy(
+                    model, configs, cache, t_max, alpha_base=alpha_base, beta=0.05
+                )
+                got = early_exit.apply_gate(model, run, policy, cache.labels)
+                want = early_exit.infer_adaptive(
+                    model, configs, policy, cache.inputs, cache.labels
+                )
+                for f in dataclasses.fields(want):
+                    if f.name == "stats":
+                        assert got.stats == want.stats
+                    else:
+                        np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
+                exits.update((t_max, int(t)) for t in want.exit_t)
+    assert {(8, 1), (8, 8)} <= exits and len(exits) > 6
+
+
+def test_gate_needs_t_max_steps(snn, calibration):
+    model, configs = snn
+    policy = early_exit.fit_exit_policy(model, configs, calibration, t_max=6)
+    run = engine.run_snn(model, configs, calibration.inputs, 5)
+    with pytest.raises(ValueError):
+        early_exit.apply_gate(model, run, policy)
 
 
 def test_early_exits_save_spikes(snn, calibration):

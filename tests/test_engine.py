@@ -209,9 +209,7 @@ def _time_major_run(model, configs, x, timesteps, membrane_init=0.5):
 def test_layer_major_run_equals_time_major_sweep(random_net, arch, timesteps):
     for seed in range(3):
         model, cache, configs = random_net(arch, 10 * timesteps + seed)
-        run = engine.run_snn(
-            model, configs, cache.inputs, timesteps, collect_steps=True, record_trains=True
-        )
+        run = engine.run_snn(model, configs, cache.inputs, timesteps, record_trains=True)
         scores, step_scores, trains, states = _time_major_run(
             model, configs, cache.inputs, timesteps
         )
@@ -226,6 +224,26 @@ def test_layer_major_run_equals_time_major_sweep(random_net, arch, timesteps):
                 np.testing.assert_array_equal(run.step_spikes[t, pos], k.sum(axis=1))
                 emitted += want
             np.testing.assert_array_equal(run.emitted[i], emitted)
+        # a run of t steps is the first t steps of the long one
+        for t in range(1, timesteps + 1):
+            short = engine.run_snn(model, configs, cache.inputs, t)
+            np.testing.assert_array_equal(short.scores, run.step_scores[t - 1])
+            assert short.stats == engine.stats_at(model, run.step_spikes, t - 1)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_stats_at_stops_each_input_at_its_step(random_net, arch):
+    rng = np.random.default_rng(1)
+    for seed in range(3):
+        model, cache, configs = random_net(arch, seed)
+        run = engine.run_snn(model, configs, cache.inputs, 5)
+        last = rng.integers(0, 5, size=cache.sample_count)
+        stats = engine.stats_at(model, run.step_spikes, last)
+        for pos, i in enumerate(engine.spiking_layer_indices(model)):
+            want = sum(int(run.step_spikes[: s + 1, pos, n].sum()) for n, s in enumerate(last))
+            assert stats.layer_spikes[i] == want
+            assert stats.layer_synops[i] == want * engine.layer_fanout(model, i)
+        assert stats.total_spikes == sum(stats.layer_spikes.values())
 
 
 def test_config_count_mismatch_raises(trained_mlp, blob_dataset):
@@ -257,7 +275,7 @@ def test_effective_threshold_property():
 def test_step_scores_prefix_means(trained_mlp, blob_dataset):
     x = blob_dataset.images[:3]
     configs = [engine.LayerSnnConfig(v_th=4.0), engine.LayerSnnConfig(v_th=4.0)]
-    run = engine.run_snn(trained_mlp, configs, x, timesteps=6, collect_steps=True)
+    run = engine.run_snn(trained_mlp, configs, x, timesteps=6)
     assert run.step_scores.shape == (6, 3, 4)
     np.testing.assert_allclose(run.step_scores[-1], run.scores, atol=1e-9)
     # cumulative means scale as acc_t / t: recover acc and check t=2 readout

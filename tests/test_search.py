@@ -61,8 +61,6 @@ def test_energy_hand_value():
         total_spikes=1_000_000,
         layer_spikes={1: 1_000_000},
         layer_synops={1: 2_000_000},
-        layer_residual={},
-        timesteps=4,
     )
     em = search.EnergyModel(mu=1e-12, mode="spike_count")
     # 1e6 spikes in a 1 ms window at 1 pJ each -> 1 mW... expressed in W
@@ -72,9 +70,7 @@ def test_energy_hand_value():
 
 
 def test_energy_model_rejects_unknown_mode():
-    stats = engine.RunStats(
-        total_spikes=1, layer_spikes={}, layer_synops={}, layer_residual={}, timesteps=1
-    )
+    stats = engine.RunStats(total_spikes=1, layer_spikes={}, layer_synops={})
     with pytest.raises(ValueError):
         search.energy_of(stats, search.EnergyModel(mode="watts"))
 
