@@ -157,6 +157,29 @@ def _fill(cls, data: dict, where: str):
     return cls(**data)
 
 
+# The least a run can work with: one step, one sample, one grid point, a
+# two-class head. A smaller value would fail deep inside a stage instead.
+_MINIMUMS = (
+    ("top level", "timesteps", 1),
+    ("top level", "t_max", 1),
+    ("top level", "calib_samples", 1),
+    ("top level", "grid_size", 1),
+    ("dataset", "n", 1),
+    ("dataset", "eval_n", 1),
+    ("dataset", "classes", 2),
+    ("train", "batch_size", 1),
+)
+
+
+def _check_minimums(cfg: RunConfig) -> None:
+    for where, key, least in _MINIMUMS:
+        value = getattr(cfg if where == "top level" else getattr(cfg, where), key)
+        if value < least:
+            raise UserError(
+                f"config key {key!r} in {where} must be at least {least}, got {value!r}"
+            )
+
+
 def config_from_dict(data: dict) -> RunConfig:
     data = dict(data)
     kwargs = {}
@@ -167,6 +190,7 @@ def config_from_dict(data: dict) -> RunConfig:
                 raise UserError(f"config section {name!r} must be an object")
             kwargs[name] = _fill(cls, section, name)
     cfg = _fill(RunConfig, {**data, **kwargs}, "top level")
+    _check_minimums(cfg)
     return cfg
 
 
@@ -204,6 +228,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg.exit.beta = args.beta
     if getattr(args, "delta", None) is not None:
         cfg.exit.delta = args.delta
+    _check_minimums(cfg)
     return cfg
 
 

@@ -150,9 +150,7 @@ def apply_gate(model: ModelGraph, run: SnnRun, policy: ExitPolicy, labels=None) 
         raise ValueError(f"run has {len(run.step_scores)} steps, the policy needs {t_max}")
     step_scores = run.step_scores[:t_max]  # [T, N, Y]
     n = step_scores.shape[1]
-    conf = np.stack([
-        confidence(step_scores[t], model.class_count, policy.confidence_kind) for t in range(t_max)
-    ])
+    conf = confidence(step_scores, model.class_count, policy.confidence_kind)  # [T, N]
     hit = conf >= policy.boundaries()[:, None]
     exit_idx = np.where(hit.any(axis=0), hit.argmax(axis=0), t_max - 1)
     picker = (exit_idx, np.arange(n))

@@ -155,7 +155,12 @@ def step_layer(
         )
     thr = config.threshold
     u = state.v + current
-    k = np.clip(np.floor(u / thr), 0.0, float(config.phi))
+    k = u / thr
+    np.floor(k, out=k)
+    # clip(k, 0, phi) without np.clip's wrapper; 0.0 goes first so a -0.0
+    # quotient stays -0.0, as np.clip leaves it
+    np.maximum(0.0, k, out=k)
+    np.minimum(k, float(config.phi), out=k)
     emitted = k * thr
     return NeuronState(v=u - emitted), emitted
 
@@ -206,17 +211,32 @@ class _Simulation:
     step_scores: np.ndarray  # [T, N, classes]; the run's scores are the last row
 
 
+def _float64_operands(layer):
+    """A dense layer's ``(W.T, b)`` as float64, or None for any other layer.
+
+    ``x @ W.T + b`` on float64 ``x`` builds this contiguous copy of the
+    float32 ``W.T`` on every call; products with it match that bit for bit,
+    where a transposed view of a float64 ``W`` does not at small batches.
+    """
+    if layer.kind != "dense":
+        return None
+    return np.ascontiguousarray(layer.weight.T, dtype=np.float64), layer.bias.astype(np.float64)
+
+
 def _currents(layers, source: np.ndarray | SpikeTrain, timesteps: int):
     """The output of ``layers`` at each step, fed ``source``.
 
     A constant array goes through ``layers`` once; a spike train goes through
-    them once per step.
+    them once per step, with dense parameters cast to float64 once per call
+    (held only while the generator runs, since training and bias calibration
+    change them between runs).
     """
     if isinstance(source, SpikeTrain):
+        operands = [_float64_operands(layer) for layer in layers]
         for t in range(timesteps):
             x = source.amplitudes(t)
-            for layer in layers:
-                x = apply_layer(layer, x)
+            for layer, ops in zip(layers, operands):
+                x = apply_layer(layer, x, ops)
             yield x
         return
     for layer in layers:

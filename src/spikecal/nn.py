@@ -244,11 +244,18 @@ def _col2im(dcols, x_shape, kernel, stride, padding):
     return dxp
 
 
-def apply_layer(layer: LayerSpec, x: Tensor) -> Tensor:
-    """Apply one layer to a batch-first array. Works for any float dtype."""
+def apply_layer(
+    layer: LayerSpec, x: Tensor, operands: tuple[Tensor, Tensor] | None = None
+) -> Tensor:
+    """Apply one layer to a batch-first array. Works for any float dtype.
+
+    ``operands``, for a dense layer only, is its ``(W.T, b)`` already cast to
+    ``x``'s dtype, so a caller applying the layer at every step casts once.
+    """
     kind = layer.kind
     if kind == "dense":
-        return x @ layer.weight.T + layer.bias
+        w_t, b = operands or (layer.weight.T, layer.bias)
+        return x @ w_t + b
     if kind == "conv2d":
         cols, (ho, wo) = _im2col(x, layer.kernel, layer.stride, layer.padding)
         w2 = layer.weight.reshape(layer.out_channels, -1)

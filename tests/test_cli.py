@@ -205,6 +205,35 @@ def test_config_value_out_of_range_rejected(tmp_path, capsys, overrides, message
     assert err.startswith("error: ") and message in err, err
 
 
+@pytest.mark.parametrize("overrides, key, where, least", [
+    ({"timesteps": 0}, "timesteps", "top level", 1),
+    ({"t_max": 0}, "t_max", "top level", 1),
+    ({"calib_samples": 0}, "calib_samples", "top level", 1),
+    ({"grid_size": 0}, "grid_size", "top level", 1),
+    ({"dataset": {"kind": "blobs", "n": 0, "eval_n": 150, "dim": [32], "classes": 4}},
+     "n", "dataset", 1),
+    ({"dataset": {"kind": "blobs", "n": 300, "eval_n": 0, "dim": [32], "classes": 4}},
+     "eval_n", "dataset", 1),
+    ({"dataset": {"kind": "blobs", "n": 300, "eval_n": 150, "dim": [32], "classes": 1}},
+     "classes", "dataset", 2),
+    ({"train": {"epochs": 12, "lr": 0.05, "batch_size": 0}}, "batch_size", "train", 1),
+], ids=["timesteps", "t-max", "calib-samples", "grid-size", "dataset-n", "eval-n",
+        "one-class", "batch-size"])
+def test_config_size_below_minimum_rejected(tmp_path, capsys, overrides, key, where, least):
+    config, _ = write_config(tmp_path, **overrides)
+    assert cli.main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    message = f"config key {key!r} in {where} must be at least {least}, got"
+    assert err.startswith("error: ") and message in err, err
+
+
+def test_timesteps_flag_below_one_rejected(tmp_path, capsys):
+    config, _ = write_config(tmp_path)
+    assert cli.main(["train", "--config", str(config), "--timesteps", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "config key 'timesteps' in top level must be at least 1, got 0" in err, err
+
+
 @pytest.mark.parametrize("energy, message", [
     ({"mu": 0}, "mu must be positive, got 0"),
     ({"mode": "x"}, "unknown energy mode 'x'"),

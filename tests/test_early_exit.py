@@ -83,6 +83,25 @@ def test_confidence_monotone_under_sharpening(classes, seed):
     assert c2[0] >= c1[0] - 1e-9
 
 
+@pytest.mark.parametrize("kind", ["entropy", "max_prob"])
+@pytest.mark.parametrize("classes", [2, 10])
+def test_confidence_of_step_block_equals_per_step_stack(rng, kind, classes):
+    """The gate scores all [T, N, classes] steps in one call, bit for bit as step by step."""
+    scores = rng.standard_normal((8, 40, classes)) * 3.0
+    scores[:, 0] = 1.5  # every class tied: flat softmax
+    top = scores[:, 1].max(axis=1)
+    scores[:, 1, :2] = top[:, None] + 1.0  # two classes tied at the top
+    scores[:, 2] = 0.0
+    scores[:, 2, 1] = 800.0  # saturated: softmax is exactly one-hot
+    scores[:, 3] *= 1e3  # near saturation
+    scores[:, 4] = -1e300  # tied and huge
+    block = early_exit.confidence(scores, classes, kind)
+    steps = np.stack([early_exit.confidence(scores[t], classes, kind) for t in range(8)])
+    assert block.shape == (8, 40)
+    assert block.tobytes() == steps.tobytes()
+    assert (block[:, 2] > 0.999).all()  # the saturated input reads as sure
+
+
 # ---------------------------------------------------------------------------
 # boundary schedule
 

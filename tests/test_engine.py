@@ -80,6 +80,33 @@ def test_step_matches_loop_oracle_fuzz(rng):
         assert got_v == pytest.approx(want_v, abs=1e-9)
 
 
+def _clip_step(state, current, config):
+    """``step_layer``'s update written with ``np.clip``: the reference for its clamp."""
+    thr = config.threshold
+    u = state.v + current
+    emitted = np.clip(np.floor(u / thr), 0.0, float(config.phi)) * thr
+    return u - emitted, emitted
+
+
+@pytest.mark.parametrize("v_th, rho, phi", [(0.37, 1, 1), (1.0, 2, 3), (0.1, 4, 255), (3e10, 1, 2)])
+def test_step_clamp_equals_np_clip(v_th, rho, phi):
+    cfg = engine.LayerSnnConfig(v_th=v_th, rho=rho, phi=phi)
+    thr = cfg.threshold
+    multiples = np.arange(-3, phi + 4) * thr
+    v = np.concatenate([
+        multiples,
+        np.nextafter(multiples, np.inf),
+        np.nextafter(multiples, -np.inf),
+        [0.0, -0.0, -1e-320, -5e-324, -thr / 2, -1e6, 1e6],
+    ])
+    for current in (0.0, -0.0, thr, -thr, 0.5 * thr):
+        state = engine.NeuronState(v=v.copy())
+        got_state, got = engine.step_layer(state, np.full_like(v, current), cfg)
+        want_v, want = _clip_step(state, np.full_like(v, current), cfg)
+        assert got.tobytes() == want.tobytes(), current
+        assert got_state.v.tobytes() == want_v.tobytes(), current
+
+
 # ---------------------------------------------------------------------------
 # whole-network runs
 
@@ -244,6 +271,50 @@ def test_stats_at_stops_each_input_at_its_step(random_net, arch):
             assert stats.layer_spikes[i] == want
             assert stats.layer_synops[i] == want * engine.layer_fanout(model, i)
         assert stats.total_spikes == sum(stats.layer_spikes.values())
+
+
+def _sparse_train(rng, n, shape, timesteps, phi=3, threshold=0.37):
+    """A spike-like train: a fifth of the neurons fire 1..phi quanta, the rest are silent."""
+    size = (timesteps, n, *shape)
+    counts = rng.integers(1, phi + 1, size) * (rng.random(size) < 0.2)
+    return engine.SpikeTrain(counts.astype(np.uint8), threshold)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 512])
+def test_dense_cast_once_per_run_equals_per_call_product(n):
+    """The engine's float64 dense operands give ``x @ W.T + b`` bit for bit."""
+    rng = np.random.default_rng(n)
+    shapes = [(128, 128), (256, 784), (128, 256), (10, 128), (10, 64)]
+    shapes += [tuple(int(d) for d in rng.integers(1, 300, 2)) for _ in range(4)]
+    for out_f, in_f in shapes:
+        layer = nn.dense(
+            in_f, out_f, rng.standard_normal((out_f, in_f)), rng.standard_normal(out_f)
+        )
+        train = _sparse_train(rng, n, (in_f,), 3)
+        for t, got in enumerate(engine._currents([layer], train, 3)):
+            x = train.amplitudes(t)
+            assert got.tobytes() == (x @ layer.weight.T + layer.bias).tobytes(), (out_f, in_f, t)
+
+
+def test_conv_layers_keep_their_per_call_path():
+    """Conv and pool layers are not cast; a conv net's currents match uncast calls."""
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        c_in, c_out, n = (int(d) for d in rng.integers(1, 5, 3))
+        side = int(rng.choice([4, 6, 8]))
+        conv = nn.conv2d(
+            c_in, c_out, 3, padding=1,
+            weight=rng.standard_normal((c_out, c_in, 3, 3)), bias=rng.standard_normal(c_out),
+        )
+        flat = c_out * (side // 4) ** 2
+        head = nn.dense(flat, 10, rng.standard_normal((10, flat)), rng.standard_normal(10))
+        layers = [nn.avgpool2d(2), conv, nn.avgpool2d(2), nn.flatten(), head]
+        train = _sparse_train(rng, n, (c_in, side, side), 3)
+        for t, got in enumerate(engine._currents(layers, train, 3)):
+            want = train.amplitudes(t)
+            for layer in layers:
+                want = nn.apply_layer(layer, want)
+            assert got.tobytes() == want.tobytes(), (c_in, c_out, n, side, t)
 
 
 def test_config_count_mismatch_raises(trained_mlp, blob_dataset):
