@@ -1,12 +1,13 @@
 """Command line pipeline: train, convert, search, fit-exit, eval, ablate, report.
 
 Configuration comes from an optional JSON file (``--config``) merged over
-defaults, with individual flags winning over both. Every artifact is written
-atomically (``store.write_atomic``) and contains no timestamps, so a rerun
-with the same seed is byte-identical.
+defaults, with individual flags winning over both, and is checked once when
+read. Every artifact is written atomically (``store.write_atomic``) and
+contains no timestamps, so a rerun with the same seed is byte-identical.
 
 Exit codes: 0 success, 1 user error (bad paths, malformed config, malformed or
-mismatched artifacts), 2 internal invariant violation.
+mismatched artifacts), 2 internal invariant violation, which includes any
+``ValueError`` a stage raises on settings and inputs that passed the checks.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import os
 import sys
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass, replace
 
 import numpy as np
 
 from . import calibrate, early_exit, engine, nn, search, store, train
+from .search import EnergyModel
 
 ACCURACY_CURVE_TIMESTEPS = (1, 2, 4, 8, 16, 32)
 
@@ -39,7 +41,7 @@ def _stage(name: str):
         yield
     except UserError:
         raise
-    except (store.StoreError, train.TrainingDivergedError, ValueError, OSError) as err:
+    except (store.StoreError, train.TrainingDivergedError, OSError) as err:
         raise UserError(f"[{name}] {err}") from err
 
 
@@ -86,12 +88,6 @@ class SearchSettings:
 
 
 @dataclass
-class EnergySettings:
-    mu: float = 77e-15
-    mode: str = "spike_count"
-
-
-@dataclass
 class ExitSettings:
     alpha_base: float = 0.7
     beta: float = 0.2
@@ -111,18 +107,8 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainSettings = field(default_factory=TrainSettings)
     search: SearchSettings = field(default_factory=SearchSettings)
-    energy: EnergySettings = field(default_factory=EnergySettings)
+    energy: EnergyModel = field(default_factory=EnergyModel)
     exit: ExitSettings = field(default_factory=ExitSettings)
-
-
-_SECTIONS = {
-    "dataset": DatasetConfig,
-    "model": ModelConfig,
-    "train": TrainSettings,
-    "search": SearchSettings,
-    "energy": EnergySettings,
-    "exit": ExitSettings,
-}
 
 
 def _fits(value, hint) -> bool:
@@ -154,47 +140,57 @@ def _fill(cls, data: dict, where: str):
                 hint.__name__ if isinstance(hint, type) else hint
             )
             raise UserError(f"config key {key!r} in {where} must be {expected}, got {value!r}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ValueError as err:  # a section that checks itself, such as EnergyModel
+        raise UserError(f"config section {where}: {err}") from None
 
 
-# The least a run can work with: one step, one sample, one grid point, a
-# two-class head. A smaller value would fail deep inside a stage instead.
-_MINIMUMS = (
-    ("top level", "timesteps", 1),
-    ("top level", "t_max", 1),
-    ("top level", "calib_samples", 1),
-    ("top level", "grid_size", 1),
-    ("dataset", "n", 1),
-    ("dataset", "eval_n", 1),
-    ("dataset", "classes", 2),
-    ("train", "batch_size", 1),
+# Every value a stage would otherwise reject late or crash on, as
+# (section, keys, test, what the test asks for).
+_BOUNDS = (
+    ("top level", ("timesteps", "t_max", "calib_samples", "grid_size"), lambda v: v >= 1,
+     "at least 1"),
+    ("top level", ("seed",), lambda v: v >= 0, "at least 0"),
+    ("dataset", ("kind",), lambda v: v in ("blobs", "rings", "idx", "csv"),
+     "one of blobs, rings, idx, csv"),
+    ("dataset", ("n", "eval_n"), lambda v: v >= 1, "at least 1"),
+    ("dataset", ("dim",), lambda v: v and min(v) >= 1,
+     "a non-empty list of sizes, each at least 1"),
+    ("dataset", ("classes",), lambda v: v >= 2, "at least 2"),
+    ("model", ("arch",), lambda v: v in ("mlp", "cnn"), "mlp or cnn"),
+    ("train", ("epochs", "batch_size"), lambda v: v >= 1, "at least 1"),
+    ("train", ("lr",), lambda v: v > 0, "positive"),
+    ("search", ("phi_candidates", "rho_candidates"),
+     lambda v: v and min(v) >= 1 and len(set(v)) == len(v),
+     "a non-empty list of distinct values, each at least 1"),
+    ("search", ("e_target", "s_target"),
+     lambda v: v == "auto" or not isinstance(v, str) and v >= 0, "'auto' or at least 0"),
+    ("search", ("s_target_slack",), lambda v: v >= 0, "at least 0"),
+    ("exit", ("delta",), lambda v: v > 0, "positive"),
 )
 
 
-def _check_minimums(cfg: RunConfig) -> None:
-    for where, key, least in _MINIMUMS:
-        value = getattr(cfg if where == "top level" else getattr(cfg, where), key)
-        if value < least:
-            raise UserError(
-                f"config key {key!r} in {where} must be at least {least}, got {value!r}"
-            )
-
-
 def config_from_dict(data: dict) -> RunConfig:
+    """The run's settings from a JSON object, every type and bound checked."""
     data = dict(data)
     kwargs = {}
-    for name, cls in _SECTIONS.items():
-        if name in data:
+    for name, cls in typing.get_type_hints(RunConfig).items():
+        if is_dataclass(cls) and name in data:
             section = data.pop(name)
             if not isinstance(section, dict):
                 raise UserError(f"config section {name!r} must be an object")
             kwargs[name] = _fill(cls, section, name)
     cfg = _fill(RunConfig, {**data, **kwargs}, "top level")
-    _check_minimums(cfg)
+    for where, keys, ok, bound in _BOUNDS:
+        for key in keys:
+            value = getattr(cfg if where == "top level" else getattr(cfg, where), key)
+            if not ok(value):
+                raise UserError(f"config key {key!r} in {where} must be {bound}, got {value!r}")
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def _read_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -204,32 +200,11 @@ def load_config(path) -> RunConfig:
         raise UserError(f"config file {path} is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise UserError("config file must hold a JSON object")
-    return config_from_dict(data)
+    return data
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "timesteps", None) is not None:
-        cfg.timesteps = args.timesteps
-    if getattr(args, "mu", None) is not None:
-        cfg.energy.mu = args.mu
-    if getattr(args, "energy_mode", None) is not None:
-        cfg.energy.mode = args.energy_mode
-    if getattr(args, "e_target", None) is not None:
-        cfg.search.e_target = _parse_target(args.e_target, "--e-target")
-    if getattr(args, "s_target", None) is not None:
-        cfg.search.s_target = _parse_target(args.s_target, "--s-target")
-    if getattr(args, "alpha_base", None) is not None:
-        cfg.exit.alpha_base = args.alpha_base
-    if getattr(args, "beta", None) is not None:
-        cfg.exit.beta = args.beta
-    if getattr(args, "delta", None) is not None:
-        cfg.exit.delta = args.delta
-    _check_minimums(cfg)
-    return cfg
+def load_config(path) -> RunConfig:
+    return config_from_dict(_read_json(path))
 
 
 def _parse_target(raw: str, flag: str) -> float | str:
@@ -239,6 +214,36 @@ def _parse_target(raw: str, flag: str) -> float | str:
         return float(raw)
     except ValueError:
         raise UserError(f"{flag} must be a number or 'auto', got {raw!r}") from None
+
+
+# The flags every stage takes: (flag, section, key, parser, help). A parser
+# is an argparse type or a tuple of choices; section "" is the top level.
+_FLAGS = (
+    ("--seed", "", "seed", int, "global RNG seed"),
+    ("--out", "", "out_dir", str, "run directory for artifacts"),
+    ("--timesteps", "", "timesteps", int, "simulation timesteps T"),
+    ("--mu", "energy", "mu", float, "energy per unit spike, Joules"),
+    ("--energy-mode", "energy", "mode", ("spike_count", "synop"), "energy counting mode"),
+    ("--e-target", "search", "e_target", lambda raw: _parse_target(raw, "--e-target"),
+     "energy cap for search-phi (number or 'auto')"),
+    ("--s-target", "search", "s_target", lambda raw: _parse_target(raw, "--s-target"),
+     "sensitivity cap for search-rho (number or 'auto')"),
+    ("--alpha-base", "exit", "alpha_base", float, "exit boundary floor"),
+    ("--beta", "exit", "beta", float, "exit boundary amplitude"),
+    ("--delta", "exit", "delta", float, "exit boundary entropy scale"),
+)
+
+
+def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` file (or the defaults) with every given flag written over it."""
+    data = _read_json(args.config) if args.config else {}
+    for flag, section, key, _, _ in _FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            target = data.setdefault(section, {}) if section else data
+            if isinstance(target, dict):  # else config_from_dict says why
+                target[key] = value
+    return config_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +291,7 @@ def _require(paths: dict[str, str], stage: str) -> None:
 # shared pipeline pieces
 
 def _load_dataset(cfg: RunConfig, split: str) -> store.DatasetHandle:
+    """The ``split`` samples; a malformed file or an out-of-range label is a user error."""
     ds = cfg.dataset
     if ds.kind in ("blobs", "rings"):
         n = ds.n if split == "train" else ds.eval_n
@@ -302,30 +308,45 @@ def _load_dataset(cfg: RunConfig, split: str) -> store.DatasetHandle:
             paths = (ds.idx_eval_images or ds.idx_images, ds.idx_eval_labels or ds.idx_labels)
         if paths[0] is None or paths[1] is None:
             raise UserError("dataset.kind 'idx' needs idx_images and idx_labels paths")
-        return store.load_idx(*paths)
-    if ds.kind == "csv":
+        source, load = paths[1], lambda: store.load_idx(*paths)
+    else:
         path = ds.csv_path if split == "train" else (ds.csv_eval_path or ds.csv_path)
         if path is None:
             raise UserError("dataset.kind 'csv' needs csv_path")
-        return store.load_csv(path, tuple(ds.dim))
-    raise UserError(f"unknown dataset kind {ds.kind!r}")
+        source, load = path, lambda: store.load_csv(path, tuple(ds.dim))
+    try:
+        data = load()
+    except ValueError as err:  # np.loadtxt reports a malformed row this way
+        raise UserError(f"{source}: {err}") from None
+    outside = (data.labels < 0) | (data.labels >= ds.classes)
+    if outside.any():
+        label = data.labels[outside][0]
+        raise UserError(f"{source}: label {label} outside 0..{ds.classes - 1} (dataset.classes)")
+    return data
 
 
 def _build_model(cfg: RunConfig, dataset: store.DatasetHandle) -> nn.ModelGraph:
     shape = tuple(dataset.images.shape[1:])
-    if cfg.model.arch == "mlp":
-        flat = int(np.prod(shape))
-        return nn.build_mlp(flat, cfg.model.hidden, cfg.dataset.classes, seed=cfg.seed)
-    if cfg.model.arch == "cnn":
-        if len(shape) != 3:
-            raise UserError(f"cnn needs (C, H, W) inputs, dataset gives {shape}")
+    if cfg.model.arch == "cnn" and len(shape) != 3:
+        raise UserError(f"cnn needs (C, H, W) inputs, dataset gives {shape}")
+    try:
+        if cfg.model.arch == "mlp":
+            flat = int(np.prod(shape))
+            return nn.build_mlp(flat, cfg.model.hidden, cfg.dataset.classes, seed=cfg.seed)
         return nn.build_cnn(shape, cfg.model.channels, cfg.dataset.classes, seed=cfg.seed)
-    raise UserError(f"unknown model arch {cfg.model.arch!r}")
+    except ValueError as err:  # a width or input shape the builders cannot use
+        raise UserError(str(err)) from None
 
 
 def _flatten_if_needed(model: nn.ModelGraph, images: np.ndarray) -> np.ndarray:
+    """``images`` in the model's input shape; other sample shapes are a user error."""
     if len(model.input_shape) == 1 and images.ndim > 2:
-        return images.reshape(len(images), -1)
+        images = images.reshape(len(images), -1)
+    if images.shape[1:] != tuple(model.input_shape):
+        raise UserError(
+            f"dataset samples have shape {images.shape[1:]}, the model takes "
+            f"{tuple(model.input_shape)}: was it trained with another dataset.dim or file?"
+        )
     return images
 
 
@@ -353,14 +374,10 @@ def _best_configs(art: Artifacts, model: nn.ModelGraph) -> tuple[list[engine.Lay
     )
 
 
-def _energy_model(cfg: RunConfig) -> search.EnergyModel:
-    with _stage("energy"):
-        return search.EnergyModel(mu=cfg.energy.mu, mode=cfg.energy.mode)
-
-
-def _eval_set(cfg: RunConfig, model: nn.ModelGraph) -> tuple[np.ndarray, np.ndarray]:
-    eval_set = _load_dataset(cfg, "eval")
-    return _flatten_if_needed(model, eval_set.images), np.asarray(eval_set.labels)
+def _model_inputs(cfg: RunConfig, model: nn.ModelGraph, split: str):
+    """Images shaped for ``model`` and labels of the ``split`` samples."""
+    data = _load_dataset(cfg, split)
+    return _flatten_if_needed(model, data.images), np.asarray(data.labels)
 
 
 def _fixed_eval(model, run: engine.SnnRun, timesteps: int, labels, em):
@@ -377,20 +394,18 @@ def cmd_train(cfg: RunConfig) -> int:
     art = Artifacts(cfg.out_dir)
     with _stage("load-dataset"):
         dataset = _load_dataset(cfg, "train")
-        eval_set = _load_dataset(cfg, "eval")
     with _stage("build-model"):
         model = _build_model(cfg, dataset)
-        images = _flatten_if_needed(model, dataset.images)
-        eval_images = _flatten_if_needed(model, eval_set.images)
-        dataset = store.DatasetHandle(images=images, labels=dataset.labels)
-        eval_set = store.DatasetHandle(images=eval_images, labels=eval_set.labels)
+        dataset = store.DatasetHandle(_flatten_if_needed(model, dataset.images), dataset.labels)
+    with _stage("load-dataset"):
+        eval_images, eval_labels = _model_inputs(cfg, model, "eval")
     with _stage("train"):
         trained = train.train_reference(
             model, dataset, cfg.train.epochs, cfg.train.lr, cfg.seed,
             batch_size=cfg.train.batch_size,
         )
         train_acc = train.accuracy(trained, dataset.images, dataset.labels)
-        eval_acc = train.accuracy(trained, eval_set.images, eval_set.labels)
+        eval_acc = train.accuracy(trained, eval_images, eval_labels)
     with _stage("save-model"):
         store.save_model(trained, art.model)
         store.write_atomic(
@@ -408,9 +423,7 @@ def cmd_convert(cfg: RunConfig) -> int:
     with _stage("load-model"):
         model = store.load_model(art.model)
     with _stage("load-dataset"):
-        dataset = _load_dataset(cfg, "train")
-        images = _flatten_if_needed(model, dataset.images)
-        dataset = store.DatasetHandle(images=images, labels=dataset.labels)
+        dataset = store.DatasetHandle(*_model_inputs(cfg, model, "train"))
     with _stage("calibration-cache"):
         samples = min(cfg.calib_samples, len(dataset))
         cache = store.build_calibration_cache(model, dataset, samples, cfg.seed)
@@ -452,26 +465,22 @@ def cmd_search_phi(cfg: RunConfig) -> int:
     model, cache = _load_search_inputs(cfg, art, "search-phi")
     _require({"base configs": art.configs_base}, "search-phi")
     configs = _load_configs(art.configs_base, model)
-    em = _energy_model(cfg)
     with _stage("sensitivity-table"):
         table = search.build_table(
             model, configs, cache, cfg.timesteps, "phi",
-            candidates=cfg.search.phi_candidates, energy=em,
+            candidates=cfg.search.phi_candidates, energy=cfg.energy,
             membrane_init=cfg.membrane_init,
         )
         search.table_to_csv(table, art.sensitivity_phi)
     with _stage("budget"):
         if cfg.search.e_target == "auto":
             ref_value = cfg.search.phi_candidates[min(1, len(cfg.search.phi_candidates) - 1)]
-            uniform = [
-                engine.LayerSnnConfig(v_th=c.v_th, rho=c.rho, phi=int(ref_value))
-                for c in configs
-            ]
+            uniform = [replace(c, phi=int(ref_value)) for c in configs]
             run = engine.run_snn(
                 model, uniform, cache.inputs, cfg.timesteps,
                 membrane_init=cfg.membrane_init,
             )
-            cap = search.energy_of(run.stats, em) / cache.sample_count
+            cap = search.energy_of(run.stats, cfg.energy) / cache.sample_count
         else:
             cap = float(cfg.search.e_target)
         budget = search.SearchBudget("energy_cap", cap)
@@ -493,11 +502,10 @@ def cmd_search_rho(cfg: RunConfig) -> int:
     model, cache = _load_search_inputs(cfg, art, "search-rho")
     _require({"burst-plan configs": art.configs_phi}, "search-rho")
     configs = _load_configs(art.configs_phi, model)
-    em = _energy_model(cfg)
     with _stage("sensitivity-table"):
         table = search.build_table(
             model, configs, cache, cfg.timesteps, "rho",
-            candidates=cfg.search.rho_candidates, energy=em,
+            candidates=cfg.search.rho_candidates, energy=cfg.energy,
             membrane_init=cfg.membrane_init,
         )
         search.table_to_csv(table, art.sensitivity_rho)
@@ -545,8 +553,7 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
     with _stage("eval-setup"):
         model = store.load_model(art.calibrated)
         configs, used = _best_configs(art, model)
-        images, labels = _eval_set(cfg, model)
-    em = _energy_model(cfg)
+        images, labels = _model_inputs(cfg, model, "eval")
     with _stage("eval-adaptive"):
         policy = early_exit.load_policy(art.policy) if os.path.exists(art.policy) else None
     rows = []
@@ -554,7 +561,7 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
         # one run answers the fixed horizon and the exit gate alike
         horizon = cfg.timesteps if policy is None else max(cfg.timesteps, policy.t_max)
         run = engine.run_snn(model, configs, images, horizon, membrane_init=cfg.membrane_init)
-        acc, spikes, energy = _fixed_eval(model, run, cfg.timesteps, labels, em)
+        acc, spikes, energy = _fixed_eval(model, run, cfg.timesteps, labels, cfg.energy)
         rows.append(
             f"fixed,{cfg.timesteps},{acc!r},{float(cfg.timesteps)!r},{spikes!r},{energy!r}"
         )
@@ -568,7 +575,7 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
     if policy is not None:
         with _stage("eval-adaptive"):
             adaptive = early_exit.apply_gate(model, run, policy, labels)
-            energy = search.energy_of(adaptive.stats, em) / len(labels)
+            energy = search.energy_of(adaptive.stats, cfg.energy) / len(labels)
             rows.append(
                 f"adaptive,{policy.t_max},{adaptive.accuracy!r},{adaptive.mean_exit_t!r},"
                 f"{adaptive.stats.total_spikes / len(labels)!r},{energy!r}"
@@ -601,8 +608,7 @@ def _ablation_rows(cfg: RunConfig, art: Artifacts):
         )
     ]
     cache = store.load_cache(art.cache)
-    images, labels = _eval_set(cfg, model)
-    em = _energy_model(cfg)
+    images, labels = _model_inputs(cfg, model, "eval")
     n, T = len(labels), cfg.timesteps
     fixed, gated = [], []
     for name, configs in variants:
@@ -613,11 +619,11 @@ def _ablation_rows(cfg: RunConfig, art: Artifacts):
             membrane_init=cfg.membrane_init,
         )
         run = engine.run_snn(model, configs, images, T, membrane_init=cfg.membrane_init)
-        acc, spikes, energy = _fixed_eval(model, run, T, labels, em)
+        acc, spikes, energy = _fixed_eval(model, run, T, labels, cfg.energy)
         fixed.append((name, acc, energy, float(T), spikes))
         if policy is not None:
             tr = early_exit.apply_gate(model, run, policy, labels)
-            energy = search.energy_of(tr.stats, em) / n
+            energy = search.energy_of(tr.stats, cfg.energy) / n
             gated.append(
                 (f"{name}+exit", tr.accuracy, energy, tr.mean_exit_t, tr.stats.total_spikes / n)
             )
@@ -668,8 +674,7 @@ def cmd_report(cfg: RunConfig) -> int:
     with _stage("report-setup"):
         model = store.load_model(art.calibrated)
         configs, _ = _best_configs(art, model)
-        images, labels = _eval_set(cfg, model)
-        em = _energy_model(cfg)
+        images, labels = _model_inputs(cfg, model, "eval")
     with _stage("accuracy-curve"):
         run = engine.run_snn(
             model, configs, images, max(ACCURACY_CURVE_TIMESTEPS),
@@ -677,7 +682,7 @@ def cmd_report(cfg: RunConfig) -> int:
         )
         rows = []
         for t in ACCURACY_CURVE_TIMESTEPS:
-            acc, spikes, energy = _fixed_eval(model, run, t, labels, em)
+            acc, spikes, energy = _fixed_eval(model, run, t, labels, cfg.energy)
             rows.append(f"{t},{acc!r},{spikes!r},{energy!r}")
         store.write_atomic(
             art.accuracy_curve, ["timesteps,accuracy,spikes_per_input,energy", *rows]
@@ -709,18 +714,9 @@ def cmd_report(cfg: RunConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON config file")
-    shared.add_argument("--seed", type=int, help="global RNG seed")
-    shared.add_argument("--out", help="run directory for artifacts")
-    shared.add_argument("--timesteps", type=int, help="simulation timesteps T")
-    shared.add_argument("--mu", type=float, help="energy per unit spike, Joules")
-    shared.add_argument(
-        "--energy-mode", choices=["spike_count", "synop"], help="energy counting mode"
-    )
-    shared.add_argument("--e-target", help="energy cap for search-phi (number or 'auto')")
-    shared.add_argument("--s-target", help="sensitivity cap for search-rho (number or 'auto')")
-    shared.add_argument("--alpha-base", type=float, help="exit boundary floor")
-    shared.add_argument("--beta", type=float, help="exit boundary amplitude")
-    shared.add_argument("--delta", type=float, help="exit boundary entropy scale")
+    for flag, _, _, parser, help in _FLAGS:
+        kind = "choices" if isinstance(parser, tuple) else "type"
+        shared.add_argument(flag, **{kind: parser}, help=help)
 
     parser = argparse.ArgumentParser(
         prog="spikecal",
@@ -752,10 +748,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        cfg = _apply_overrides(cfg, args)
+        # inside the try: the --e-target/--s-target parsers raise UserError
+        args = parser.parse_args(argv)
+        cfg = config_from_args(args)
         if args.command == "eval":
             return cmd_eval(cfg, trace=args.trace)
         return _COMMANDS[args.command](cfg)

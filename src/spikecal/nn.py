@@ -367,6 +367,11 @@ def build_cnn(
         c = int(ch)
         h //= pool
         w //= pool
+    if h < 1 or w < 1:
+        raise ValueError(
+            f"input shape {tuple(input_shape)} is too small for {len(channels)} "
+            f"pool-{pool} blocks: it pools down to {h}x{w}"
+        )
     layers.append(flatten())
     layers.append(_he_dense(rng, c * h * w, int(classes)))
     model = ModelGraph(layers, tuple(int(d) for d in input_shape), int(classes))

@@ -22,7 +22,7 @@ each sweep point cheap. Small problems are solved exactly by enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,11 +124,7 @@ def _with_candidate(
     configs: list[LayerSnnConfig], position: int, kind: str, value: int
 ) -> list[LayerSnnConfig]:
     out = list(configs)
-    base = configs[position]
-    if kind == "phi":
-        out[position] = LayerSnnConfig(v_th=base.v_th, rho=base.rho, phi=int(value))
-    else:
-        out[position] = LayerSnnConfig(v_th=base.v_th, rho=int(value), phi=base.phi)
+    out[position] = replace(configs[position], **{kind: int(value)})
     return out
 
 
@@ -372,15 +368,10 @@ def apply_plan(configs: list[LayerSnnConfig], plan: LayerPlan) -> list[LayerSnnC
         raise ValueError(
             f"plan covers {len(plan.layers)} layers, configs cover {len(configs)}"
         )
-    out = []
-    for pos, layer in enumerate(plan.layers):
-        base = configs[pos]
-        value = int(plan.choice[layer])
-        if plan.kind == "phi":
-            out.append(LayerSnnConfig(v_th=base.v_th, rho=base.rho, phi=value))
-        else:
-            out.append(LayerSnnConfig(v_th=base.v_th, rho=value, phi=base.phi))
-    return out
+    return [
+        replace(base, **{plan.kind: int(plan.choice[layer])})
+        for base, layer in zip(configs, plan.layers)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@ import json
 import os
 import re
 import shutil
+import struct
+import subprocess
+import sys
 
 import pytest
 
-from spikecal import cli
+from spikecal import cli, store
 
 
 def write_config(tmp_path, **overrides):
@@ -196,8 +199,33 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, overrides, key):
         },
         "channels must list one or more positive widths, got [0]",
     ),
+    (
+        {
+            "model": {"arch": "cnn", "channels": [2, 2]},
+            "dataset": {"kind": "blobs", "n": 40, "eval_n": 20, "dim": [1, 2, 2], "classes": 4},
+        },
+        "input shape (1, 2, 2) is too small for 2 pool-2 blocks",
+    ),
+    ({"dataset": {"kind": "blobs", "n": 300, "eval_n": 150, "dim": [0], "classes": 4}},
+     "config key 'dim' in dataset must be a non-empty list of sizes, each at least 1, got [0]"),
+    ({"dataset": {"kind": "blobs", "n": 300, "eval_n": 150, "dim": [], "classes": 4}},
+     "config key 'dim' in dataset must be a non-empty list of sizes, each at least 1, got []"),
+    ({"train": {"epochs": 12, "lr": -0.05}}, "config key 'lr' in train must be positive, got -0.05"),
+    ({"train": {"epochs": 12, "lr": 0}}, "config key 'lr' in train must be positive, got 0"),
+    ({"exit": {"delta": 0}}, "config key 'delta' in exit must be positive, got 0"),
+    ({"search": {"rho_candidates": [1, 1, 2]}},
+     "config key 'rho_candidates' in search must be a non-empty list of distinct values, "
+     "each at least 1, got [1, 1, 2]"),
+    ({"search": {"phi_candidates": [0, 1]}}, "'phi_candidates' in search must be a non-empty"),
+    ({"search": {"phi_candidates": []}}, "'phi_candidates' in search must be a non-empty"),
+    ({"search": {"e_target": -1}}, "config key 'e_target' in search must be 'auto' or at least 0"),
+    ({"search": {"s_target": "lots"}},
+     "config key 's_target' in search must be 'auto' or at least 0, got 'lots'"),
+    ({"model": {"arch": "transformer"}}, "config key 'arch' in model must be mlp or cnn"),
 ], ids=["nan-membrane-init", "nan-alpha-base", "inf-slack", "zero-width", "no-hidden-layer",
-        "zero-channels"])
+        "zero-channels", "cnn-input-too-small", "zero-dim", "empty-dim", "negative-lr", "zero-lr",
+        "zero-delta", "repeated-rho", "zero-phi", "no-phi", "negative-e-target",
+        "word-s-target", "unknown-arch"])
 def test_config_value_out_of_range_rejected(tmp_path, capsys, overrides, message):
     config, _ = write_config(tmp_path, **overrides)
     assert cli.main(["train", "--config", str(config)]) == 1
@@ -217,8 +245,11 @@ def test_config_value_out_of_range_rejected(tmp_path, capsys, overrides, message
     ({"dataset": {"kind": "blobs", "n": 300, "eval_n": 150, "dim": [32], "classes": 1}},
      "classes", "dataset", 2),
     ({"train": {"epochs": 12, "lr": 0.05, "batch_size": 0}}, "batch_size", "train", 1),
+    ({"train": {"epochs": -1, "lr": 0.05}}, "epochs", "train", 1),
+    ({"seed": -1}, "seed", "top level", 0),
+    ({"search": {"s_target_slack": -1.0}}, "s_target_slack", "search", 0),
 ], ids=["timesteps", "t-max", "calib-samples", "grid-size", "dataset-n", "eval-n",
-        "one-class", "batch-size"])
+        "one-class", "batch-size", "epochs", "seed", "slack"])
 def test_config_size_below_minimum_rejected(tmp_path, capsys, overrides, key, where, least):
     config, _ = write_config(tmp_path, **overrides)
     assert cli.main(["train", "--config", str(config)]) == 1
@@ -248,6 +279,106 @@ def test_bad_energy_setting_is_user_error(finished_run, tmp_path, capsys, energy
         assert cli.main([stage, "--config", str(config)]) == 1, stage
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, (stage, err)
+
+
+def _write_idx(tmp_path, labels):
+    images = tmp_path / "images.idx"
+    images.write_bytes(
+        struct.pack(">IIII", store.IDX_IMAGE_MAGIC, len(labels), 2, 2) + bytes(4 * len(labels))
+    )
+    label_file = tmp_path / "labels.idx"
+    label_file.write_bytes(struct.pack(">II", store.IDX_LABEL_MAGIC, len(labels)) + bytes(labels))
+    return {"kind": "idx", "idx_images": str(images), "idx_labels": str(label_file),
+            "dim": [1, 2, 2], "classes": 4}, label_file
+
+
+def _write_csv(tmp_path, labels):
+    path = tmp_path / "data.csv"
+    path.write_text("".join(f"{label},1,2,3,4\n" for label in labels))
+    return {"kind": "csv", "csv_path": str(path), "dim": [4], "classes": 4}, path
+
+
+@pytest.mark.parametrize("write", [_write_idx, _write_csv], ids=["idx", "csv"])
+def test_label_outside_classes_names_file_and_label(tmp_path, capsys, write):
+    dataset, path = write(tmp_path, [0, 1, 2, 3] * 3 + [7])
+    config, _ = write_config(tmp_path, dataset=dataset)
+    assert cli.main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path}: label 7 outside 0..3" in err, err
+
+
+def test_malformed_csv_names_file(tmp_path, capsys):
+    dataset, path = _write_csv(tmp_path, [0, 1, 2, 3])
+    path.write_text(path.read_text() + "1,2,x,4,5\n")
+    config, _ = write_config(tmp_path, dataset=dataset)
+    assert cli.main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: could not convert string 'x'"), err
+
+
+def test_convert_with_changed_dim_is_user_error(finished_run, tmp_path, capsys):
+    _, _, raw = finished_run
+    out = tmp_path / "copy"
+    shutil.copytree(raw["out_dir"], out)
+    dataset = {**raw["dataset"], "dim": [16]}
+    config, _ = write_config(tmp_path, out_dir=str(out), dataset=dataset)
+    capsys.readouterr()
+    assert cli.main(["convert", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "dataset samples have shape (16,), the model takes (32,)" in err, err
+
+
+def test_engine_fault_inside_a_stage_exits_2(finished_run, tmp_path, capsys, monkeypatch):
+    _, _, raw = finished_run
+    out = tmp_path / "copy"
+    shutil.copytree(raw["out_dir"], out)
+    config, _ = write_config(tmp_path, out_dir=str(out))
+
+    def broken(*args, **kwargs):
+        raise cli.engine.ConfigMismatchError("3 configs for 2 spiking layers")
+
+    monkeypatch.setattr(cli.engine, "run_snn", broken)
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ConfigMismatchError: 3 configs"), err
+
+
+def test_flags_and_json_keys_give_equal_configs(tmp_path):
+    flagged = {
+        "--seed": ("5", None, "seed", 5),
+        "--out": ("elsewhere", None, "out_dir", "elsewhere"),
+        "--timesteps": ("3", None, "timesteps", 3),
+        "--mu": ("1e-13", "energy", "mu", 1e-13),
+        "--energy-mode": ("synop", "energy", "mode", "synop"),
+        "--e-target": ("2.5e-9", "search", "e_target", 2.5e-9),
+        "--s-target": ("0.75", "search", "s_target", 0.75),
+        "--alpha-base": ("0.5", "exit", "alpha_base", 0.5),
+        "--beta": ("0.1", "exit", "beta", 0.1),
+        "--delta": ("2.5", "exit", "delta", 2.5),
+    }
+    assert set(flagged) == {row[0] for row in cli._FLAGS}
+    config, raw = write_config(tmp_path)
+    argv = ["train", "--config", str(config)]
+    for flag, (text, section, key, value) in flagged.items():
+        argv += [flag, text]
+        (raw.setdefault(section, {}) if section else raw)[key] = value
+    from_flags = cli.config_from_args(cli._build_parser().parse_args(argv))
+    assert from_flags == cli.config_from_dict(raw)
+    assert from_flags != cli.load_config(config)
+
+
+def test_compare_burst_caps_script_prints_five_rows():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "compare_burst_caps.py")
+    done = subprocess.run(
+        [sys.executable, script, "--dim", "32", "--classes", "4"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:1] == ["config"]) + 1
+    rows = lines[start:lines.index("", start)]
+    assert [row.split()[0] for row in rows] == ["uniform"] * 4 + ["plan"], done.stdout
 
 
 def test_malformed_json_rejected(tmp_path, capsys):
