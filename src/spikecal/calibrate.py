@@ -20,6 +20,7 @@ import numpy as np
 
 from . import store
 from .engine import (
+    DEFAULT_MEMBRANE_INIT,
     LayerSnnConfig,
     _as_batch,
     _check_run,
@@ -149,7 +150,7 @@ def calibrate_biases(
     cache: CalibrationCache,
     timesteps: int,
     *,
-    membrane_init: float = 0.5,
+    membrane_init: float = DEFAULT_MEMBRANE_INIT,
 ) -> ModelGraph:
     """Return a copy of ``model`` with per-channel mean rate offsets folded
     into the biases feeding each spiking layer.
@@ -166,8 +167,7 @@ def calibrate_biases(
     source, start = _as_batch(corrected, cache.inputs), 0
     for pos, idx in enumerate(spiking_layer_indices(corrected)):
         segment = corrected.layers[start:idx]
-        emitted = _run_layer(segment, configs[pos], source, timesteps, membrane_init).emitted
-        rates = emitted / float(timesteps)
+        rates = _run_layer(segment, configs[pos], source, timesteps, membrane_init).train.rate()
         tap = np.asarray(cache.taps[idx], dtype=np.float64)
         axes = _channel_axes(tap)
         correction = tap.mean(axis=axes) - rates.mean(axis=axes)
@@ -226,7 +226,7 @@ def measure_unevenness(
     cache: CalibrationCache,
     timesteps: int,
     *,
-    membrane_init: float = 0.5,
+    membrane_init: float = DEFAULT_MEMBRANE_INIT,
 ) -> ConversionMetrics:
     """Three-way conversion error decomposition on the calibration subset.
 
@@ -235,13 +235,14 @@ def measure_unevenness(
     are the cached analog taps.
     """
     cache.check_model(model)
-    run = run_snn(model, configs, cache.inputs, timesteps, membrane_init=membrane_init)
-    spiking = spiking_layer_indices(model)
+    run = run_snn(
+        model, configs, cache.inputs, timesteps, membrane_init=membrane_init, record_trains=True
+    )
     out = []
-    for pos, idx in enumerate(spiking):
+    for pos, idx in enumerate(spiking_layer_indices(model)):
         cfg = configs[pos]
         x = np.asarray(cache.taps[idx], dtype=np.float64)
-        rate = run.rates[idx]
+        rate = run.trains[idx].rate()
         cap = cfg.threshold * cfg.phi
         clipped = np.clip(x, 0.0, cap)
         floored = clip_floor(x, timesteps, cfg.threshold, cfg.phi)

@@ -102,7 +102,7 @@ class RunConfig:
     t_max: int = 8
     calib_samples: int = 512
     grid_size: int = 64
-    membrane_init: float = 0.5
+    membrane_init: float = engine.DEFAULT_MEMBRANE_INIT
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainSettings = field(default_factory=TrainSettings)
@@ -376,6 +376,11 @@ def _best_configs(art: Artifacts, model: nn.ModelGraph) -> tuple[list[engine.Lay
 
 def _model_inputs(cfg: RunConfig, model: nn.ModelGraph, split: str):
     """Images shaped for ``model`` and labels of the ``split`` samples."""
+    if model.class_count != cfg.dataset.classes:
+        raise UserError(
+            f"the model has {model.class_count} classes, dataset.classes is "
+            f"{cfg.dataset.classes}: was it trained with another dataset.classes?"
+        )
     data = _load_dataset(cfg, split)
     return _flatten_if_needed(model, data.images), np.asarray(data.labels)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import store
-from .engine import LayerSnnConfig, RunStats, SnnRun, run_snn, stats_at
+from .engine import DEFAULT_MEMBRANE_INIT, LayerSnnConfig, RunStats, SnnRun, run_snn, stats_at
 from .nn import ModelGraph, softmax
 from .store import CalibrationCache
 
@@ -96,7 +96,7 @@ def fit_exit_policy(
     beta: float = 0.2,
     delta: float = 1.0,
     *,
-    membrane_init: float = 0.5,
+    membrane_init: float = DEFAULT_MEMBRANE_INIT,
     confidence_kind: str = "entropy",
 ) -> ExitPolicy:
     """Record mean cumulative-score entropy per step on the calibration set."""
@@ -174,7 +174,7 @@ def infer_adaptive(
     batch,
     labels=None,
     *,
-    membrane_init: float = 0.5,
+    membrane_init: float = DEFAULT_MEMBRANE_INIT,
 ) -> ExitTrace:
     """Run ``policy.t_max`` steps and gate each input (``apply_gate``)."""
     run = run_snn(model, configs, batch, policy.t_max, membrane_init=membrane_init)

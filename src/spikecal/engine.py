@@ -16,18 +16,19 @@ regardless of amplitude, which is what the energy accounting uses.
 
 The analog input batch is injected as a constant current every timestep, and
 the dense head never spikes; its accumulated membrane divided by T is the
-score vector. State is carried in float64 so charge bookkeeping stays exact
-at desk scale.
+score vector. Membranes are carried in float64.
 
 The net is feed-forward, so a layer's whole T-step train depends only on the
 train entering it. Simulation is therefore layer-major: each spiking layer
 runs all T steps before the next one starts, and what passes between layers
-is a ``SpikeTrain`` of integer quanta counts. Everything before the first
-relu sees a constant input and is computed once. Every dense, conv or pool
-call is still one call per timestep over the batch's N rows, the same
-products a time-major sweep makes, so results match it bit for bit. A run
-can also start at any layer from a train recorded earlier, which is how the
-sensitivity table and bias calibration reuse a shared upstream prefix.
+is a ``SpikeTrain`` of integer quanta counts, each layer's one record
+besides its final membrane (rates come from ``SpikeTrain.rate()``).
+Everything before the first relu sees a constant input and is computed once.
+Every dense, conv or pool call is still one call per timestep over the
+batch's N rows, the same products a time-major sweep makes, so results match
+it bit for bit. A run can also start at any layer from a train recorded
+earlier, which is how the sensitivity table and bias calibration reuse a
+shared upstream prefix.
 """
 
 from __future__ import annotations
@@ -90,6 +91,13 @@ class SpikeTrain:
     def amplitudes(self, t: int) -> np.ndarray:
         return self.counts[t] * self.threshold
 
+    def rate(self) -> np.ndarray:
+        """Mean amplitude per step: the steps summed in order in float64, over T."""
+        total = np.zeros(self.counts.shape[1:])
+        for t in range(len(self.counts)):
+            total += self.amplitudes(t)
+        return total / float(len(self.counts))
+
 
 @dataclass
 class RunStats:
@@ -102,18 +110,15 @@ class RunStats:
 
 @dataclass
 class SnnRun:
-    """Everything a simulation produced; ``trains`` is None unless asked for.
+    """What a simulation produced; ``trains`` is None unless asked for.
 
     ``step_scores[t]`` and ``step_spikes[:t + 1]`` are exactly what a run of
-    t + 1 steps gives, so one run answers every shorter horizon.
+    t + 1 steps gives, so one run answers every shorter horizon. ``v_last``
+    holds the final membranes; rates come from ``trains[i].rate()``.
     """
 
     scores: np.ndarray
     stats: RunStats
-    rates: dict[int, np.ndarray]
-    charge: dict[int, np.ndarray]
-    emitted: dict[int, np.ndarray]
-    v_first: dict[int, np.ndarray]
     v_last: dict[int, np.ndarray]
     step_scores: np.ndarray  # [T, N, classes] cumulative scores after each step
     step_spikes: np.ndarray  # [T, L, N] unit spikes per step, spiking layer and input
@@ -199,9 +204,6 @@ class _LayerRun:
 
     train: SpikeTrain | None
     step_spikes: np.ndarray  # [T, N] unit spikes per step and input
-    charge: np.ndarray
-    emitted: np.ndarray
-    v_first: np.ndarray
     v_last: np.ndarray
 
 
@@ -253,16 +255,11 @@ def _run_layer(
     for t, current in enumerate(_currents(layers, source, timesteps)):
         if t == 0:
             state = initial_state(config, current.shape, membrane_init)
-            v_first = state.v
-            charge = np.zeros_like(current, dtype=np.float64)
-            emitted_sum = np.zeros_like(current, dtype=np.float64)
             counts = np.empty((timesteps, *current.shape), np.min_scalar_type(config.phi))
         state, emitted = step_layer(state, current, config)
-        charge += current
-        emitted_sum += emitted
         counts[t] = np.rint(emitted / thr)
     step_spikes = counts.reshape(timesteps, counts.shape[1], -1).sum(axis=2, dtype=np.int64)
-    return _LayerRun(SpikeTrain(counts, thr), step_spikes, charge, emitted_sum, v_first, state.v)
+    return _LayerRun(SpikeTrain(counts, thr), step_spikes, state.v)
 
 
 def _simulate(
@@ -333,9 +330,10 @@ def run_snn(
 ) -> SnnRun:
     """Simulate the converted net for ``timesteps`` steps of constant current.
 
-    ``record_trains`` keeps every spiking layer's train. The cumulative scores
-    and per-layer unit spikes after every step are always recorded; they are
-    what the early-exit gate and every shorter horizon read.
+    ``record_trains`` keeps every spiking layer's train, which is what firing
+    rates are read from. The cumulative scores and per-layer unit spikes
+    after every step are always recorded; they are what the early-exit gate
+    and every shorter horizon read.
     """
     _check_run(model, configs, timesteps)
     x0 = _as_batch(model, batch)
@@ -347,10 +345,6 @@ def run_snn(
     return SnnRun(
         scores=sim.step_scores[-1],
         stats=stats_at(model, step_spikes, timesteps - 1),
-        rates={i: r.emitted / float(timesteps) for i, r in runs.items()},
-        charge={i: r.charge for i, r in runs.items()},
-        emitted={i: r.emitted for i, r in runs.items()},
-        v_first={i: r.v_first for i, r in runs.items()},
         v_last={i: r.v_last for i, r in runs.items()},
         step_scores=sim.step_scores,
         step_spikes=step_spikes,

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import store
 from .engine import (
+    DEFAULT_MEMBRANE_INIT,
     LayerSnnConfig,
     RunStats,
     _as_batch,
@@ -155,7 +156,7 @@ def layer_sensitivity(
     timesteps: int,
     energy: EnergyModel = EnergyModel(),
     *,
-    membrane_init: float = 0.5,
+    membrane_init: float = DEFAULT_MEMBRANE_INIT,
 ) -> tuple[float, float]:
     """(S, E) for one layer trying one candidate, others at baseline.
 
@@ -183,7 +184,7 @@ def build_table(
     candidates=None,
     energy: EnergyModel = EnergyModel(),
     *,
-    membrane_init: float = 0.5,
+    membrane_init: float = DEFAULT_MEMBRANE_INIT,
 ) -> SensitivityTable:
     """Measure S and E for every (spiking layer, candidate) pair.
 
@@ -208,7 +209,7 @@ def build_table(
     trunk = run_snn(
         model, configs, cache.inputs, timesteps, membrane_init=membrane_init, record_trains=True
     )
-    # keep what the trials read, not the trunk's per-layer float64 bookkeeping
+    # keep what the trials read; the trunk's v_last and step_spikes go
     base_scores, base_spikes, trains = trunk.scores, trunk.stats.layer_spikes, trunk.trains
     del trunk
     source, start = _as_batch(model, cache.inputs), 0

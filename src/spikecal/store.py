@@ -440,40 +440,43 @@ def _channel_stats(images: Tensor) -> tuple[np.ndarray, np.ndarray]:
     return np.array([images.mean()], dtype=np.float32), np.array([images.std()], dtype=np.float32)
 
 
+def _read_idx(path, magic: int, kind: str, dims: int) -> tuple[list[int], bytes]:
+    """The ``dims`` header sizes and the uint8 payload of one IDX file."""
+    with open(path, "rb") as fh:
+        header = fh.read(4 * (1 + dims))
+        if len(header) != 4 * (1 + dims):
+            raise TruncatedBlobError(
+                f"{path}: {kind} header holds {len(header)} bytes, needs {4 * (1 + dims)}"
+            )
+        found, *sizes = struct.unpack(f">{1 + dims}I", header)
+        if found != magic:
+            raise BadMagicError(f"{path}: {kind} file magic 0x{found:08x}, expected 0x{magic:08x}")
+        size = math.prod(sizes)
+        # never ask for more than the file holds, whatever the header claims
+        raw = fh.read(min(size, os.fstat(fh.fileno()).st_size))
+    if len(raw) != size:
+        raise TruncatedBlobError(
+            f"{path}: {kind} payload holds {len(raw)} bytes, header promises {size}"
+        )
+    return sizes, raw
+
+
 def load_idx(images_path, labels_path) -> DatasetHandle:
     """Load a big-endian IDX image/label pair, scaling pixels to [0, 1].
 
     Images come back shaped [N, 1, rows, cols] so conv nets can consume them
-    directly.
+    directly. Every error names the file it is about.
     """
-    with open(images_path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", fh.read(16))
-        if magic != IDX_IMAGE_MAGIC:
-            raise BadMagicError(
-                f"image file magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}"
-            )
-        raw = fh.read(count * rows * cols)
-    if len(raw) != count * rows * cols:
-        raise TruncatedBlobError(
-            f"image payload holds {len(raw)} bytes, header promises {count * rows * cols}"
-        )
+    (count, rows, cols), raw = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", 3)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, rows, cols)
     images = (images.astype(np.float32) / 255.0).copy()
-
-    with open(labels_path, "rb") as fh:
-        magic, lcount = struct.unpack(">II", fh.read(8))
-        if magic != IDX_LABEL_MAGIC:
-            raise BadMagicError(
-                f"label file magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}"
-            )
-        lraw = fh.read(lcount)
-    if len(lraw) != lcount:
-        raise TruncatedBlobError(
-            f"label payload holds {len(lraw)} bytes, header promises {lcount}"
-        )
+    (lcount,), lraw = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", 1)
     labels = np.frombuffer(lraw, dtype=np.uint8).astype(np.int64)
     if count != lcount:
-        raise HeaderError(f"image count {count} does not match label count {lcount}")
+        raise HeaderError(
+            f"{images_path}: image count {count} does not match label count {lcount} "
+            f"in {labels_path}"
+        )
     mean, std = _channel_stats(images)
     return DatasetHandle(images=images, labels=labels, mean=mean, std=std)
 
@@ -481,12 +484,18 @@ def load_idx(images_path, labels_path) -> DatasetHandle:
 def load_csv(path, image_shape, scale: float = 1.0 / 255.0) -> DatasetHandle:
     """Load ``label,pixel,pixel,...`` rows; pixels multiplied by ``scale``."""
     table = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    labels = table[:, 0].astype(np.int64)
+    labels = table[:, 0]
+    inexact = np.flatnonzero(~np.isfinite(labels) | (labels != np.floor(labels)))
+    if inexact.size:
+        row = int(inexact[0])
+        raise HeaderError(f"{path}: row {row + 1}: label {float(labels[row])!r} is not an integer")
+    labels = labels.astype(np.int64)
     pixels = (table[:, 1:] * scale).astype(np.float32)
     expected = int(np.prod(image_shape))
     if pixels.shape[1] != expected:
         raise HeaderError(
-            f"rows carry {pixels.shape[1]} pixels, image shape {tuple(image_shape)} needs {expected}"
+            f"{path}: rows carry {pixels.shape[1]} pixels, "
+            f"image shape {tuple(image_shape)} needs {expected}"
         )
     images = pixels.reshape(len(labels), *image_shape)
     mean, std = _channel_stats(images)

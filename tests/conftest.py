@@ -63,3 +63,29 @@ def _random_net(arch: str, seed: int, n: int = 6):
 def random_net():
     """``random_net(arch, seed)`` -> (model, calibration cache, configs)."""
     return _random_net
+
+
+def _injected_charge(model, run, batch, timesteps):
+    """Each spiking layer's input current summed over ``timesteps`` steps.
+
+    Replays the feeder layers with ``nn.apply_layer``: the first spiking
+    layer's on the constant batch, each later one's on the train ``run``
+    recorded for the spiking layer before it.
+    """
+    x0 = np.asarray(batch, dtype=np.float64)
+    charge, begin, prev = {}, 0, None
+    for idx in engine.spiking_layer_indices(model):
+        total = np.zeros(())
+        for t in range(timesteps):
+            h = x0 if prev is None else run.trains[prev].amplitudes(t)
+            for layer in model.layers[begin:idx]:
+                h = nn.apply_layer(layer, h)
+            total = total + h
+        charge[idx], begin, prev = total, idx + 1, idx
+    return charge
+
+
+@pytest.fixture()
+def injected_charge():
+    """``injected_charge(model, run, batch, timesteps)`` -> {spiking layer: summed current}."""
+    return _injected_charge

@@ -197,7 +197,7 @@ def test_criterion_3_rate_convergence():
            f"worst gap {worst:.3f} quanta, {t.elapsed:.1f}s")
 
 
-def test_criterion_4_charge_conservation_fuzz():
+def test_criterion_4_charge_conservation_fuzz(injected_charge):
     with Timer() as t:
         rng = np.random.default_rng(SEED + 1)
         ok = True
@@ -214,13 +214,19 @@ def test_criterion_4_charge_conservation_fuzz():
                 for _ in engine.spiking_layer_indices(model)
             ]
             batch = rng.standard_normal((int(rng.integers(1, 5)), model.input_shape[0])).astype(np.float32)
+            timesteps = int(rng.integers(2, 12))
+            membrane_init = float(rng.uniform(0.0, 1.0))
             run = engine.run_snn(
-                model, configs, batch, timesteps=int(rng.integers(2, 12)),
-                membrane_init=float(rng.uniform(0.0, 1.0)),
+                model, configs, batch, timesteps=timesteps,
+                membrane_init=membrane_init, record_trains=True,
             )
-            for layer_idx in engine.spiking_layer_indices(model):
-                lhs = run.charge[layer_idx]
-                rhs = run.emitted[layer_idx] + run.v_last[layer_idx] - run.v_first[layer_idx]
+            charge = injected_charge(model, run, batch, timesteps)
+            for pos, layer_idx in enumerate(engine.spiking_layer_indices(model)):
+                train = run.trains[layer_idx]
+                emitted = sum(train.amplitudes(t) for t in range(timesteps))
+                v_first = membrane_init * configs[pos].threshold
+                lhs = charge[layer_idx]
+                rhs = emitted + run.v_last[layer_idx] - v_first
                 gap = float(np.max(np.abs(lhs - rhs)))
                 worst = max(worst, gap)
                 if gap > 1e-4:

@@ -131,9 +131,9 @@ def test_bias_calibration_reduces_rate_mismatch(trained_mlp, calibration):
 
     def mean_gap(model):
         gaps = []
-        run = engine.run_snn(model, configs, calibration.inputs, 8)
+        run = engine.run_snn(model, configs, calibration.inputs, 8, record_trains=True)
         for idx in engine.spiking_layer_indices(model):
-            rates = run.rates[idx]
+            rates = run.trains[idx].rate()
             tap = calibration.taps[idx]
             axes = tuple(a for a in range(tap.ndim) if a != 1) if tap.ndim > 2 else (0,)
             gaps.append(np.abs(tap.mean(axis=axes) - rates.mean(axis=axes)).mean())
@@ -149,7 +149,8 @@ def _calibrate_reference(model, configs, cache, timesteps):
     """Bias calibration with one full run per layer, O(L^2) layer simulations."""
     corrected = model.clone()
     for idx in engine.spiking_layer_indices(corrected):
-        rates = engine.run_snn(corrected, configs, cache.inputs, timesteps).rates[idx]
+        run = engine.run_snn(corrected, configs, cache.inputs, timesteps, record_trains=True)
+        rates = run.trains[idx].rate()
         tap = np.asarray(cache.taps[idx], dtype=np.float64)
         axes = (0,) if tap.ndim <= 2 else (0, *range(2, tap.ndim))
         correction = tap.mean(axis=axes) - rates.mean(axis=axes)

@@ -316,6 +316,37 @@ def test_malformed_csv_names_file(tmp_path, capsys):
     assert err.startswith(f"error: {path}: could not convert string 'x'"), err
 
 
+def test_short_idx_header_names_file(tmp_path, capsys):
+    dataset, _ = _write_idx(tmp_path, [0, 1, 2, 3] * 3)
+    images = tmp_path / "images.idx"
+    images.write_bytes(images.read_bytes()[:8])
+    config, _ = write_config(tmp_path, dataset=dataset)
+    assert cli.main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [load-dataset] {images}: image header holds 8 bytes"), err
+
+
+def test_fractional_csv_label_names_file_and_row(tmp_path, capsys):
+    dataset, path = _write_csv(tmp_path, [0, 1, 2, 3, 1.5])
+    config, _ = write_config(tmp_path, dataset=dataset)
+    assert cli.main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: row 5: label 1.5 is not an integer" in err, err
+
+
+def test_changed_class_count_is_user_error(finished_run, tmp_path, capsys):
+    _, _, raw = finished_run
+    out = tmp_path / "copy"
+    shutil.copytree(raw["out_dir"], out)
+    dataset = {**raw["dataset"], "classes": 10}
+    config, _ = write_config(tmp_path, out_dir=str(out), dataset=dataset)
+    for stage in ("convert", "eval", "ablate", "report"):
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(config)]) == 1, stage
+        err = capsys.readouterr().err
+        assert "the model has 4 classes, dataset.classes is 10" in err, (stage, err)
+
+
 def test_convert_with_changed_dim_is_user_error(finished_run, tmp_path, capsys):
     _, _, raw = finished_run
     out = tmp_path / "copy"

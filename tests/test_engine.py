@@ -111,16 +111,17 @@ def test_step_clamp_equals_np_clip(v_th, rho, phi):
 # whole-network runs
 
 
-def test_charge_conservation_identity(trained_mlp, blob_dataset):
+def test_charge_conservation_identity(trained_mlp, blob_dataset, injected_charge):
     """injected charge == emitted charge + residual, at every spiking layer."""
     configs = [engine.LayerSnnConfig(v_th=5.0), engine.LayerSnnConfig(v_th=5.0)]
     x = blob_dataset.images[:16]
-    run = engine.run_snn(trained_mlp, configs, x, timesteps=12)
+    run = engine.run_snn(trained_mlp, configs, x, timesteps=12, record_trains=True)
+    charge = injected_charge(trained_mlp, run, x, 12)
     for pos, layer_idx in enumerate(engine.spiking_layer_indices(trained_mlp)):
-        charge = run.charge[layer_idx]
-        emitted = run.emitted[layer_idx]
-        residual = run.v_last[layer_idx] - run.v_first[layer_idx]
-        np.testing.assert_allclose(charge, emitted + residual, atol=1e-6)
+        train = run.trains[layer_idx]
+        emitted = sum(train.amplitudes(t) for t in range(12))
+        residual = run.v_last[layer_idx] - engine.DEFAULT_MEMBRANE_INIT * configs[pos].threshold
+        np.testing.assert_allclose(charge[layer_idx], emitted + residual, atol=1e-6)
 
 
 def test_constant_current_first_layer_closed_form(trained_mlp, blob_dataset):
@@ -130,10 +131,10 @@ def test_constant_current_first_layer_closed_form(trained_mlp, blob_dataset):
     phi = 2
     configs = [engine.LayerSnnConfig(v_th=v_th, phi=phi), engine.LayerSnnConfig(v_th=v_th)]
     x = blob_dataset.images[:8]
-    run = engine.run_snn(trained_mlp, configs, x, timesteps=timesteps)
+    run = engine.run_snn(trained_mlp, configs, x, timesteps=timesteps, record_trains=True)
     first = engine.spiking_layer_indices(trained_mlp)[0]
     current = nn.apply_layer(trained_mlp.layers[0], x)  # constant per step
-    counts = np.rint(run.emitted[first] / v_th)
+    counts = run.trains[first].counts.sum(axis=0)
     want = np.clip(
         np.floor((current * timesteps + v_th / 2.0) / v_th), 0, phi * timesteps
     )
@@ -143,10 +144,10 @@ def test_constant_current_first_layer_closed_form(trained_mlp, blob_dataset):
 def test_output_head_accumulates_without_spiking(trained_mlp, blob_dataset):
     x = blob_dataset.images[:4]
     configs = [engine.LayerSnnConfig(v_th=4.0), engine.LayerSnnConfig(v_th=4.0)]
-    run = engine.run_snn(trained_mlp, configs, x, timesteps=8)
+    run = engine.run_snn(trained_mlp, configs, x, timesteps=8, record_trains=True)
     assert run.scores.shape == (4, 4)
     head = len(trained_mlp.layers) - 1
-    assert head not in run.emitted
+    assert head not in run.trains
 
 
 def test_rate_convergence_to_clip_floor(trained_mlp, blob_dataset):
@@ -156,9 +157,9 @@ def test_rate_convergence_to_clip_floor(trained_mlp, blob_dataset):
     current = np.asarray(nn.apply_layer(trained_mlp.layers[0], x), dtype=np.float64)
     for timesteps in (8, 64):
         configs = [engine.LayerSnnConfig(v_th=v_th), engine.LayerSnnConfig(v_th=v_th)]
-        run = engine.run_snn(trained_mlp, configs, x, timesteps=timesteps)
+        run = engine.run_snn(trained_mlp, configs, x, timesteps=timesteps, record_trains=True)
         first = engine.spiking_layer_indices(trained_mlp)[0]
-        rate = run.rates[first]
+        rate = run.trains[first].rate()
         target = clip_floor(current, timesteps, v_th, 1)
         assert np.abs(rate - target).max() <= v_th / timesteps + 1e-9
 
@@ -192,12 +193,12 @@ def test_compression_preserves_rate_when_ratio_divides_horizon(trained_mlp, blob
     rho = 4
     base = [engine.LayerSnnConfig(v_th=3.0, phi=8), engine.LayerSnnConfig(v_th=3.0, phi=8)]
     comp = [engine.LayerSnnConfig(v_th=3.0, rho=rho, phi=8)] + base[1:]
-    r_base = engine.run_snn(trained_mlp, base, x, timesteps=timesteps)
-    r_comp = engine.run_snn(trained_mlp, comp, x, timesteps=timesteps)
+    r_base = engine.run_snn(trained_mlp, base, x, timesteps=timesteps, record_trains=True)
+    r_comp = engine.run_snn(trained_mlp, comp, x, timesteps=timesteps, record_trains=True)
     first = engine.spiking_layer_indices(trained_mlp)[0]
     np.testing.assert_allclose(
-        r_comp.rates[first],
-        r_base.rates[first],
+        r_comp.trains[first].rate(),
+        r_base.trains[first].rate(),
         atol=(rho + 1) * 3.0 / timesteps + 1e-9,
     )
     # and it spends strictly fewer unit spikes when anything fires at all
@@ -250,7 +251,7 @@ def test_layer_major_run_equals_time_major_sweep(random_net, arch, timesteps):
                 k = np.rint(want / configs[pos].threshold).reshape(len(want), -1)
                 np.testing.assert_array_equal(run.step_spikes[t, pos], k.sum(axis=1))
                 emitted += want
-            np.testing.assert_array_equal(run.emitted[i], emitted)
+            assert run.trains[i].rate().tobytes() == (emitted / float(timesteps)).tobytes()
         # a run of t steps is the first t steps of the long one
         for t in range(1, timesteps + 1):
             short = engine.run_snn(model, configs, cache.inputs, t)

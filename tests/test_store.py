@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -86,6 +87,11 @@ def test_digest_ignores_biases_tracks_weights(trained_mlp):
 # datasets
 
 
+def _names(path) -> str:
+    """A pattern for an error message that starts with ``path``."""
+    return f"^{re.escape(str(path))}: "
+
+
 def test_idx_round_trip_crafted_bytes(tmp_path):
     pixels = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
     img = struct.pack(">IIII", store.IDX_IMAGE_MAGIC, 2, 2, 2) + pixels.tobytes()
@@ -106,7 +112,11 @@ def test_idx_magic_mismatch(tmp_path):
     (tmp_path / "img").write_bytes(bad)
     lbl = struct.pack(">II", store.IDX_LABEL_MAGIC, 1) + bytes([0])
     (tmp_path / "lbl").write_bytes(lbl)
-    with pytest.raises(store.BadMagicError):
+    with pytest.raises(store.BadMagicError, match=_names(tmp_path / "img") + "image file magic"):
+        store.load_idx(tmp_path / "img", tmp_path / "lbl")
+    (tmp_path / "img").write_bytes(struct.pack(">IIII", store.IDX_IMAGE_MAGIC, 1, 2, 2) + bytes(4))
+    (tmp_path / "lbl").write_bytes(struct.pack(">II", 7, 1) + bytes([0]))
+    with pytest.raises(store.BadMagicError, match=_names(tmp_path / "lbl") + "label file magic"):
         store.load_idx(tmp_path / "img", tmp_path / "lbl")
 
 
@@ -115,7 +125,33 @@ def test_idx_truncation(tmp_path):
     (tmp_path / "img").write_bytes(img)
     lbl = struct.pack(">II", store.IDX_LABEL_MAGIC, 2) + bytes(2)
     (tmp_path / "lbl").write_bytes(lbl)
-    with pytest.raises(store.TruncatedBlobError):
+    with pytest.raises(store.TruncatedBlobError, match=_names(tmp_path / "img") + "image payload"):
+        store.load_idx(tmp_path / "img", tmp_path / "lbl")
+    (tmp_path / "img").write_bytes(img[:16] + bytes(8))
+    (tmp_path / "lbl").write_bytes(lbl[:9])
+    with pytest.raises(store.TruncatedBlobError, match=_names(tmp_path / "lbl") + "label payload"):
+        store.load_idx(tmp_path / "img", tmp_path / "lbl")
+
+
+@pytest.mark.parametrize("name, keep", [("img", 8), ("img", 0), ("lbl", 7), ("lbl", 0)])
+def test_idx_short_header(tmp_path, name, keep):
+    """A file cut inside its header is a truncated blob naming the file."""
+    files = {
+        "img": struct.pack(">IIII", store.IDX_IMAGE_MAGIC, 1, 2, 2) + bytes(4),
+        "lbl": struct.pack(">II", store.IDX_LABEL_MAGIC, 1) + bytes(1),
+    }
+    files[name] = files[name][:keep]
+    for file, data in files.items():
+        (tmp_path / file).write_bytes(data)
+    with pytest.raises(store.TruncatedBlobError, match=_names(tmp_path / name) + ".* header holds"):
+        store.load_idx(tmp_path / "img", tmp_path / "lbl")
+
+
+def test_idx_header_beyond_the_file(tmp_path):
+    """Sizes far past the file's length are a truncated payload, not a huge read."""
+    img = struct.pack(">IIII", store.IDX_IMAGE_MAGIC, 2**32 - 1, 2**32 - 1, 2**32 - 1)
+    (tmp_path / "img").write_bytes(img + bytes(4))
+    with pytest.raises(store.TruncatedBlobError, match="payload holds 4 bytes"):
         store.load_idx(tmp_path / "img", tmp_path / "lbl")
 
 
@@ -124,8 +160,9 @@ def test_idx_count_mismatch(tmp_path):
     (tmp_path / "img").write_bytes(img)
     lbl = struct.pack(">II", store.IDX_LABEL_MAGIC, 3) + bytes(3)
     (tmp_path / "lbl").write_bytes(lbl)
-    with pytest.raises(store.StoreError, match="count"):
+    with pytest.raises(store.StoreError, match="count") as err:
         store.load_idx(tmp_path / "img", tmp_path / "lbl")
+    assert str(tmp_path / "img") in str(err.value) and str(tmp_path / "lbl") in str(err.value)
 
 
 def test_csv_loader(tmp_path):
@@ -136,6 +173,14 @@ def test_csv_loader(tmp_path):
     assert handle.images.shape == (2, 2, 2)
     np.testing.assert_array_equal(handle.labels, [1, 0])
     assert handle.images.max() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("label", ["1.5", "nan", "inf"])
+def test_csv_rejects_non_integer_label(tmp_path, label):
+    path = tmp_path / "d.csv"
+    path.write_text(f"1,0,0,255,255\n{label},255,255,0,0\n")
+    with pytest.raises(store.HeaderError, match=_names(path) + "row 2: label .* is not an integer"):
+        store.load_csv(path, (2, 2))
 
 
 def test_synthetic_blobs_deterministic_balanced_separable():
