@@ -24,6 +24,7 @@ from .engine import (
     LayerSnnConfig,
     _as_batch,
     _check_run,
+    _currents,
     _run_layer,
     run_snn,
     spiking_layer_indices,
@@ -167,13 +168,15 @@ def calibrate_biases(
     source, start = _as_batch(corrected, cache.inputs), 0
     for pos, idx in enumerate(spiking_layer_indices(corrected)):
         segment = corrected.layers[start:idx]
-        rates = _run_layer(segment, configs[pos], source, timesteps, membrane_init).train.rate()
+        currents = _currents(segment, source, timesteps)
+        rates = _run_layer(currents, configs[pos], timesteps, membrane_init).train.rate()
         tap = np.asarray(cache.taps[idx], dtype=np.float64)
         axes = _channel_axes(tap)
         correction = tap.mean(axis=axes) - rates.mean(axis=axes)
         feeder = corrected.layers[idx - 1]
         feeder.bias = (feeder.bias.astype(np.float64) + correction).astype(np.float32)
-        source = _run_layer(segment, configs[pos], source, timesteps, membrane_init).train
+        currents = _currents(segment, source, timesteps)
+        source = _run_layer(currents, configs[pos], timesteps, membrane_init).train
         start = idx + 1
     return corrected
 

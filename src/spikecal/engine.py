@@ -91,6 +91,11 @@ class SpikeTrain:
     def amplitudes(self, t: int) -> np.ndarray:
         return self.counts[t] * self.threshold
 
+    def equals(self, other: SpikeTrain) -> bool:
+        """Same threshold and count values, whatever the count dtypes: the
+        same amplitudes at every step, so the same input to any layer."""
+        return self.threshold == other.threshold and np.array_equal(self.counts, other.counts)
+
     def rate(self) -> np.ndarray:
         """Mean amplitude per step: the steps summed in order in float64, over T."""
         total = np.zeros(self.counts.shape[1:])
@@ -248,11 +253,12 @@ def _currents(layers, source: np.ndarray | SpikeTrain, timesteps: int):
 
 
 def _run_layer(
-    layers, config: LayerSnnConfig, source, timesteps: int, membrane_init: float
+    currents, config: LayerSnnConfig, timesteps: int, membrane_init: float
 ) -> _LayerRun:
-    """Feed ``source`` through ``layers`` into one spiking layer, every step."""
+    """Run one spiking layer on ``currents``, its input current at each of
+    ``timesteps`` steps (``_currents``' output, or a list of it)."""
     thr = config.threshold
-    for t, current in enumerate(_currents(layers, source, timesteps)):
+    for t, current in enumerate(currents):
         if t == 0:
             state = initial_state(config, current.shape, membrane_init)
             counts = np.empty((timesteps, *current.shape), np.min_scalar_type(config.phi))
@@ -286,9 +292,8 @@ def _simulate(
     for i in range(start, len(model.layers)):
         if model.layers[i].kind != "relu":
             continue
-        run = _run_layer(
-            model.layers[begin:i], configs[position[i]], source, timesteps, membrane_init
-        )
+        currents = _currents(model.layers[begin:i], source, timesteps)
+        run = _run_layer(currents, configs[position[i]], timesteps, membrane_init)
         source, begin = run.train, i + 1
         if not keep_trains:
             run.train = None

@@ -32,6 +32,8 @@ from .engine import (
     LayerSnnConfig,
     RunStats,
     _as_batch,
+    _currents,
+    _run_layer,
     _simulate,
     layer_fanout,
     run_snn,
@@ -160,8 +162,8 @@ def layer_sensitivity(
 ) -> tuple[float, float]:
     """(S, E) for one layer trying one candidate, others at baseline.
 
-    Simulates the whole net from its input; ``build_table`` gives the same
-    numbers for every pair at once.
+    Simulates the whole net from its input, sharing nothing with other
+    pairs; it is the reference ``build_table`` matches bit for bit.
     """
     target = _check_sensitivity_inputs(model, cache)
     spiking = spiking_layer_indices(model)
@@ -190,9 +192,14 @@ def build_table(
 
     Each pair equals ``layer_sensitivity`` bit for bit. A trial changes one
     layer, so everything upstream of it runs at baseline: the baseline run
-    (the trunk) is made once and keeps its spike trains, and each trial
-    resumes from the trunk's train entering the layer it changes. A candidate
-    equal to the baseline value is the trunk itself.
+    (the trunk) is made once and keeps its spike trains, and a candidate
+    equal to the baseline value is the trunk itself. At each layer p the
+    feeder currents from the trunk's train entering p (or from the constant
+    input) are computed once, and p's neuron runs on them for each other
+    candidate. Candidates whose layer-p trains are equal (same threshold and
+    count values) share one downstream simulation; a train equal to the
+    trunk's takes the trunk's scores. An empty or repeated candidate set is
+    a ``ValueError``.
     """
     if kind not in ("phi", "rho"):
         raise ValueError(f"table kind must be phi or rho, got {kind!r}")
@@ -201,6 +208,9 @@ def build_table(
     candidates = [int(c) for c in candidates]
     if not candidates:
         raise ValueError("candidate set is empty")
+    for i, cand in enumerate(candidates):
+        if cand in candidates[:i]:
+            raise ValueError(f"candidate {cand} appears more than once")
     target = _check_sensitivity_inputs(model, cache)
     layers = spiking_layer_indices(model)
     table = SensitivityTable(
@@ -214,16 +224,24 @@ def build_table(
     del trunk
     source, start = _as_batch(model, cache.inputs), 0
     for pos, layer in enumerate(layers):
+        currents = list(_currents(model.layers[start:layer], source, timesteps))
+        simulated = [(trains[layer], base_scores)]  # (layer-p train, scores) per group
         for cand in candidates:
             if cand == getattr(configs[pos], kind):
                 scores, spikes = base_scores, base_spikes[layer]
             else:
                 trial = _with_candidate(configs, pos, kind, cand)
-                sim = _simulate(model, trial, start, source, timesteps, membrane_init)
-                scores, spikes = sim.step_scores[-1], int(sim.layers[layer].step_spikes.sum())
+                run = _run_layer(currents, trial[pos], timesteps, membrane_init)
+                spikes = int(run.step_spikes.sum())
+                scores = next((sc for tr, sc in simulated if tr.equals(run.train)), None)
+                if scores is None:
+                    sim = _simulate(model, trial, layer + 1, run.train, timesteps, membrane_init)
+                    scores = sim.step_scores[-1]
+                    simulated.append((run.train, scores))
             table.s[(layer, cand)], table.e[(layer, cand)] = _measure(
                 model, layer, target, scores, spikes, energy, cache.sample_count
             )
+        del currents, simulated  # never hold two layers' feeder currents at once
         source, start = trains[layer], layer + 1
     return table
 

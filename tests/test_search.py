@@ -387,6 +387,20 @@ def test_early_layers_tolerate_bursts_better_than_the_head(calibration):
 # fast paths against their slow references
 
 
+def _table_equal_to_reference(model, cache, configs, timesteps, kind, candidates, em, init=0.5):
+    """``build_table``'s table, each entry checked against ``layer_sensitivity``."""
+    table = search.build_table(
+        model, configs, cache, timesteps, kind, candidates, em, membrane_init=init
+    )
+    for layer in table.layers:
+        for cand in candidates:
+            want = search.layer_sensitivity(
+                model, configs, layer, cand, kind, cache, timesteps, em, membrane_init=init,
+            )
+            assert (table.s[(layer, cand)], table.e[(layer, cand)]) == want
+    return table
+
+
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
 @pytest.mark.parametrize("timesteps", [1, 3, 8])
 def test_build_table_equals_layer_sensitivity(random_net, arch, timesteps):
@@ -398,16 +412,77 @@ def test_build_table_equals_layer_sensitivity(random_net, arch, timesteps):
         init = 0.0 if seed == 2 else 0.5
         # baseline phi is 1..3 and rho 1..2: the first set of each holds it
         for kind, candidates in (("phi", [1, 2, 3]), ("phi", [4, 5]), ("rho", [1, 2]), ("rho", [3])):
-            table = search.build_table(
-                model, configs, cache, timesteps, kind, candidates, em, membrane_init=init
-            )
-            for layer in table.layers:
-                for cand in candidates:
-                    want = search.layer_sensitivity(
-                        model, configs, layer, cand, kind, cache, timesteps, em,
-                        membrane_init=init,
-                    )
-                    assert (table.s[(layer, cand)], table.e[(layer, cand)]) == want
+            _table_equal_to_reference(model, cache, configs, timesteps, kind, candidates, em, init)
+
+
+@pytest.fixture()
+def downstream_starts(monkeypatch):
+    """The start layer of every downstream run ``build_table`` makes."""
+    starts = []
+    real = search._simulate
+
+    def spy(model, configs, start, *args, **kwargs):
+        starts.append(start)
+        return real(model, configs, start, *args, **kwargs)
+
+    monkeypatch.setattr(search, "_simulate", spy)
+    return starts
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_build_table_simulates_equal_trains_downstream_once(random_net, arch, downstream_starts):
+    """Burst caps far above any neuron's need (baseline phi is 1..3) give
+    equal layer-p trains, which share one downstream run per layer."""
+    for seed in range(4):
+        model, cache, configs = random_net(arch, seed)
+        em = search.EnergyModel(mode="synop" if seed % 2 else "spike_count")
+        downstream_starts.clear()
+        table = _table_equal_to_reference(model, cache, configs, 8, "phi", [100, 200, 300], em)
+        assert len(downstream_starts) <= len(table.layers) < 3 * len(table.layers)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_build_table_simulates_each_distinct_train_downstream(random_net, arch, downstream_starts):
+    """Compression ratios off the baseline (1..2) never share a threshold, so
+    each non-baseline candidate gets its own downstream run."""
+    for seed in range(4):
+        model, cache, configs = random_net(arch, seed)
+        em = search.EnergyModel(mode="synop" if seed % 2 else "spike_count")
+        downstream_starts.clear()
+        table = _table_equal_to_reference(model, cache, configs, 8, "rho", [3, 4], em)
+        assert sorted(downstream_starts) == sorted(2 * [layer + 1 for layer in table.layers])
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_build_table_groups_by_threshold_and_count_values(random_net, arch, downstream_starts):
+    """phi 255 and 256 store counts as uint8 and uint16, but equal values
+    share a run. A silent layer's zero trains under two compression ratios
+    differ in threshold and are simulated apart; under two burst caps they
+    equal the trunk's and take its scores."""
+    for seed in range(2):
+        model, cache, configs = random_net(arch, seed)
+        em = search.EnergyModel(mode="synop" if seed % 2 else "spike_count")
+        downstream_starts.clear()
+        table = _table_equal_to_reference(model, cache, configs, 4, "phi", [255, 256], em)
+        assert len(set(downstream_starts)) == len(downstream_starts) <= len(table.layers)
+        silent = table.layers[0]
+        model.layers[silent - 1].bias[:] = -1e6
+        downstream_starts.clear()
+        _table_equal_to_reference(model, cache, configs, 4, "rho", [3, 4], em)
+        assert downstream_starts.count(silent + 1) == 2
+        downstream_starts.clear()
+        _table_equal_to_reference(model, cache, configs, 4, "phi", [255, 256], em)
+        assert silent + 1 not in downstream_starts
+
+
+@pytest.mark.parametrize("candidates, message", [
+    ([], "candidate set is empty"),
+    ([2, 1, 2], "candidate 2 appears more than once"),
+])
+def test_build_table_rejects_empty_or_repeated_candidates(random_net, candidates, message):
+    model, cache, configs = random_net("mlp", 0)
+    with pytest.raises(ValueError, match=message):
+        search.build_table(model, configs, cache, 3, "phi", candidates)
 
 
 def _pareto_reference(table, budget):
