@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -152,6 +153,7 @@ _BOUNDS = (
     ("top level", ("timesteps", "t_max", "calib_samples", "grid_size"), lambda v: v >= 1,
      "at least 1"),
     ("top level", ("seed",), lambda v: v >= 0, "at least 0"),
+    ("top level", ("seed",), lambda v: v <= store.INT_MAX, f"at most {store.INT_MAX}"),
     ("dataset", ("kind",), lambda v: v in ("blobs", "rings", "idx", "csv"),
      "one of blobs, rings, idx, csv"),
     ("dataset", ("n", "eval_n"), lambda v: v >= 1, "at least 1"),
@@ -164,6 +166,8 @@ _BOUNDS = (
     ("search", ("phi_candidates", "rho_candidates"),
      lambda v: v and min(v) >= 1 and len(set(v)) == len(v),
      "a non-empty list of distinct values, each at least 1"),
+    ("search", ("phi_candidates", "rho_candidates"), lambda v: max(v) <= store.INT_MAX,
+     f"a list of values each at most {store.INT_MAX}"),
     ("search", ("e_target", "s_target"),
      lambda v: v == "auto" or not isinstance(v, str) and v >= 0, "'auto' or at least 0"),
     ("search", ("s_target_slack",), lambda v: v >= 0, "at least 0"),
@@ -385,11 +389,26 @@ def _model_inputs(cfg: RunConfig, model: nn.ModelGraph, split: str):
     return _flatten_if_needed(model, data.images), np.asarray(data.labels)
 
 
+def _per_input(stats: engine.RunStats, predicted, labels, em: EnergyModel):
+    """Accuracy, spikes per input and energy per input of one run's accounting."""
+    n = len(labels)
+    acc = float(np.mean(predicted == labels))
+    return acc, stats.total_spikes / n, search.energy_of(stats, em) / n
+
+
 def _fixed_eval(model, run: engine.SnnRun, timesteps: int, labels, em):
-    """Accuracy, spikes and energy per input of ``run`` stopped after ``timesteps``."""
+    """``_per_input`` of ``run`` stopped after ``timesteps``."""
     stats = engine.stats_at(model, run.step_spikes, timesteps - 1)
-    acc = float(np.mean(np.argmax(run.step_scores[timesteps - 1], axis=1) == labels))
-    return acc, stats.total_spikes / len(labels), search.energy_of(stats, em) / len(labels)
+    return _per_input(stats, np.argmax(run.step_scores[timesteps - 1], axis=1), labels, em)
+
+
+def _fit_policy(cfg: RunConfig, model, configs, cache, t_max: int) -> early_exit.ExitPolicy:
+    """An exit policy fitted on the calibration inputs with the config's exit settings."""
+    return early_exit.fit_exit_policy(
+        model, configs, cache, t_max,
+        alpha_base=cfg.exit.alpha_base, beta=cfg.exit.beta, delta=cfg.exit.delta,
+        membrane_init=cfg.membrane_init,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,71 +484,49 @@ def _load_search_inputs(cfg: RunConfig, art: Artifacts, stage: str):
     return model, cache
 
 
-def cmd_search_phi(cfg: RunConfig) -> int:
-    art = Artifacts(cfg.out_dir)
-    model, cache = _load_search_inputs(cfg, art, "search-phi")
-    _require({"base configs": art.configs_base}, "search-phi")
-    configs = _load_configs(art.configs_base, model)
+# How the searches differ: configs read, their name, configs written, budget kind, label.
+_SEARCHES = {
+    "phi": ("configs_base", "base configs", "configs_phi", "energy_cap", "burst"),
+    "rho": ("configs_phi", "burst-plan configs", "configs_full", "sensitivity_cap", "compression"),
+}
+
+
+def cmd_search(cfg: RunConfig, kind: str) -> int:
+    """``search-phi`` or ``search-rho``: a sensitivity table, a budget, then a plan."""
+    source, source_name, dest, budget_kind, label = _SEARCHES[kind]
+    art, stage = Artifacts(cfg.out_dir), f"search-{kind}"
+    model, cache = _load_search_inputs(cfg, art, stage)
+    _require({source_name: getattr(art, source)}, stage)
+    configs = _load_configs(getattr(art, source), model)
+    candidates = getattr(cfg.search, f"{kind}_candidates")
     with _stage("sensitivity-table"):
         table = search.build_table(
-            model, configs, cache, cfg.timesteps, "phi",
-            candidates=cfg.search.phi_candidates, energy=cfg.energy,
-            membrane_init=cfg.membrane_init,
+            model, configs, cache, cfg.timesteps, kind, candidates=candidates,
+            energy=cfg.energy, membrane_init=cfg.membrane_init,
         )
-        search.table_to_csv(table, art.sensitivity_phi)
+        search.table_to_csv(table, getattr(art, f"sensitivity_{kind}"))
     with _stage("budget"):
-        if cfg.search.e_target == "auto":
-            ref_value = cfg.search.phi_candidates[min(1, len(cfg.search.phi_candidates) - 1)]
-            uniform = [replace(c, phi=int(ref_value)) for c in configs]
+        given = cfg.search.e_target if kind == "phi" else cfg.search.s_target
+        if given != "auto":
+            cap = float(given)
+        elif kind == "phi":  # the measured cost of every layer at the second candidate
+            uniform = [replace(c, phi=candidates[min(1, len(candidates) - 1)]) for c in configs]
             run = engine.run_snn(
-                model, uniform, cache.inputs, cfg.timesteps,
-                membrane_init=cfg.membrane_init,
+                model, uniform, cache.inputs, cfg.timesteps, membrane_init=cfg.membrane_init
             )
             cap = search.energy_of(run.stats, cfg.energy) / cache.sample_count
-        else:
-            cap = float(cfg.search.e_target)
-        budget = search.SearchBudget("energy_cap", cap)
+        else:  # slack times the summed sensitivity at rho 1, else at the first candidate
+            ref = 1 if 1 in candidates else candidates[0]
+            cap = cfg.search.s_target_slack * sum(table.s[(layer, ref)] for layer in table.layers)
+        budget = search.SearchBudget(budget_kind, cap)
     with _stage("pareto-search"):
         plan = search.pareto_search(table, budget)
-        search.save_plan(plan, art.plan_phi)
+        search.save_plan(plan, getattr(art, f"plan_{kind}"))
         planned = search.apply_plan(configs, plan)
-        engine.save_configs(planned, plan.layers, art.configs_phi)
+        engine.save_configs(planned, plan.layers, getattr(art, dest))
     feas = "feasible" if plan.feasible else "INFEASIBLE (cheapest plan written)"
-    print(f"burst plan ({feas}): " + " ".join(
-        f"layer{l}->phi{plan.choice[l]}" for l in plan.layers
-    ))
-    print(f"plan S={plan.s_sum:.6g} E={plan.e_sum:.6g} cap={budget.cap:.6g}")
-    return 0
-
-
-def cmd_search_rho(cfg: RunConfig) -> int:
-    art = Artifacts(cfg.out_dir)
-    model, cache = _load_search_inputs(cfg, art, "search-rho")
-    _require({"burst-plan configs": art.configs_phi}, "search-rho")
-    configs = _load_configs(art.configs_phi, model)
-    with _stage("sensitivity-table"):
-        table = search.build_table(
-            model, configs, cache, cfg.timesteps, "rho",
-            candidates=cfg.search.rho_candidates, energy=cfg.energy,
-            membrane_init=cfg.membrane_init,
-        )
-        search.table_to_csv(table, art.sensitivity_rho)
-    with _stage("budget"):
-        if cfg.search.s_target == "auto":
-            base = sum(table.s[(layer, 1)] for layer in table.layers) if 1 in table.candidates \
-                else sum(table.s[(layer, table.candidates[0])] for layer in table.layers)
-            cap = cfg.search.s_target_slack * base
-        else:
-            cap = float(cfg.search.s_target)
-        budget = search.SearchBudget("sensitivity_cap", cap)
-    with _stage("pareto-search"):
-        plan = search.pareto_search(table, budget)
-        search.save_plan(plan, art.plan_rho)
-        planned = search.apply_plan(configs, plan)
-        engine.save_configs(planned, plan.layers, art.configs_full)
-    feas = "feasible" if plan.feasible else "INFEASIBLE (cheapest plan written)"
-    print(f"compression plan ({feas}): " + " ".join(
-        f"layer{l}->rho{plan.choice[l]}" for l in plan.layers
+    print(f"{label} plan ({feas}): " + " ".join(
+        f"layer{l}->{kind}{plan.choice[l]}" for l in plan.layers
     ))
     print(f"plan S={plan.s_sum:.6g} E={plan.e_sum:.6g} cap={budget.cap:.6g}")
     return 0
@@ -540,11 +537,7 @@ def cmd_fit_exit(cfg: RunConfig) -> int:
     model, cache = _load_search_inputs(cfg, art, "fit-exit")
     configs, used = _best_configs(art, model)
     with _stage("fit-exit"):
-        policy = early_exit.fit_exit_policy(
-            model, configs, cache, cfg.t_max,
-            alpha_base=cfg.exit.alpha_base, beta=cfg.exit.beta, delta=cfg.exit.delta,
-            membrane_init=cfg.membrane_init,
-        )
+        policy = _fit_policy(cfg, model, configs, cache, cfg.t_max)
         early_exit.save_policy(policy, art.policy)
     bounds = policy.boundaries()
     print(f"exit policy (configs: {os.path.basename(used)}) -> {art.policy}")
@@ -580,10 +573,9 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
     if policy is not None:
         with _stage("eval-adaptive"):
             adaptive = early_exit.apply_gate(model, run, policy, labels)
-            energy = search.energy_of(adaptive.stats, cfg.energy) / len(labels)
+            acc, spikes, energy = _per_input(adaptive.stats, adaptive.predicted, labels, cfg.energy)
             rows.append(
-                f"adaptive,{policy.t_max},{adaptive.accuracy!r},{adaptive.mean_exit_t!r},"
-                f"{adaptive.stats.total_spikes / len(labels)!r},{energy!r}"
+                f"adaptive,{policy.t_max},{acc!r},{adaptive.mean_exit_t!r},{spikes!r},{energy!r}"
             )
             early_exit.write_exit_trace(art.exit_trace, adaptive)
     with _stage("write-eval"):
@@ -597,63 +589,39 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
     return 0
 
 
-def _ablation_rows(cfg: RunConfig, art: Artifacts):
-    """(variant, accuracy, energy, mean_t, spikes per input) for each variant.
+def cmd_ablate(cfg: RunConfig) -> int:
+    """The fixed row of each config set, then the exit row of each but the baseline.
 
     Each config set makes one eval-set run; its exit variant gates that run
     with a policy fitted at ``timesteps``, like for like with the fixed row.
     """
-    model = store.load_model(art.calibrated)
-    variants = [
-        (name, _load_configs(path, model))
-        for name, path in (
-            ("baseline", art.configs_base),
-            ("burst", art.configs_phi),
-            ("burst+compress", art.configs_full),
-        )
-    ]
-    cache = store.load_cache(art.cache)
-    images, labels = _model_inputs(cfg, model, "eval")
-    n, T = len(labels), cfg.timesteps
-    fixed, gated = [], []
-    for name, configs in variants:
-        # fit first, drop the run after: no two simulations are held at once
-        policy = None if name == "baseline" else early_exit.fit_exit_policy(
-            model, configs, cache, T,
-            alpha_base=cfg.exit.alpha_base, beta=cfg.exit.beta, delta=cfg.exit.delta,
-            membrane_init=cfg.membrane_init,
-        )
-        run = engine.run_snn(model, configs, images, T, membrane_init=cfg.membrane_init)
-        acc, spikes, energy = _fixed_eval(model, run, T, labels, cfg.energy)
-        fixed.append((name, acc, energy, float(T), spikes))
-        if policy is not None:
-            tr = early_exit.apply_gate(model, run, policy, labels)
-            energy = search.energy_of(tr.stats, cfg.energy) / n
-            gated.append(
-                (f"{name}+exit", tr.accuracy, energy, tr.mean_exit_t, tr.stats.total_spikes / n)
-            )
-        del run
-    return fixed + gated
-
-
-def cmd_ablate(cfg: RunConfig) -> int:
     art = Artifacts(cfg.out_dir)
-    _require(
-        {
-            "calibrated model": art.calibrated,
-            "base configs": art.configs_base,
-            "burst configs": art.configs_phi,
-            "full configs": art.configs_full,
-            "calibration cache": art.cache,
-        },
-        "ablate",
-    )
+    _require({"calibrated model": art.calibrated, "base configs": art.configs_base,
+              "burst configs": art.configs_phi, "full configs": art.configs_full,
+              "calibration cache": art.cache}, "ablate")
+    T, em = cfg.timesteps, cfg.energy
     with _stage("ablate"):
-        results = _ablation_rows(cfg, art)
-        base_energy = results[0][2]
+        model = store.load_model(art.calibrated)
+        paths = (("baseline", art.configs_base), ("burst", art.configs_phi),
+                 ("burst+compress", art.configs_full))
+        variants = [(name, _load_configs(path, model)) for name, path in paths]
+        cache = store.load_cache(art.cache)
+        images, labels = _model_inputs(cfg, model, "eval")
+        fixed, gated = [], []  # (variant, mean_t, accuracy, spikes, energy)
+        for name, configs in variants:
+            # fit first, drop the run after: no two simulations are held at once
+            policy = None if name == "baseline" else _fit_policy(cfg, model, configs, cache, T)
+            run = engine.run_snn(model, configs, images, T, membrane_init=cfg.membrane_init)
+            fixed.append((name, float(T), *_fixed_eval(model, run, T, labels, em)))
+            if policy is not None:
+                tr = early_exit.apply_gate(model, run, policy, labels)
+                acc, spikes, energy = _per_input(tr.stats, tr.predicted, labels, em)
+                gated.append((f"{name}+exit", tr.mean_exit_t, acc, spikes, energy))
+            del run
+        base = fixed[0][4] or math.nan  # a baseline that spends nothing: nan changes
         rows = []
-        for name, acc, energy, mean_t, spikes in results:
-            delta = 0.0 if name == "baseline" else (energy - base_energy) / base_energy * 100.0
+        for name, mean_t, acc, spikes, energy in fixed + gated:
+            delta = 0.0 if name == "baseline" else (energy - base) / base * 100.0
             rows.append(f"{name},{acc!r},{energy!r},{mean_t!r},{spikes!r},{delta!r}")
         store.write_atomic(
             art.ablation,
@@ -743,8 +711,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "train": cmd_train,
     "convert": cmd_convert,
-    "search-phi": cmd_search_phi,
-    "search-rho": cmd_search_rho,
+    "search-phi": functools.partial(cmd_search, kind="phi"),
+    "search-rho": functools.partial(cmd_search, kind="rho"),
     "fit-exit": cmd_fit_exit,
     "ablate": cmd_ablate,
     "report": cmd_report,

@@ -52,22 +52,12 @@ def entropy(p) -> np.ndarray | float:
     return float(h) if h.ndim == 0 else h
 
 
-def confidence(scores, class_count: int, kind: str = "entropy"):
-    """Exit confidence in [0, 1] from raw scores.
-
-    ``entropy`` uses 1 - H(softmax)/ln(classes); ``max_prob`` uses the top
-    softmax probability instead.
-    """
+def confidence(scores, class_count: int):
+    """Exit confidence in [0, 1] from raw scores: 1 - H(softmax)/ln(classes)."""
     if class_count < 2:
         raise ValueError(f"confidence needs >= 2 classes, got {class_count}")
     probs = softmax(np.asarray(scores, dtype=np.float64), axis=-1)
-    if kind == "max_prob":
-        c = probs.max(axis=-1)
-    elif kind == "entropy":
-        c = 1.0 - entropy(probs) / np.log(class_count)
-    else:
-        raise ValueError(f"unknown confidence kind {kind!r}")
-    c = np.clip(c, 0.0, 1.0)
+    c = np.clip(1.0 - entropy(probs) / np.log(class_count), 0.0, 1.0)
     return float(c) if np.ndim(c) == 0 else c
 
 
@@ -80,7 +70,6 @@ class ExitPolicy:
     delta: float
     t_max: int
     mean_entropy: np.ndarray
-    confidence_kind: str = "entropy"
 
     def boundaries(self) -> np.ndarray:
         ebar = np.asarray(self.mean_entropy, dtype=np.float64)
@@ -97,7 +86,6 @@ def fit_exit_policy(
     delta: float = 1.0,
     *,
     membrane_init: float = DEFAULT_MEMBRANE_INIT,
-    confidence_kind: str = "entropy",
 ) -> ExitPolicy:
     """Record mean cumulative-score entropy per step on the calibration set."""
     if delta <= 0:
@@ -112,7 +100,6 @@ def fit_exit_policy(
         delta=float(delta),
         t_max=int(t_max),
         mean_entropy=np.asarray(ebar, dtype=np.float64),
-        confidence_kind=confidence_kind,
     )
 
 
@@ -150,7 +137,7 @@ def apply_gate(model: ModelGraph, run: SnnRun, policy: ExitPolicy, labels=None) 
         raise ValueError(f"run has {len(run.step_scores)} steps, the policy needs {t_max}")
     step_scores = run.step_scores[:t_max]  # [T, N, Y]
     n = step_scores.shape[1]
-    conf = confidence(step_scores, model.class_count, policy.confidence_kind)  # [T, N]
+    conf = confidence(step_scores, model.class_count)  # [T, N]
     hit = conf >= policy.boundaries()[:, None]
     exit_idx = np.where(hit.any(axis=0), hit.argmax(axis=0), t_max - 1)
     picker = (exit_idx, np.arange(n))
@@ -191,7 +178,7 @@ def save_policy(policy: ExitPolicy, path) -> None:
         f"beta {policy.beta!r}",
         f"delta {policy.delta!r}",
         f"t_max {policy.t_max}",
-        f"confidence_kind {policy.confidence_kind}",
+        "confidence_kind entropy",  # the only kind; the line stays part of the format
     ]
     for t, value in enumerate(policy.mean_entropy, start=1):
         lines.append(f"mean_entropy t {t} value {float(value)!r}")
@@ -209,9 +196,7 @@ def load_policy(path) -> ExitPolicy:
     (t_max,) = doc.take("t_max", int)
     if t_max < 1:
         raise doc.error("t_max must be at least 1")
-    (kind,) = doc.take("confidence_kind", str)
-    if kind not in ("entropy", "max_prob"):
-        raise doc.error(f"unknown confidence kind {kind!r}")
+    doc.take("confidence_kind", "entropy")
     entries = [doc.take("mean_entropy", "t", str(t), "value", float)[0] for t in range(1, t_max + 1)]
     doc.end()
     return ExitPolicy(
@@ -220,7 +205,6 @@ def load_policy(path) -> ExitPolicy:
         delta=delta,
         t_max=t_max,
         mean_entropy=np.asarray(entries, dtype=np.float64),
-        confidence_kind=kind,
     )
 
 

@@ -42,9 +42,6 @@ from .engine import (
 from .nn import ModelGraph, softmax
 from .store import CalibrationCache
 
-DEFAULT_PHI_CANDIDATES = (1, 2, 3, 4)
-DEFAULT_RHO_CANDIDATES = (1, 2, 4)
-
 _EXHAUSTIVE_MAX_LAYERS = 8
 _EXHAUSTIVE_MAX_CANDIDATES = 4
 
@@ -183,7 +180,7 @@ def build_table(
     cache: CalibrationCache,
     timesteps: int,
     kind: str,
-    candidates=None,
+    candidates: list[int],
     energy: EnergyModel = EnergyModel(),
     *,
     membrane_init: float = DEFAULT_MEMBRANE_INIT,
@@ -203,8 +200,6 @@ def build_table(
     """
     if kind not in ("phi", "rho"):
         raise ValueError(f"table kind must be phi or rho, got {kind!r}")
-    if candidates is None:
-        candidates = DEFAULT_PHI_CANDIDATES if kind == "phi" else DEFAULT_RHO_CANDIDATES
     candidates = [int(c) for c in candidates]
     if not candidates:
         raise ValueError("candidate set is empty")

@@ -42,7 +42,7 @@ import os
 import re
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,8 +89,10 @@ class CacheMismatchError(StoreError):
 # artifact text and atomic writes
 
 # Every integer in an artifact (indices, counts, sizes, seeds) is
-# nonnegative and fits int64; floats are Python reprs, never NaN.
-_INT = re.compile(r"[0-9]{1,18}")
+# nonnegative and at most INT_MAX, so it fits int64; floats are Python
+# reprs, never NaN.
+INT_MAX = 10**18 - 1
+_INT = re.compile(rf"[0-9]{{1,{len(str(INT_MAX))}}}")
 _FLOAT = re.compile(r"[+-]?(?:inf|[0-9]+(?:\.[0-9]+)?(?:e[+-]?[0-9]+)?)")
 
 
@@ -420,8 +422,6 @@ class DatasetHandle:
 
     images: Tensor
     labels: np.ndarray
-    mean: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.float32))
-    std: np.ndarray = field(default_factory=lambda: np.ones(1, dtype=np.float32))
 
     def __post_init__(self):
         if len(self.images) != len(self.labels):
@@ -431,13 +431,6 @@ class DatasetHandle:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-
-def _channel_stats(images: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    if images.ndim >= 4:
-        axes = (0, *range(2, images.ndim))
-        return images.mean(axis=axes), images.std(axis=axes)
-    return np.array([images.mean()], dtype=np.float32), np.array([images.std()], dtype=np.float32)
 
 
 def _read_idx(path, magic: int, kind: str, dims: int) -> tuple[list[int], bytes]:
@@ -477,8 +470,7 @@ def load_idx(images_path, labels_path) -> DatasetHandle:
             f"{images_path}: image count {count} does not match label count {lcount} "
             f"in {labels_path}"
         )
-    mean, std = _channel_stats(images)
-    return DatasetHandle(images=images, labels=labels, mean=mean, std=std)
+    return DatasetHandle(images=images, labels=labels)
 
 
 def load_csv(path, image_shape, scale: float = 1.0 / 255.0) -> DatasetHandle:
@@ -498,8 +490,7 @@ def load_csv(path, image_shape, scale: float = 1.0 / 255.0) -> DatasetHandle:
             f"image shape {tuple(image_shape)} needs {expected}"
         )
     images = pixels.reshape(len(labels), *image_shape)
-    mean, std = _channel_stats(images)
-    return DatasetHandle(images=images, labels=labels, mean=mean, std=std)
+    return DatasetHandle(images=images, labels=labels)
 
 
 def _balanced_labels(n: int, classes: int, rng: np.random.Generator) -> np.ndarray:
@@ -554,8 +545,7 @@ def make_synthetic(
         images = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1).astype(np.float32)
     else:
         raise ValueError(f"unknown synthetic dataset kind {kind!r}")
-    mean, std = _channel_stats(images)
-    return DatasetHandle(images=images, labels=labels, mean=mean, std=std)
+    return DatasetHandle(images=images, labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def test_criterion_2_formula_unit_suite():
         # boundary schedule: a gap of exactly delta decays the bump by 1/e
         policy = early_exit.ExitPolicy(
             alpha_base=0.7, beta=0.2, delta=1.0, t_max=2,
-            mean_entropy=np.array([2.0, 1.0]), confidence_kind="entropy",
+            mean_entropy=np.array([2.0, 1.0]),
         )
         bounds = policy.boundaries()
         checks.append(abs(bounds[1] - 0.9) < 1e-6)
@@ -357,7 +357,7 @@ def test_criterion_8_adaptive_exit_latency(pipeline):
         # beta = 0 must reproduce a plain fixed-boundary sweep exactly
         flat = early_exit.ExitPolicy(
             alpha_base=0.7, beta=0.0, delta=1.0, t_max=T_MAX,
-            mean_entropy=np.zeros(T_MAX), confidence_kind="entropy",
+            mean_entropy=np.zeros(T_MAX),
         )
         trace = early_exit.infer_adaptive(
             snn, configs, flat, eval_set.images, eval_set.labels

@@ -222,10 +222,18 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, overrides, key):
     ({"search": {"s_target": "lots"}},
      "config key 's_target' in search must be 'auto' or at least 0, got 'lots'"),
     ({"model": {"arch": "transformer"}}, "config key 'arch' in model must be mlp or cnn"),
+    # integers an artifact cannot hold (store.INT_MAX)
+    ({"seed": 10 ** 19},
+     "config key 'seed' in top level must be at most 999999999999999999, got 10000000000000000000"),
+    ({"search": {"phi_candidates": [1, 10 ** 18]}},
+     "config key 'phi_candidates' in search must be a list of values each at most "
+     "999999999999999999, got [1, 1000000000000000000]"),
+    ({"search": {"rho_candidates": [1, 10 ** 21]}},
+     "config key 'rho_candidates' in search must be a list of values each at most"),
 ], ids=["nan-membrane-init", "nan-alpha-base", "inf-slack", "zero-width", "no-hidden-layer",
         "zero-channels", "cnn-input-too-small", "zero-dim", "empty-dim", "negative-lr", "zero-lr",
         "zero-delta", "repeated-rho", "zero-phi", "no-phi", "negative-e-target",
-        "word-s-target", "unknown-arch"])
+        "word-s-target", "unknown-arch", "huge-seed", "huge-phi", "huge-rho"])
 def test_config_value_out_of_range_rejected(tmp_path, capsys, overrides, message):
     config, _ = write_config(tmp_path, **overrides)
     assert cli.main(["train", "--config", str(config)]) == 1
@@ -279,6 +287,74 @@ def test_bad_energy_setting_is_user_error(finished_run, tmp_path, capsys, energy
         assert cli.main([stage, "--config", str(config)]) == 1, stage
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, (stage, err)
+
+
+def test_largest_artifact_integer_is_accepted(tmp_path):
+    config, _ = write_config(tmp_path, seed=store.INT_MAX,
+                             search={"phi_candidates": [1, store.INT_MAX]})
+    cfg = cli.load_config(config)
+    assert cfg.seed == store.INT_MAX
+    assert store._INT.fullmatch(str(store.INT_MAX))
+    assert not store._INT.fullmatch(str(store.INT_MAX + 1))
+
+
+def _copy_run(finished_run, tmp_path, **overrides):
+    """A config over a copy of the finished run's artifacts, and the copy's Artifacts."""
+    _, _, raw = finished_run
+    out = tmp_path / "copy"
+    shutil.copytree(raw["out_dir"], out)
+    config, _ = write_config(tmp_path, out_dir=str(out), **overrides)
+    return str(config), cli.Artifacts(str(out))
+
+
+@pytest.mark.parametrize("stage, flag, value, printed", [
+    ("search-phi", "--e-target", "2.5e-9", "cap=2.5e-09"),
+    ("search-rho", "--s-target", "0.75", "cap=0.75"),
+])
+def test_given_search_target_is_the_cap(finished_run, tmp_path, capsys, stage, flag, value,
+                                        printed):
+    config, art = _copy_run(finished_run, tmp_path)
+    capsys.readouterr()
+    assert cli.main([stage, "--config", config, flag, value]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].endswith(" " + printed), out
+    assert cli.search.load_plan(art.path(f"plan_{stage[-3:]}.txt")).budget.cap == float(value)
+
+
+@pytest.mark.parametrize("stage, flag", [("search-phi", "--e-target"), ("search-rho", "--s-target")])
+def test_unreachable_search_target_writes_infeasible_plan(finished_run, tmp_path, capsys, stage,
+                                                          flag):
+    config, art = _copy_run(finished_run, tmp_path)
+    capsys.readouterr()
+    assert cli.main([stage, "--config", config, flag, "0"]) == 0
+    out = capsys.readouterr().out
+    assert "plan (INFEASIBLE (cheapest plan written)): " in out, out
+    assert not cli.search.load_plan(art.path(f"plan_{stage[-3:]}.txt")).feasible
+
+
+def test_auto_compression_cap_without_rho_one_uses_first_candidate(finished_run, tmp_path,
+                                                                   capsys):
+    config, art = _copy_run(finished_run, tmp_path, search={"rho_candidates": [4, 2]})
+    capsys.readouterr()
+    assert cli.main(["search-rho", "--config", config]) == 0
+    out = capsys.readouterr().out
+    table = cli.search.table_from_csv(art.sensitivity_rho)
+    assert table.candidates == [4, 2]
+    cap = 2.0 * sum(table.s[(layer, 4)] for layer in table.layers)  # default slack 2.0
+    assert out.splitlines()[-1].endswith(f" cap={cap:.6g}"), out
+    assert cli.search.load_plan(art.plan_rho).budget.cap == cap
+
+
+def test_ablate_with_silent_baseline_writes_nan_deltas(finished_run, tmp_path, capsys):
+    # the membrane starts so low that no layer reaches its threshold in T steps
+    config, art = _copy_run(finished_run, tmp_path, membrane_init=-1e6)
+    capsys.readouterr()
+    assert cli.main(["ablate", "--config", config]) == 0, capsys.readouterr().err
+    rows = [line.split(",") for line in open(art.ablation).read().splitlines()[1:]]
+    assert [(row[0], row[2], row[5]) for row in rows] == [
+        ("baseline", "0.0", "0.0"), ("burst", "0.0", "nan"), ("burst+compress", "0.0", "nan"),
+        ("burst+exit", "0.0", "nan"), ("burst+compress+exit", "0.0", "nan"),
+    ]
 
 
 def _write_idx(tmp_path, labels):

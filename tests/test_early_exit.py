@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from spikecal import calibrate, early_exit, engine, search
+from spikecal import calibrate, early_exit, engine, search, store
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +51,6 @@ def test_confidence_hand_value():
     assert c[0] == pytest.approx(0.5310, abs=1e-3)
 
 
-def test_confidence_max_prob_variant():
-    scores = np.array([[np.log(9.0), 0.0]])
-    c = early_exit.confidence(scores, class_count=2, kind="max_prob")
-    assert c[0] == pytest.approx(0.9, abs=1e-6)
-
-
 def test_confidence_bounds(rng):
     scores = rng.standard_normal((50, 6)) * 10
     c = early_exit.confidence(scores, class_count=6)
@@ -83,9 +77,8 @@ def test_confidence_monotone_under_sharpening(classes, seed):
     assert c2[0] >= c1[0] - 1e-9
 
 
-@pytest.mark.parametrize("kind", ["entropy", "max_prob"])
-@pytest.mark.parametrize("classes", [2, 10])
-def test_confidence_of_step_block_equals_per_step_stack(rng, kind, classes):
+@pytest.mark.parametrize("classes", [2, 10], ids=lambda c: f"{c}-entropy")
+def test_confidence_of_step_block_equals_per_step_stack(rng, classes):
     """The gate scores all [T, N, classes] steps in one call, bit for bit as step by step."""
     scores = rng.standard_normal((8, 40, classes)) * 3.0
     scores[:, 0] = 1.5  # every class tied: flat softmax
@@ -95,8 +88,8 @@ def test_confidence_of_step_block_equals_per_step_stack(rng, kind, classes):
     scores[:, 2, 1] = 800.0  # saturated: softmax is exactly one-hot
     scores[:, 3] *= 1e3  # near saturation
     scores[:, 4] = -1e300  # tied and huge
-    block = early_exit.confidence(scores, classes, kind)
-    steps = np.stack([early_exit.confidence(scores[t], classes, kind) for t in range(8)])
+    block = early_exit.confidence(scores, classes)
+    steps = np.stack([early_exit.confidence(scores[t], classes) for t in range(8)])
     assert block.shape == (8, 40)
     assert block.tobytes() == steps.tobytes()
     assert (block[:, 2] > 0.999).all()  # the saturated input reads as sure
@@ -113,7 +106,6 @@ def test_boundary_formula_exact_values():
         delta=1.0,
         t_max=3,
         mean_entropy=np.array([2.0, 1.5, 1.0]),
-        confidence_kind="entropy",
     )
     bounds = policy.boundaries()
     # at the minimum mean entropy the boundary peaks at base + beta
@@ -125,7 +117,7 @@ def test_boundary_formula_exact_values():
 def test_boundary_with_unit_gap_hits_e_minus_one():
     policy = early_exit.ExitPolicy(
         alpha_base=0.5, beta=0.3, delta=1.0, t_max=2,
-        mean_entropy=np.array([2.0, 1.0]), confidence_kind="entropy",
+        mean_entropy=np.array([2.0, 1.0]),
     )
     bounds = policy.boundaries()
     assert bounds[0] == pytest.approx(0.5 + 0.3 * np.exp(-1.0), abs=1e-12)
@@ -134,7 +126,7 @@ def test_boundary_with_unit_gap_hits_e_minus_one():
 def test_zero_beta_is_flat():
     policy = early_exit.ExitPolicy(
         alpha_base=0.7, beta=0.0, delta=2.0, t_max=4,
-        mean_entropy=np.array([3.0, 2.0, 1.0, 0.5]), confidence_kind="entropy",
+        mean_entropy=np.array([3.0, 2.0, 1.0, 0.5]),
     )
     np.testing.assert_allclose(policy.boundaries(), 0.7, atol=1e-15)
 
@@ -174,7 +166,7 @@ def test_unreachable_boundary_runs_full_horizon(snn, calibration):
     model, configs = snn
     policy = early_exit.ExitPolicy(
         alpha_base=1.1, beta=0.0, delta=1.0, t_max=6,
-        mean_entropy=np.zeros(6), confidence_kind="entropy",
+        mean_entropy=np.zeros(6),
     )
     trace = early_exit.infer_adaptive(
         model, configs, policy, calibration.inputs, calibration.labels
@@ -186,7 +178,7 @@ def test_zero_boundary_exits_immediately(snn, calibration):
     model, configs = snn
     policy = early_exit.ExitPolicy(
         alpha_base=0.0, beta=0.0, delta=1.0, t_max=6,
-        mean_entropy=np.zeros(6), confidence_kind="entropy",
+        mean_entropy=np.zeros(6),
     )
     trace = early_exit.infer_adaptive(
         model, configs, policy, calibration.inputs, calibration.labels
@@ -200,7 +192,7 @@ def test_flat_boundary_equals_manual_thresholding(snn, calibration):
     alpha = 0.8
     policy = early_exit.ExitPolicy(
         alpha_base=alpha, beta=0.0, delta=1.0, t_max=8,
-        mean_entropy=np.zeros(8), confidence_kind="entropy",
+        mean_entropy=np.zeros(8),
     )
     trace = early_exit.infer_adaptive(
         model, configs, policy, calibration.inputs, calibration.labels
@@ -225,7 +217,7 @@ def test_adaptive_matches_fixed_when_exits_disabled(snn, calibration):
     model, configs = snn
     policy = early_exit.ExitPolicy(
         alpha_base=1.1, beta=0.0, delta=1.0, t_max=8,
-        mean_entropy=np.zeros(8), confidence_kind="entropy",
+        mean_entropy=np.zeros(8),
     )
     trace = early_exit.infer_adaptive(
         model, configs, policy, calibration.inputs, calibration.labels
@@ -274,7 +266,7 @@ def test_early_exits_save_spikes(snn, calibration):
     model, configs = snn
     eager = early_exit.ExitPolicy(
         alpha_base=0.2, beta=0.0, delta=1.0, t_max=8,
-        mean_entropy=np.zeros(8), confidence_kind="entropy",
+        mean_entropy=np.zeros(8),
     )
     trace = early_exit.infer_adaptive(
         model, configs, eager, calibration.inputs, calibration.labels
@@ -310,9 +302,19 @@ def test_policy_file_round_trip(tmp_path, snn, calibration):
     assert back.beta == policy.beta
     assert back.delta == policy.delta
     assert back.t_max == policy.t_max
-    assert back.confidence_kind == policy.confidence_kind
+    assert "\nconfidence_kind entropy\n" in path.read_text()
     np.testing.assert_array_equal(back.mean_entropy, policy.mean_entropy)
     np.testing.assert_allclose(back.boundaries(), policy.boundaries(), atol=0)
+
+
+def test_policy_file_with_another_confidence_kind_rejected(tmp_path, snn, calibration):
+    model, configs = snn
+    policy = early_exit.fit_exit_policy(model, configs, calibration, t_max=3)
+    path = tmp_path / "policy.txt"
+    early_exit.save_policy(policy, path)
+    path.write_text(path.read_text().replace("confidence_kind entropy", "confidence_kind max_prob"))
+    with pytest.raises(store.StoreError, match=r"policy.txt:6: expected 'entropy'"):
+        early_exit.load_policy(path)
 
 
 def test_exit_trace_csv(tmp_path, snn, calibration):
