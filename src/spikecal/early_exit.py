@@ -12,9 +12,11 @@ come from calibration-set entropy statistics:
 
 so steps whose mean entropy is near the minimum demand the most confidence,
 and the gate relaxes as entropy climbs away from it. ``beta = 0`` collapses to
-a fixed boundary. Exits only stop accounting (spikes, energy, latency); they
-never change the dynamics, so the gate reads the per-step record of any run
-at least ``t_max`` steps long (``apply_gate``).
+a fixed boundary. Exits never change the dynamics, so the gate reads the
+per-step record of any run at least ``t_max`` steps long (``apply_gate``).
+``infer_adaptive`` gives the same trace while it simulates: it advances the
+net a chunk of steps at a time, gates the new steps, and stops once every
+input has exited, so an exit saves wall-clock time as well as spikes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import store
-from .engine import DEFAULT_MEMBRANE_INIT, LayerSnnConfig, RunStats, SnnRun, run_snn, stats_at
+from .engine import (
+    DEFAULT_MEMBRANE_INIT,
+    LayerSnnConfig,
+    RunStats,
+    SnnRun,
+    _as_batch,
+    _check_run,
+    _Simulation,
+    run_snn,
+    stats_at,
+)
 from .nn import ModelGraph, softmax
 from .store import CalibrationCache
 
@@ -136,22 +148,39 @@ def apply_gate(model: ModelGraph, run: SnnRun, policy: ExitPolicy, labels=None) 
     if len(run.step_scores) < t_max:
         raise ValueError(f"run has {len(run.step_scores)} steps, the policy needs {t_max}")
     step_scores = run.step_scores[:t_max]  # [T, N, Y]
-    n = step_scores.shape[1]
     conf = confidence(step_scores, model.class_count)  # [T, N]
     hit = conf >= policy.boundaries()[:, None]
-    exit_idx = np.where(hit.any(axis=0), hit.argmax(axis=0), t_max - 1)
-    picker = (exit_idx, np.arange(n))
+    return _trace(model, step_scores, run.step_spikes[:t_max], conf, hit, labels)
+
+
+def _trace(model, step_scores, step_spikes, conf, hit, labels) -> ExitTrace:
+    """The exit trace read from a run's first steps, their confidences and
+    where those clear the boundary (``hit``).
+
+    Input n exits at its first hit. An input without one exits at the last
+    step given, which must then be step ``t_max``.
+    """
+    exit_idx = np.where(hit.any(axis=0), hit.argmax(axis=0), len(hit) - 1)
+    picker = (exit_idx, np.arange(step_scores.shape[1]))
     scores = step_scores[picker]
-    spikes = np.cumsum(run.step_spikes[:t_max].sum(axis=1), axis=0)[picker]  # [N]
+    spikes = np.cumsum(step_spikes.sum(axis=1), axis=0)[picker]  # [N]
     return ExitTrace(
         exit_t=(exit_idx + 1).astype(np.int64),
         confidence=conf[picker],
         predicted=np.argmax(scores, axis=1).astype(np.int64),
         scores=scores,
         spikes_per_input=spikes.astype(np.int64),
-        stats=stats_at(model, run.step_spikes, exit_idx),
+        stats=stats_at(model, step_spikes, exit_idx),
         labels=None if labels is None else np.asarray(labels, dtype=np.int64),
     )
+
+
+# Steps simulated between two looks at the gate. Two beat one on
+# single-input requests on a shared 2-vCPU VM (p90 latency: demo-mlp 1.05
+# against 1.15 ms, deep-search 2.11 against 2.46, cnn-exit 7.4 against 8.1):
+# a look and the per-chunk work cost about as much as a step, and an input
+# exiting at an odd step pays for one step more.
+_CHUNK = 2
 
 
 def infer_adaptive(
@@ -163,9 +192,33 @@ def infer_adaptive(
     *,
     membrane_init: float = DEFAULT_MEMBRANE_INIT,
 ) -> ExitTrace:
-    """Run ``policy.t_max`` steps and gate each input (``apply_gate``)."""
-    run = run_snn(model, configs, batch, policy.t_max, membrane_init=membrane_init)
-    return apply_gate(model, run, policy, labels)
+    """Simulate and gate each input, stopping once every input has exited.
+
+    The net advances ``_CHUNK`` steps at a time, every layer and every
+    input, and the new steps are gated; the run ends when each input has
+    exited or at ``policy.t_max``. No input is dropped from the batch, so
+    every product is the one a full run makes, and the trace equals
+    ``apply_gate`` on a ``t_max``-step ``run_snn`` in every field, bit for
+    bit.
+    """
+    t_max = policy.t_max
+    _check_run(model, configs, t_max)
+    x0 = _as_batch(model, batch)
+    sim = _Simulation(model, configs, 0, x0, t_max, membrane_init)
+    boundaries = policy.boundaries()
+    conf, hit = [], []
+    waiting = np.ones(len(x0), dtype=bool)
+    while sim.t < t_max and waiting.any():
+        t0 = sim.t
+        sim.advance(min(_CHUNK, t_max - t0))
+        conf.append(confidence(sim.step_scores[t0 : sim.t], model.class_count))  # [c, N]
+        hit.append(conf[-1] >= boundaries[t0 : sim.t, None])
+        waiting &= ~hit[-1].any(axis=0)
+    t = sim.t
+    return _trace(
+        model, sim.step_scores[:t], sim.step_spikes[:t], np.concatenate(conf),
+        np.concatenate(hit), labels,
+    )
 
 
 # ---------------------------------------------------------------------------

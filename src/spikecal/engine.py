@@ -28,7 +28,10 @@ Every dense, conv or pool call is still one call per timestep over the
 batch's N rows, the same products a time-major sweep makes, so results match
 it bit for bit. A run can also start at any layer from a train recorded
 earlier, which is how the sensitivity table and bias calibration reuse a
-shared upstream prefix.
+shared upstream prefix. A run is resumable: ``_Simulation.advance(c)``
+moves every layer c steps on, which is how the early-exit serve path stops
+once every input has exited. The neuron step writes in place into the
+state it returned the step before (``NeuronState``).
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ class LayerSnnConfig:
             raise ValueError(f"rho must be an integer >= 1, got {self.rho!r}")
         if not isinstance(self.phi, (int, np.integer)) or self.phi < 1:
             raise ValueError(f"phi must be an integer >= 1, got {self.phi!r}")
+        if not np.isfinite(self.threshold):
+            raise ValueError(f"threshold rho * v_th = {self.rho} * {self.v_th!r} is not finite")
 
     @property
     def threshold(self) -> float:
@@ -71,9 +76,17 @@ class LayerSnnConfig:
 
 @dataclass
 class NeuronState:
-    """Membrane potential ``v`` after the soft reset."""
+    """Membrane potential ``v`` after the soft reset, and ``k``, the quanta
+    counts (float64) the last step fired.
+
+    A state with ``k`` is one ``step_layer`` returned: it owns ``v`` and
+    ``k``, and the next step writes into them in place. A state without
+    ``k`` (one a caller built, or ``initial_state``'s read-only broadcast)
+    is never written; stepping it allocates a new pair.
+    """
 
     v: np.ndarray
+    k: np.ndarray | None = None
 
 
 @dataclass
@@ -156,7 +169,10 @@ def step_layer(
     """Advance one spiking layer a single timestep.
 
     Returns the new state and the emitted amplitudes (integer multiples of the
-    effective threshold, at most ``phi`` quanta per neuron).
+    effective threshold, at most ``phi`` quanta per neuron). The amplitudes
+    are a fresh array the caller may keep. A state an earlier step returned
+    is updated in place and returned; any other state, and
+    ``input_current``, are left as they were (see ``NeuronState``).
     """
     current = np.asarray(input_current, dtype=np.float64)
     if current.shape != state.v.shape:
@@ -164,15 +180,20 @@ def step_layer(
             f"input current shape {current.shape} does not match state {state.v.shape}"
         )
     thr = config.threshold
-    u = state.v + current
-    k = u / thr
+    if state.k is None:
+        state = NeuronState(v=state.v + current, k=np.empty(current.shape))
+    else:
+        np.add(state.v, current, out=state.v)
+    v, k = state.v, state.k
+    np.divide(v, thr, out=k)
     np.floor(k, out=k)
     # clip(k, 0, phi) without np.clip's wrapper; 0.0 goes first so a -0.0
     # quotient stays -0.0, as np.clip leaves it
     np.maximum(0.0, k, out=k)
     np.minimum(k, float(config.phi), out=k)
     emitted = k * thr
-    return NeuronState(v=u - emitted), emitted
+    np.subtract(v, emitted, out=v)
+    return state, emitted
 
 
 def initial_state(config: LayerSnnConfig, shape, membrane_init: float) -> NeuronState:
@@ -205,17 +226,11 @@ def _as_batch(model: ModelGraph, batch) -> np.ndarray:
 
 @dataclass
 class _LayerRun:
-    """One spiking layer simulated over every step."""
+    """One spiking layer simulated over some steps."""
 
-    train: SpikeTrain | None
+    train: SpikeTrain
     step_spikes: np.ndarray  # [T, N] unit spikes per step and input
-    v_last: np.ndarray
-
-
-@dataclass
-class _Simulation:
-    layers: dict[int, _LayerRun]
-    step_scores: np.ndarray  # [T, N, classes]; the run's scores are the last row
+    state: NeuronState  # after the last step
 
 
 def _float64_operands(layer):
@@ -230,16 +245,17 @@ def _float64_operands(layer):
     return np.ascontiguousarray(layer.weight.T, dtype=np.float64), layer.bias.astype(np.float64)
 
 
-def _currents(layers, source: np.ndarray | SpikeTrain, timesteps: int):
+def _currents(layers, source: np.ndarray | SpikeTrain, timesteps: int, operands=None):
     """The output of ``layers`` at each step, fed ``source``.
 
     A constant array goes through ``layers`` once; a spike train goes through
     them once per step, with dense parameters cast to float64 once per call
-    (held only while the generator runs, since training and bias calibration
-    change them between runs).
+    or taken from ``operands``. Either way they are held for one run only,
+    since training and bias calibration change them between runs.
     """
     if isinstance(source, SpikeTrain):
-        operands = [_float64_operands(layer) for layer in layers]
+        if operands is None:
+            operands = [_float64_operands(layer) for layer in layers]
         for t in range(timesteps):
             x = source.amplitudes(t)
             for layer, ops in zip(layers, operands):
@@ -253,19 +269,102 @@ def _currents(layers, source: np.ndarray | SpikeTrain, timesteps: int):
 
 
 def _run_layer(
-    currents, config: LayerSnnConfig, timesteps: int, membrane_init: float
+    currents,
+    config: LayerSnnConfig,
+    timesteps: int,
+    membrane_init: float,
+    state: NeuronState | None = None,
 ) -> _LayerRun:
     """Run one spiking layer on ``currents``, its input current at each of
-    ``timesteps`` steps (``_currents``' output, or a list of it)."""
-    thr = config.threshold
+    ``timesteps`` steps (``_currents``' output, or a list of it), from
+    ``state``, or from ``membrane_init`` thresholds when None. The counts
+    are the steps' ``k``; ``currents`` is never written."""
     for t, current in enumerate(currents):
         if t == 0:
-            state = initial_state(config, current.shape, membrane_init)
+            if state is None:
+                state = initial_state(config, current.shape, membrane_init)
             counts = np.empty((timesteps, *current.shape), np.min_scalar_type(config.phi))
-        state, emitted = step_layer(state, current, config)
-        counts[t] = np.rint(emitted / thr)
+        state, _ = step_layer(state, current, config)
+        counts[t] = state.k
     step_spikes = counts.reshape(timesteps, counts.shape[1], -1).sum(axis=2, dtype=np.int64)
-    return _LayerRun(SpikeTrain(counts, thr), step_spikes, state.v)
+    return _LayerRun(SpikeTrain(counts, config.threshold), step_spikes, state)
+
+
+class _Simulation:
+    """``model.layers[start:]`` fed ``source``, simulated up to ``horizon``
+    steps; ``advance(c)`` moves every layer c steps on, one layer after the
+    other.
+
+    ``source`` enters layer ``start``: the constant input batch, or the train
+    of the spiking layer just before ``start``. ``configs`` covers every
+    spiking layer of the model. Between calls the object holds what the next
+    chunk continues from: each spiking layer's ``NeuronState``, the float64
+    dense operands, the constant prefix's output, the head's accumulator and
+    ``t``, the steps done. ``step_scores[:t]`` and ``step_spikes[:t]`` are
+    filled. A layer's train lives while the next layer reads it; with
+    ``keep_trains``, ``trains`` holds each layer's train of the last chunk.
+    """
+
+    def __init__(
+        self,
+        model: ModelGraph,
+        configs: list[LayerSnnConfig],
+        start: int,
+        source,
+        horizon: int,
+        membrane_init: float,
+        *,
+        keep_trains: bool = False,
+    ):
+        position = {idx: p for p, idx in enumerate(spiking_layer_indices(model))}
+        feeds, self.spiking, begin = [], [], start
+        for i in range(start, len(model.layers)):
+            if model.layers[i].kind == "relu":
+                feeds.append(model.layers[begin:i])
+                self.spiking.append((i, configs[position[i]]))
+                begin = i + 1
+        feeds.append(model.layers[begin:])  # the head's
+        if not isinstance(source, SpikeTrain):  # a constant input: its prefix runs once
+            source = next(_currents(feeds[0], source, 1))
+            feeds[0] = []
+        self.feeds = [(layers, [_float64_operands(layer) for layer in layers]) for layers in feeds]
+        self.source, self.horizon, self.membrane_init = source, horizon, membrane_init
+        n = source.counts.shape[1] if isinstance(source, SpikeTrain) else source.shape[0]
+        self.step_spikes = np.zeros((horizon, len(self.spiking), n), dtype=np.int64)
+        self.step_scores = None  # [horizon, N, classes], made at the first step
+        self.acc = None  # the head's output summed over the steps done
+        self.states: dict[int, NeuronState] = {}
+        self.trains: dict[int, SpikeTrain] | None = {} if keep_trains else None
+        self.t = 0
+
+    def advance(self, steps: int) -> None:
+        """Simulate steps ``t`` to ``t + steps`` (at most ``horizon``) of every layer."""
+        t0, t1 = self.t, self.t + steps
+        last = t1 == self.horizon  # no chunk follows: keep only what the run returns
+        source = self.source
+        if isinstance(source, SpikeTrain):
+            source = SpikeTrain(source.counts[t0:t1], source.threshold)
+        if last:
+            self.source = None
+        for pos, ((layers, ops), (i, config)) in enumerate(zip(self.feeds, self.spiking)):
+            currents = _currents(layers, source, steps, ops)
+            run = _run_layer(currents, config, steps, self.membrane_init, self.states.get(i))
+            if last:
+                run.state.k = None
+            self.states[i] = run.state
+            self.step_spikes[t0:t1, pos] = run.step_spikes
+            source = run.train
+            if self.trains is not None:
+                self.trains[i] = run.train
+        layers, ops = self.feeds[-1]
+        for t, y in enumerate(_currents(layers, source, steps, ops), start=t0):
+            if t == 0:
+                self.acc = y
+                self.step_scores = np.empty((self.horizon, *y.shape), dtype=y.dtype)
+            else:
+                self.acc = self.acc + y
+            self.step_scores[t] = self.acc / float(t + 1)
+        self.t = t1
 
 
 def _simulate(
@@ -278,34 +377,13 @@ def _simulate(
     *,
     keep_trains: bool = False,
 ) -> _Simulation:
-    """Run ``model.layers[start:]`` layer by layer, all steps of one layer
-    before the next.
-
-    ``source`` enters layer ``start``: the constant input batch, or the train
-    of the spiking layer just before ``start``. ``configs`` covers every
-    spiking layer of the model. Only the train being read and the one being
-    written are held, unless ``keep_trains`` asks for all of them.
-    """
-    position = {idx: p for p, idx in enumerate(spiking_layer_indices(model))}
-    runs: dict[int, _LayerRun] = {}
-    begin = start
-    for i in range(start, len(model.layers)):
-        if model.layers[i].kind != "relu":
-            continue
-        currents = _currents(model.layers[begin:i], source, timesteps)
-        run = _run_layer(currents, configs[position[i]], timesteps, membrane_init)
-        source, begin = run.train, i + 1
-        if not keep_trains:
-            run.train = None
-        runs[i] = run
-    for t, y in enumerate(_currents(model.layers[begin:], source, timesteps)):
-        if t == 0:
-            acc = y
-            step_scores = np.empty((timesteps, *y.shape), dtype=y.dtype)
-        else:
-            acc = acc + y
-        step_scores[t] = acc / float(t + 1)
-    return _Simulation(runs, step_scores)
+    """Run ``model.layers[start:]`` layer by layer, all ``timesteps`` steps
+    of one layer before the next (``_Simulation`` advanced once)."""
+    sim = _Simulation(
+        model, configs, start, source, timesteps, membrane_init, keep_trains=keep_trains
+    )
+    sim.advance(timesteps)
+    return sim
 
 
 def stats_at(model: ModelGraph, step_spikes: np.ndarray, last) -> RunStats:
@@ -343,17 +421,13 @@ def run_snn(
     _check_run(model, configs, timesteps)
     x0 = _as_batch(model, batch)
     sim = _simulate(model, configs, 0, x0, timesteps, membrane_init, keep_trains=record_trains)
-    runs = sim.layers
-    step_spikes = np.zeros((timesteps, len(runs), x0.shape[0]), dtype=np.int64)
-    for pos, r in enumerate(runs.values()):
-        step_spikes[:, pos] = r.step_spikes
     return SnnRun(
         scores=sim.step_scores[-1],
-        stats=stats_at(model, step_spikes, timesteps - 1),
-        v_last={i: r.v_last for i, r in runs.items()},
+        stats=stats_at(model, sim.step_spikes, timesteps - 1),
+        v_last={i: state.v for i, state in sim.states.items()},
         step_scores=sim.step_scores,
-        step_spikes=step_spikes,
-        trains={i: r.train for i, r in runs.items()} if record_trains else None,
+        step_spikes=sim.step_spikes,
+        trains=sim.trains,
     )
 
 

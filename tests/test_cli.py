@@ -110,6 +110,13 @@ def _drop_last(text):
     return "\n".join(text.splitlines()[:-1]) + "\n"
 
 
+def _overflow_threshold(text):
+    """Line 2's v_th 1e+308 with rho 2: each value alone is in range, their product is not."""
+    lines = text.splitlines(True)
+    lines[1] = re.sub(r"v_th \S+ rho \d+", "v_th 1e+308 rho 2", lines[1])
+    return "".join(lines)
+
+
 def _drop_beta(text):
     return "".join(line for line in text.splitlines(True) if not line.startswith("beta "))
 
@@ -120,6 +127,8 @@ DAMAGE = {
                           r"snn_configs_full\.txt:3: "),
     "relabelled-configs": ("eval", "snn_configs_full.txt", _relabel, r"snn_configs_full\.txt"),
     "swapped-configs": ("eval", "snn_configs_full.txt", _swap_last_two, r"snn_configs_full\.txt"),
+    "overflowing-threshold": ("eval", "snn_configs_full.txt", _overflow_threshold,
+                              r"snn_configs_full\.txt:2: .*not finite"),
     "short-configs": ("search-rho", "snn_configs_phi.txt", _drop_last, r"snn_configs_phi\.txt"),
     "short-policy": ("eval", "exit_policy.txt", _drop_last, r"exit_policy\.txt:\d+: "),
     "policy-without-beta": ("eval", "exit_policy.txt", _drop_beta, r"exit_policy\.txt:3: "),

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -252,6 +253,79 @@ def test_gate_on_longer_run_equals_adaptive_run(random_net, arch):
                         np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
                 exits.update((t_max, int(t)) for t in want.exit_t)
     assert {(8, 1), (8, 8)} <= exits and len(exits) > 6
+
+
+def _count_steps(monkeypatch):
+    """Record the config of every ``engine.step_layer`` call from now on."""
+    calls = []
+    step = engine.step_layer
+
+    def spy(state, current, config):
+        calls.append(id(config))
+        return step(state, current, config)
+
+    monkeypatch.setattr(engine, "step_layer", spy)
+    return calls
+
+
+def _flat_policy(t_max, alpha):
+    return early_exit.ExitPolicy(
+        alpha_base=alpha, beta=0.0, delta=1.0, t_max=t_max, mean_entropy=np.zeros(t_max)
+    )
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_adaptive_run_equals_gate_on_full_run(random_net, arch, monkeypatch):
+    """``infer_adaptive`` is ``apply_gate`` on a ``t_max``-step run, bit for
+    bit, and simulates up to the chunk holding the last exit, no further."""
+    t_max, chunk = 7, early_exit._CHUNK
+    mixed = set()
+    for seed in range(3):
+        model, cache, configs = random_net(arch, seed, 16)
+        layers = len(configs)
+        for n in (1, 3, cache.sample_count):
+            x, y = cache.inputs[:n], cache.labels[:n]
+            full = engine.run_snn(model, configs, x, t_max)
+            conf = early_exit.confidence(full.step_scores, model.class_count)
+            mix = early_exit.fit_exit_policy(
+                model, configs, cache, t_max, alpha_base=float(np.median(conf)), beta=0.05
+            )
+            for name, policy in (
+                ("first", _flat_policy(t_max, 0.0)),
+                ("never", _flat_policy(t_max, 1.1)),
+                ("mix", mix),
+            ):
+                want = early_exit.apply_gate(model, full, policy, y)
+                calls = _count_steps(monkeypatch)
+                got = early_exit.infer_adaptive(model, configs, policy, x, y)
+                monkeypatch.undo()
+                for f in dataclasses.fields(want):
+                    if f.name == "stats":
+                        assert got.stats == want.stats
+                    else:
+                        g, w = getattr(got, f.name), getattr(want, f.name)
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (name, f.name)
+                last = int(want.exit_t.max())
+                assert len(calls) == layers * min(t_max, -(-last // chunk) * chunk), name
+                if name == "first":
+                    assert (got.exit_t == 1).all()
+                elif name == "never":
+                    assert (got.exit_t == t_max).all()
+                else:
+                    mixed.update(int(t) for t in got.exit_t)
+    assert len(mixed) > 2 and 1 < max(mixed), mixed
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_exits_at_first_step_simulate_one_chunk(random_net, arch, monkeypatch):
+    """When every input exits at step 1, each spiking layer steps at most one chunk."""
+    model, cache, configs = random_net(arch, 4)
+    calls = _count_steps(monkeypatch)
+    trace = early_exit.infer_adaptive(model, configs, _flat_policy(8, 0.0), cache.inputs)
+    assert (trace.exit_t == 1).all()
+    per_layer = collections.Counter(calls)
+    assert len(per_layer) == len(configs)
+    assert max(per_layer.values()) <= early_exit._CHUNK < 8
 
 
 def test_gate_needs_t_max_steps(snn, calibration):

@@ -107,6 +107,74 @@ def test_step_clamp_equals_np_clip(v_th, rho, phi):
         assert got_state.v.tobytes() == want_v.tobytes(), current
 
 
+@pytest.mark.parametrize("phi", [1, 3, 255, 256, 65535, 65536])
+def test_owned_state_steps_equal_functional_reference(phi):
+    """Stepping the state ``step_layer`` returned, in place, equals the
+    allocating reference step after step in ``v``, emitted and counts, byte
+    for byte, at the count dtypes' edges; what the caller passed stays as it was."""
+    rng = np.random.default_rng(phi)
+    cfg = engine.LayerSnnConfig(v_th=float(rng.uniform(0.05, 2.0)), rho=int(rng.integers(1, 4)), phi=phi)
+    thr, shape, steps = cfg.threshold, (3, 17), 60
+    v0 = rng.uniform(-2.0, 2.0, shape) * thr
+    v0[0, :4] = [0.0, -0.0, thr, -thr]
+    # up to one and a half caps a step, so the cap binds; some exact multiples
+    currents = [rng.uniform(-0.5, 1.5 * phi, shape) * thr for _ in range(steps)]
+    for current in currents[::7]:
+        current[1, :5] = [0.0, -0.0, thr, phi * thr, -phi * thr]
+    saved = [c.tobytes() for c in currents]
+    first = engine.NeuronState(v=v0.copy())
+    state, want_v, emitted, want_k = first, v0, [], []
+    for t, current in enumerate(currents):
+        k = np.clip(np.floor((want_v + current) / thr), 0.0, float(phi))
+        want_v, want = _clip_step(engine.NeuronState(v=want_v), current, cfg)
+        previous = state
+        state, got = engine.step_layer(state, current, cfg)
+        assert (state is previous) == (t > 0)  # the first step allocates, the rest write in place
+        assert got.tobytes() == want.tobytes(), t
+        assert state.v.tobytes() == want_v.tobytes(), t
+        assert state.k.tobytes() == k.tobytes(), t
+        emitted.append((got, want))
+        want_k.append(k)
+    assert max(k.max() for k in want_k) == phi
+    for got, want in emitted:  # every step's emissions are its own array
+        assert got.tobytes() == want.tobytes()
+    assert [c.tobytes() for c in currents] == saved
+    assert first.v.tobytes() == v0.tobytes() and first.k is None
+    # the count train stores k in the smallest dtype that holds phi
+    run = engine._run_layer(currents, cfg, steps, 0.0, engine.NeuronState(v=v0.copy()))
+    dtype = np.min_scalar_type(phi)
+    assert run.train.counts.dtype == dtype
+    assert run.train.counts.tobytes() == np.stack(want_k).astype(dtype).tobytes()
+    assert run.state.v.tobytes() == want_v.tobytes()
+    assert [c.tobytes() for c in currents] == saved
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_run_layer_leaves_shared_currents_unchanged(random_net, arch):
+    """Two runs on one list of feeder currents, as the sensitivity table makes
+    them, leave the list as it was and give the trains of fresh runs."""
+    timesteps = 5
+    for seed in range(3):
+        model, cache, configs = random_net(arch, seed)
+        trunk = engine.run_snn(model, configs, cache.inputs, timesteps, record_trains=True)
+        source, start = engine._as_batch(model, cache.inputs), 0
+        for pos, layer in enumerate(engine.spiking_layer_indices(model)):
+            feeders = model.layers[start:layer]
+            currents = list(engine._currents(feeders, source, timesteps))
+            saved = [c.tobytes() for c in currents]
+            other = engine.LayerSnnConfig(configs[pos].v_th, configs[pos].rho + 1, configs[pos].phi + 1)
+            for cfg in (configs[pos], other):
+                got = engine._run_layer(currents, cfg, timesteps, 0.5).train
+                fresh = engine._currents(feeders, source, timesteps)
+                fresh = engine._run_layer(fresh, cfg, timesteps, 0.5).train
+                assert got.threshold == fresh.threshold and got.counts.dtype == fresh.counts.dtype
+                assert got.counts.tobytes() == fresh.counts.tobytes()
+                assert [c.tobytes() for c in currents] == saved
+                if cfg is configs[pos]:
+                    assert got.counts.tobytes() == trunk.trains[layer].counts.tobytes()
+            source, start = trunk.trains[layer], layer + 1
+
+
 # ---------------------------------------------------------------------------
 # whole-network runs
 
@@ -260,6 +328,34 @@ def test_layer_major_run_equals_time_major_sweep(random_net, arch, timesteps):
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_resumed_run_equals_one_pass(random_net, arch, chunk):
+    """Advancing a simulation chunk by chunk gives one pass's record bit for
+    bit, whether it starts from the input or from a recorded train."""
+    timesteps = 7
+    for seed in range(3):
+        model, cache, configs = random_net(arch, seed)
+        spiking = engine.spiking_layer_indices(model)
+        trunk = engine.run_snn(model, configs, cache.inputs, timesteps, record_trains=True)
+        starts = [(0, engine._as_batch(model, cache.inputs))]
+        starts.append((spiking[0] + 1, trunk.trains[spiking[0]]))
+        for start, source in starts:
+            whole = engine._simulate(model, configs, start, source, timesteps, 0.5, keep_trains=True)
+            sim = engine._Simulation(model, configs, start, source, timesteps, 0.5, keep_trains=True)
+            while sim.t < timesteps:
+                t0 = sim.t
+                sim.advance(min(chunk, timesteps - t0))
+                for i, train in sim.trains.items():
+                    want = whole.trains[i].counts[t0 : sim.t]
+                    assert train.counts.tobytes() == want.tobytes(), (start, i, t0)
+            assert sim.step_scores.tobytes() == whole.step_scores.tobytes()
+            assert sim.step_spikes.tobytes() == whole.step_spikes.tobytes()
+            assert sim.states.keys() == whole.states.keys()
+            for i, state in sim.states.items():
+                assert state.v.tobytes() == whole.states[i].v.tobytes()
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
 def test_stats_at_stops_each_input_at_its_step(random_net, arch):
     rng = np.random.default_rng(1)
     for seed in range(3):
@@ -337,6 +433,14 @@ def test_config_validation():
         engine.LayerSnnConfig(v_th=1.0, phi=0)
     with pytest.raises(ValueError):
         engine.LayerSnnConfig(v_th=1.0, rho=1.5)
+
+
+def test_config_with_overflowing_threshold_rejected():
+    """A finite v_th whose threshold rho * v_th overflows would turn every membrane into NaN."""
+    with pytest.raises(ValueError, match="not finite"):
+        engine.LayerSnnConfig(v_th=1e308, rho=2)
+    assert engine.LayerSnnConfig(v_th=1e308, rho=1).threshold == 1e308
+    assert np.isfinite(engine.LayerSnnConfig(v_th=8e307, rho=2).threshold)
 
 
 def test_effective_threshold_property():
