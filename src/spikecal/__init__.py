@@ -48,6 +48,7 @@ from .nn import (
 )
 from .search import (
     EnergyModel,
+    EnergyOverflowError,
     LayerPlan,
     SearchBudget,
     SensitivityTable,

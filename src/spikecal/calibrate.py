@@ -238,14 +238,15 @@ def measure_unevenness(
     are the cached analog taps.
     """
     cache.check_model(model)
-    run = run_snn(
+    # only the trains are read, so the run's final membranes go at once (peak memory)
+    trains = run_snn(
         model, configs, cache.inputs, timesteps, membrane_init=membrane_init, record_trains=True
-    )
+    ).trains
     out = []
     for pos, idx in enumerate(spiking_layer_indices(model)):
         cfg = configs[pos]
         x = np.asarray(cache.taps[idx], dtype=np.float64)
-        rate = run.trains[idx].rate()
+        rate = trains[idx].rate()
         cap = cfg.threshold * cfg.phi
         clipped = np.clip(x, 0.0, cap)
         floored = clip_floor(x, timesteps, cfg.threshold, cfg.phi)

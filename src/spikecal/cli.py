@@ -6,8 +6,9 @@ read. Every artifact is written atomically (``store.write_atomic``) and
 contains no timestamps, so a rerun with the same seed is byte-identical.
 
 Exit codes: 0 success, 1 user error (bad paths, malformed config, malformed or
-mismatched artifacts), 2 internal invariant violation, which includes any
-``ValueError`` a stage raises on settings and inputs that passed the checks.
+mismatched artifacts, an ``energy.mu`` that makes an energy overflow), 2
+internal invariant violation, which includes any other ``ValueError`` a
+stage raises on settings and inputs that passed the checks.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ def _stage(name: str):
         yield
     except UserError:
         raise
-    except (store.StoreError, train.TrainingDivergedError, OSError) as err:
+    except (
+        store.StoreError, train.TrainingDivergedError, search.EnergyOverflowError, OSError
+    ) as err:
         raise UserError(f"[{name}] {err}") from err
 
 
@@ -147,31 +150,32 @@ def _fill(cls, data: dict, where: str):
         raise UserError(f"config section {where}: {err}") from None
 
 
-# Every value a stage would otherwise reject late or crash on, as
-# (section, keys, test, what the test asks for).
+# Every value a stage would otherwise reject late or crash on, as (keys,
+# test, what the test asks for). A key is "section.key", or a bare key at
+# the top level. Integers stop at store.INT_MAX, the largest an artifact
+# holds; past it numpy sizes overflow.
+_SIZES = ("timesteps", "t_max", "calib_samples", "grid_size", "dataset.n", "dataset.eval_n",
+          "train.epochs", "train.batch_size")
 _BOUNDS = (
-    ("top level", ("timesteps", "t_max", "calib_samples", "grid_size"), lambda v: v >= 1,
-     "at least 1"),
-    ("top level", ("seed",), lambda v: v >= 0, "at least 0"),
-    ("top level", ("seed",), lambda v: v <= store.INT_MAX, f"at most {store.INT_MAX}"),
-    ("dataset", ("kind",), lambda v: v in ("blobs", "rings", "idx", "csv"),
+    (_SIZES, lambda v: v >= 1, "at least 1"),
+    (("seed",), lambda v: v >= 0, "at least 0"),
+    (("dataset.kind",), lambda v: v in ("blobs", "rings", "idx", "csv"),
      "one of blobs, rings, idx, csv"),
-    ("dataset", ("n", "eval_n"), lambda v: v >= 1, "at least 1"),
-    ("dataset", ("dim",), lambda v: v and min(v) >= 1,
-     "a non-empty list of sizes, each at least 1"),
-    ("dataset", ("classes",), lambda v: v >= 2, "at least 2"),
-    ("model", ("arch",), lambda v: v in ("mlp", "cnn"), "mlp or cnn"),
-    ("train", ("epochs", "batch_size"), lambda v: v >= 1, "at least 1"),
-    ("train", ("lr",), lambda v: v > 0, "positive"),
-    ("search", ("phi_candidates", "rho_candidates"),
+    (("dataset.dim",), lambda v: v and min(v) >= 1, "a non-empty list of sizes, each at least 1"),
+    (("dataset.classes",), lambda v: v >= 2, "at least 2"),
+    (("seed", "dataset.classes", *_SIZES), lambda v: v <= store.INT_MAX,
+     f"at most {store.INT_MAX}"),
+    (("model.arch",), lambda v: v in ("mlp", "cnn"), "mlp or cnn"),
+    (("train.lr",), lambda v: v > 0, "positive"),
+    (("search.phi_candidates", "search.rho_candidates"),
      lambda v: v and min(v) >= 1 and len(set(v)) == len(v),
      "a non-empty list of distinct values, each at least 1"),
-    ("search", ("phi_candidates", "rho_candidates"), lambda v: max(v) <= store.INT_MAX,
-     f"a list of values each at most {store.INT_MAX}"),
-    ("search", ("e_target", "s_target"),
+    (("dataset.dim", "search.phi_candidates", "search.rho_candidates"),
+     lambda v: max(v) <= store.INT_MAX, f"a list of values each at most {store.INT_MAX}"),
+    (("search.e_target", "search.s_target"),
      lambda v: v == "auto" or not isinstance(v, str) and v >= 0, "'auto' or at least 0"),
-    ("search", ("s_target_slack",), lambda v: v >= 0, "at least 0"),
-    ("exit", ("delta",), lambda v: v > 0, "positive"),
+    (("search.s_target_slack",), lambda v: v >= 0, "at least 0"),
+    (("exit.delta",), lambda v: v > 0, "positive"),
 )
 
 
@@ -186,10 +190,12 @@ def config_from_dict(data: dict) -> RunConfig:
                 raise UserError(f"config section {name!r} must be an object")
             kwargs[name] = _fill(cls, section, name)
     cfg = _fill(RunConfig, {**data, **kwargs}, "top level")
-    for where, keys, ok, bound in _BOUNDS:
-        for key in keys:
-            value = getattr(cfg if where == "top level" else getattr(cfg, where), key)
+    for keys, ok, bound in _BOUNDS:
+        for path in keys:
+            section, _, key = path.rpartition(".")
+            value = getattr(getattr(cfg, section) if section else cfg, key)
             if not ok(value):
+                where = section or "top level"
                 raise UserError(f"config key {key!r} in {where} must be {bound}, got {value!r}")
     return cfg
 

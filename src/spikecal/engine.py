@@ -79,10 +79,10 @@ class NeuronState:
     """Membrane potential ``v`` after the soft reset, and ``k``, the quanta
     counts (float64) the last step fired.
 
-    A state with ``k`` is one ``step_layer`` returned: it owns ``v`` and
-    ``k``, and the next step writes into them in place. A state without
-    ``k`` (one a caller built, or ``initial_state``'s read-only broadcast)
-    is never written; stepping it allocates a new pair.
+    A state with ``k`` is one ``step_layer`` or ``initial_state`` returned:
+    it owns ``v`` and ``k``, and the next step writes into them in place. A
+    state without ``k`` (one a caller built) is never written; stepping it
+    allocates a new pair.
     """
 
     v: np.ndarray
@@ -197,8 +197,10 @@ def step_layer(
 
 
 def initial_state(config: LayerSnnConfig, shape, membrane_init: float) -> NeuronState:
-    """Every membrane at ``membrane_init`` thresholds: one value, broadcast read-only."""
-    return NeuronState(v=np.broadcast_to(np.float64(membrane_init * config.threshold), shape))
+    """Every membrane at ``membrane_init`` thresholds, in a state the first
+    step writes into: ``v`` filled, ``k`` allocated but not yet set."""
+    v = np.full(shape, membrane_init * config.threshold, np.float64)
+    return NeuronState(v=v, k=np.empty(shape))
 
 
 def _check_run(model: ModelGraph, configs: list[LayerSnnConfig], timesteps: int) -> None:
@@ -239,31 +241,42 @@ def _float64_operands(layer):
     ``x @ W.T + b`` on float64 ``x`` builds this contiguous copy of the
     float32 ``W.T`` on every call; products with it match that bit for bit,
     where a transposed view of a float64 ``W`` does not at small batches.
+    When the weight and bias are both read-only, as ``store.load_model``
+    leaves them, the pair is cast once and kept on the layer
+    (``LayerSpec.float64_operands``), so it lives and dies with the model.
+    The kept pair is served only while the layer still holds those very
+    arrays: a reassigned weight or bias, such as a calibrated bias, is cast
+    afresh, and writable arrays (a ``clone()`` being trained) always are.
     """
     if layer.kind != "dense":
         return None
-    return np.ascontiguousarray(layer.weight.T, dtype=np.float64), layer.bias.astype(np.float64)
+    w, b = layer.weight, layer.bias
+    frozen = not (w.flags.writeable or b.flags.writeable)
+    kept = layer.float64_operands
+    if not (frozen and kept is not None and kept[0] is w and kept[1] is b):
+        kept = (w, b, np.ascontiguousarray(w.T, dtype=np.float64), b.astype(np.float64))
+        layer.float64_operands = kept if frozen else None
+    return kept[2:]
 
 
 def _currents(layers, source: np.ndarray | SpikeTrain, timesteps: int, operands=None):
     """The output of ``layers`` at each step, fed ``source``.
 
     A constant array goes through ``layers`` once; a spike train goes through
-    them once per step, with dense parameters cast to float64 once per call
-    or taken from ``operands``. Either way they are held for one run only,
-    since training and bias calibration change them between runs.
+    them once per step. Dense layers take their float64 operands from
+    ``operands``, or from ``_float64_operands`` once per call.
     """
+    if operands is None:
+        operands = [_float64_operands(layer) for layer in layers]
     if isinstance(source, SpikeTrain):
-        if operands is None:
-            operands = [_float64_operands(layer) for layer in layers]
         for t in range(timesteps):
             x = source.amplitudes(t)
             for layer, ops in zip(layers, operands):
                 x = apply_layer(layer, x, ops)
             yield x
         return
-    for layer in layers:
-        source = apply_layer(layer, source)
+    for layer, ops in zip(layers, operands):
+        source = apply_layer(layer, source, ops)
     for _ in range(timesteps):
         yield source
 
@@ -299,10 +312,13 @@ class _Simulation:
     of the spiking layer just before ``start``. ``configs`` covers every
     spiking layer of the model. Between calls the object holds what the next
     chunk continues from: each spiking layer's ``NeuronState``, the float64
-    dense operands, the constant prefix's output, the head's accumulator and
-    ``t``, the steps done. ``step_scores[:t]`` and ``step_spikes[:t]`` are
-    filled. A layer's train lives while the next layer reads it; with
-    ``keep_trains``, ``trains`` holds each layer's train of the last chunk.
+    dense operands (``_float64_operands``; a loaded model's are kept on its
+    layers, so building a simulation of it casts nothing), the constant
+    prefix's output, computed once through those operands, the head's
+    accumulator and ``t``, the steps done. ``step_scores[:t]`` and
+    ``step_spikes[:t]`` are filled. A layer's train lives while the next
+    layer reads it; with ``keep_trains``, ``trains`` holds each layer's train
+    of the last chunk.
     """
 
     def __init__(
@@ -382,6 +398,9 @@ def _simulate(
     sim = _Simulation(
         model, configs, start, source, timesteps, membrane_init, keep_trains=keep_trains
     )
+    # the constant prefix has read the batch; dropping this reference lets
+    # its float64 copy go before the trains are made (peak memory)
+    del source
     sim.advance(timesteps)
     return sim
 
@@ -419,8 +438,10 @@ def run_snn(
     and every shorter horizon read.
     """
     _check_run(model, configs, timesteps)
-    x0 = _as_batch(model, batch)
-    sim = _simulate(model, configs, 0, x0, timesteps, membrane_init, keep_trains=record_trains)
+    sim = _simulate(
+        model, configs, 0, _as_batch(model, batch), timesteps, membrane_init,
+        keep_trains=record_trains,
+    )
     return SnnRun(
         scores=sim.step_scores[-1],
         stats=stats_at(model, sim.step_spikes, timesteps - 1),

@@ -66,10 +66,17 @@ class LayerSpec:
     padding: tuple[int, int] | None = None
     weight: Tensor | None = None
     bias: Tensor | None = None
+    # (weight, bias, float64 W.T, float64 b), filled by the engine for
+    # read-only parameters (``engine._float64_operands``)
+    float64_operands: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+
+    def __getstate__(self):
+        # a copy (``ModelGraph.clone``) starts without the engine's cache
+        return {**self.__dict__, "float64_operands": None}
 
     @property
     def parameterized(self) -> bool:

@@ -22,6 +22,7 @@ each sweep point cheap. Small problems are solved exactly by enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,13 +61,26 @@ class EnergyModel:
             raise ValueError(f"unknown energy mode {self.mode!r}")
 
 
+class EnergyOverflowError(ValueError):
+    """An energy too large for a float: ``mu`` times the spike count overflows."""
+
+
+def _finite(watts: float, model: EnergyModel) -> float:
+    if not math.isfinite(watts):
+        raise EnergyOverflowError(
+            f"energy.mu = {model.mu!r} J per spike makes an energy of {watts}; lower energy.mu"
+        )
+    return watts
+
+
 def energy_of(stats: RunStats, model: EnergyModel = EnergyModel()) -> float:
-    """Energy of a run under the 1 ms window convention, in Watts."""
+    """Energy of a run under the 1 ms window convention, in Watts; one that
+    overflows raises ``EnergyOverflowError``."""
     if model.mode == "synop":
         count = float(sum(stats.layer_synops.values()))
     else:
         count = float(stats.total_spikes)
-    return count / 1e-3 * model.mu
+    return _finite(count / 1e-3 * model.mu, model)
 
 
 def kl_divergence(p, q, eps: float = 1e-12):
@@ -142,7 +156,7 @@ def _measure(model, layer, target, scores, spikes, energy, sample_count) -> tupl
     """S of a trial's scores against ``target``, and E of ``layer``'s unit spikes."""
     s = float(np.mean(kl_divergence(target, softmax(scores, axis=1))))
     count = spikes * layer_fanout(model, layer) if energy.mode == "synop" else spikes
-    return s, float(count) / sample_count / 1e-3 * energy.mu
+    return s, _finite(float(count) / sample_count / 1e-3 * energy.mu, energy)
 
 
 def layer_sensitivity(

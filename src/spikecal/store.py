@@ -392,8 +392,19 @@ def deserialize_model(data: bytes, where: str = "<model bytes>") -> ModelGraph:
 
 
 def load_model(path) -> ModelGraph:
+    """The model saved at ``path``, with every weight and bias read-only.
+
+    A loaded model is what gets served, so the engine may keep its float64
+    dense operands for the model's life (``engine._float64_operands``). To
+    change its parameters, ``clone()`` it: the copy's arrays are writable.
+    """
     with open(path, "rb") as fh:
-        return deserialize_model(fh.read(), os.fspath(path))
+        model = deserialize_model(fh.read(), os.fspath(path))
+    for layer in model.layers:
+        if layer.parameterized:
+            layer.weight.flags.writeable = False
+            layer.bias.flags.writeable = False
+    return model
 
 
 def model_digest(model: ModelGraph) -> str:

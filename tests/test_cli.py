@@ -239,10 +239,25 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, overrides, key):
      "999999999999999999, got [1, 1000000000000000000]"),
     ({"search": {"rho_candidates": [1, 10 ** 21]}},
      "config key 'rho_candidates' in search must be a list of values each at most"),
+    *[({key: store.INT_MAX + 1}, f"config key {key!r} in top level must be at most "
+       f"{store.INT_MAX}, got {store.INT_MAX + 1}")
+      for key in ("timesteps", "t_max", "calib_samples", "grid_size")],
+    *[({section: {**defaults, key: store.INT_MAX + 1}},
+       f"config key {key!r} in {section} must be at most {store.INT_MAX}, got {store.INT_MAX + 1}")
+      for section, defaults, keys in (
+          ("dataset", {"kind": "blobs", "n": 300, "eval_n": 150, "dim": [32], "classes": 4},
+           ("n", "eval_n", "classes")),
+          ("train", {"epochs": 12, "lr": 0.05}, ("epochs", "batch_size")),
+      ) for key in keys],
+    ({"dataset": {"kind": "blobs", "n": 300, "eval_n": 150, "dim": [32, store.INT_MAX + 1],
+                  "classes": 4}},
+     f"config key 'dim' in dataset must be a list of values each at most {store.INT_MAX}"),
 ], ids=["nan-membrane-init", "nan-alpha-base", "inf-slack", "zero-width", "no-hidden-layer",
         "zero-channels", "cnn-input-too-small", "zero-dim", "empty-dim", "negative-lr", "zero-lr",
         "zero-delta", "repeated-rho", "zero-phi", "no-phi", "negative-e-target",
-        "word-s-target", "unknown-arch", "huge-seed", "huge-phi", "huge-rho"])
+        "word-s-target", "unknown-arch", "huge-seed", "huge-phi", "huge-rho", "huge-timesteps",
+        "huge-t-max", "huge-calib-samples", "huge-grid-size", "huge-n", "huge-eval-n",
+        "huge-classes", "huge-epochs", "huge-batch-size", "huge-dim"])
 def test_config_value_out_of_range_rejected(tmp_path, capsys, overrides, message):
     config, _ = write_config(tmp_path, **overrides)
     assert cli.main(["train", "--config", str(config)]) == 1
@@ -285,7 +300,9 @@ def test_timesteps_flag_below_one_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("energy, message", [
     ({"mu": 0}, "mu must be positive, got 0"),
     ({"mode": "x"}, "unknown energy mode 'x'"),
-], ids=["zero-mu", "unknown-mode"])
+    ({"mu": 1e308}, "energy.mu = 1e+308 J per spike makes an energy of inf; lower energy.mu"),
+    ({"mu": 1e308, "mode": "synop"}, "makes an energy of inf; lower energy.mu"),
+], ids=["zero-mu", "unknown-mode", "overflowing-mu", "overflowing-mu-synop"])
 def test_bad_energy_setting_is_user_error(finished_run, tmp_path, capsys, energy, message):
     _, _, raw = finished_run
     out = tmp_path / "copy"

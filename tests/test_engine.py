@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from spikecal import engine, nn
+from spikecal import calibrate, early_exit, engine, nn, store, train
 from spikecal.calibrate import clip_floor
 
 
@@ -147,6 +149,28 @@ def test_owned_state_steps_equal_functional_reference(phi):
     assert run.train.counts.tobytes() == np.stack(want_k).astype(dtype).tobytes()
     assert run.state.v.tobytes() == want_v.tobytes()
     assert [c.tobytes() for c in currents] == saved
+
+
+def test_initial_state_is_owned_and_steps_as_a_callers_state():
+    """``initial_state`` hands out a state the first step writes into; it
+    steps bit for bit as a caller-built state of the same membranes, which
+    stays as it was."""
+    rng = np.random.default_rng(3)
+    cfg = engine.LayerSnnConfig(v_th=0.37, rho=2, phi=3)
+    shape = (4, 2, 3)
+    state = engine.initial_state(cfg, shape, 0.5)
+    assert state.v.flags.writeable and state.k is not None and state.v.shape == shape
+    v0 = np.full(shape, 0.5 * cfg.threshold)
+    caller = engine.NeuronState(v=v0.copy())
+    theirs = caller
+    for _ in range(5):
+        current = rng.uniform(-1.0, 4.0, shape) * cfg.threshold
+        got, emitted = engine.step_layer(state, current, cfg)
+        assert got is state
+        theirs, want = engine.step_layer(theirs, current, cfg)
+        assert emitted.tobytes() == want.tobytes()
+        assert state.v.tobytes() == theirs.v.tobytes() and state.k.tobytes() == theirs.k.tobytes()
+    assert caller.v.tobytes() == v0.tobytes() and caller.k is None
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
@@ -377,9 +401,18 @@ def _sparse_train(rng, n, shape, timesteps, phi=3, threshold=0.37):
     return engine.SpikeTrain(counts.astype(np.uint8), threshold)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 512])
+def _read_only(layer):
+    """A copy of a dense layer with read-only parameters, as ``store.load_model`` leaves them."""
+    layer = nn.dense(layer.in_features, layer.out_features, layer.weight.copy(), layer.bias.copy())
+    layer.weight.flags.writeable = layer.bias.flags.writeable = False
+    return layer
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 256, 512, 1000])
 def test_dense_cast_once_per_run_equals_per_call_product(n):
-    """The engine's float64 dense operands give ``x @ W.T + b`` bit for bit."""
+    """The engine's float64 dense operands give ``x @ W.T + b`` bit for bit,
+    on a spike train and on a constant input (the prefix), whether cast per
+    call (writable parameters) or kept on a read-only layer."""
     rng = np.random.default_rng(n)
     shapes = [(128, 128), (256, 784), (128, 256), (10, 128), (10, 64)]
     shapes += [tuple(int(d) for d in rng.integers(1, 300, 2)) for _ in range(4)]
@@ -388,9 +421,16 @@ def test_dense_cast_once_per_run_equals_per_call_product(n):
             in_f, out_f, rng.standard_normal((out_f, in_f)), rng.standard_normal(out_f)
         )
         train = _sparse_train(rng, n, (in_f,), 3)
-        for t, got in enumerate(engine._currents([layer], train, 3)):
-            x = train.amplitudes(t)
-            assert got.tobytes() == (x @ layer.weight.T + layer.bias).tobytes(), (out_f, in_f, t)
+        x = rng.standard_normal((n, in_f))
+        frozen = _read_only(layer)
+        for lay in (layer, frozen):
+            for t, got in enumerate(engine._currents([lay], train, 3)):
+                want = train.amplitudes(t) @ layer.weight.T + layer.bias
+                assert got.tobytes() == want.tobytes(), (out_f, in_f, t)
+            (got,) = engine._currents([lay], x, 1)
+            assert got.tobytes() == (x @ layer.weight.T + layer.bias).tobytes(), (out_f, in_f)
+        assert layer.float64_operands is None
+        assert engine._float64_operands(frozen)[0] is frozen.float64_operands[2]
 
 
 def test_conv_layers_keep_their_per_call_path():
@@ -412,6 +452,115 @@ def test_conv_layers_keep_their_per_call_path():
             for layer in layers:
                 want = nn.apply_layer(layer, want)
             assert got.tobytes() == want.tobytes(), (c_in, c_out, n, side, t)
+
+
+def _loaded(tmp_path, model):
+    path = tmp_path / "model.snnc"
+    store.save_model(model, path)
+    return store.load_model(path)
+
+
+def _fresh(model):
+    """``model`` written and read back: its parameters as new, writable arrays."""
+    return store.deserialize_model(store.serialize_model(model))
+
+
+def _assert_same_run(got, want):
+    for name in ("scores", "step_scores", "step_spikes"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.stats == want.stats
+
+
+@pytest.fixture(scope="module")
+def fitted_configs(trained_mlp, calibration):
+    return calibrate.configs_from_fits(calibrate.fit_all_thresholds(trained_mlp, calibration, 8))
+
+
+def test_reassigned_parameters_of_a_loaded_model_are_not_served_from_the_cache(
+    tmp_path, trained_mlp, calibration, fitted_configs
+):
+    """A loaded layer given a new bias or weight, as ``calibrate_biases``
+    gives its copy a new bias, runs as a model deserialized with that array,
+    even when the new array is read-only too."""
+    loaded, configs, x = _loaded(tmp_path, trained_mlp), fitted_configs, calibration.inputs
+    last = engine.run_snn(loaded, configs, x, 4)  # casts and keeps the operands
+    dense = [layer for layer in loaded.layers if layer.kind == "dense"]
+    assert all(layer.float64_operands is not None for layer in dense)
+    corrected = calibrate.calibrate_biases(loaded, configs, calibration, 8)
+    want = calibrate.calibrate_biases(trained_mlp, configs, calibration, 8)
+    assert store.serialize_model(corrected) == store.serialize_model(want)
+    _assert_same_run(
+        engine.run_snn(corrected, configs, x, 4), engine.run_snn(want, configs, x, 4)
+    )
+    rng = np.random.default_rng(0)
+    for idx in (0, 2):  # the constant prefix's dense layer, and one fed spikes
+        layer = loaded.layers[idx]
+        for name in ("bias", "weight"):
+            old = getattr(layer, name)
+            new = (old + 0.5 * rng.standard_normal(old.shape)).astype(np.float32)
+            new.flags.writeable = False
+            setattr(layer, name, new)
+            got = engine.run_snn(loaded, configs, x, 4)
+            _assert_same_run(got, engine.run_snn(_fresh(loaded), configs, x, 4))
+            assert got.step_scores.tobytes() != last.step_scores.tobytes(), (idx, name)
+            last = got
+
+
+def test_trained_clone_of_a_loaded_model_gets_its_own_operands(
+    tmp_path, trained_mlp, blob_dataset, calibration, fitted_configs
+):
+    """A ``clone()`` starts without the cache and is writable, so training it
+    in place and running it never reads the original's operands."""
+    loaded, configs, x = _loaded(tmp_path, trained_mlp), fitted_configs, calibration.inputs
+    before = engine.run_snn(loaded, configs, x, 4)
+    copy = loaded.clone()
+    assert all(layer.float64_operands is None for layer in copy.layers)
+    _assert_same_run(engine.run_snn(copy, configs, x, 4), before)
+    for layer in copy.layers:
+        if layer.kind == "dense":
+            layer.weight *= np.float32(1.5)
+    scaled = engine.run_snn(copy, configs, x, 4)
+    _assert_same_run(scaled, engine.run_snn(_fresh(copy), configs, x, 4))
+    assert scaled.step_scores.tobytes() != before.step_scores.tobytes()
+    trained = train.train_reference(loaded, blob_dataset, epochs=1, lr=0.05, seed=1)
+    got = engine.run_snn(trained, configs, x, 4)
+    _assert_same_run(got, engine.run_snn(_fresh(trained), configs, x, 4))
+    assert got.step_scores.tobytes() != before.step_scores.tobytes()
+    _assert_same_run(engine.run_snn(loaded, configs, x, 4), before)
+
+
+def test_serving_a_loaded_model_one_input_at_a_time_equals_the_gate(
+    tmp_path, trained_mlp, fitted_configs
+):
+    """One ``infer_adaptive`` call per eval input on a loaded model, its
+    cached operands reused from call to call, equals ``apply_gate`` on a
+    ``t_max``-step run of that input in every ``ExitTrace`` field, and exits
+    and predicts as the batched run does (its scores may differ in the last
+    bit: BLAS rounds a one-row product differently)."""
+    loaded, configs, t_max = _loaded(tmp_path, trained_mlp), fitted_configs, 8
+    data = store.make_synthetic("blobs", 200, seed=12, classes=4, dim=32, structure_seed=11)
+    full = engine.run_snn(loaded, configs, data.images, t_max)
+    conf = early_exit.confidence(full.step_scores, loaded.class_count)
+    policy = early_exit.ExitPolicy(  # a flat boundary the median input clears
+        alpha_base=float(np.median(conf)), beta=0.0, delta=1.0, t_max=t_max,
+        mean_entropy=np.zeros(t_max),
+    )
+    batched = early_exit.apply_gate(loaded, full, policy, data.labels)
+    assert len(set(batched.exit_t.tolist())) > 2
+    kept = [layer.float64_operands for layer in loaded.layers]
+    assert kept[0] is not None
+    for i in range(len(data.labels)):
+        x, y = data.images[i : i + 1], data.labels[i : i + 1]
+        got = early_exit.infer_adaptive(loaded, configs, policy, x, y)
+        want = early_exit.apply_gate(loaded, engine.run_snn(loaded, configs, x, t_max), policy, y)
+        for f in dataclasses.fields(want):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "stats":
+                assert g == w, i
+            else:
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (i, f.name)
+        assert (got.exit_t[0], got.predicted[0]) == (batched.exit_t[i], batched.predicted[i]), i
+    assert all(a is layer.float64_operands for a, layer in zip(kept, loaded.layers))
 
 
 def test_config_count_mismatch_raises(trained_mlp, blob_dataset):

@@ -39,6 +39,23 @@ def test_save_load_file(tmp_path, trained_mlp):
     np.testing.assert_array_equal(back.layers[0].weight, trained_mlp.layers[0].weight)
 
 
+def test_loaded_parameters_are_read_only_and_clones_writable(tmp_path, trained_mlp):
+    """A write into a loaded model raises; its ``clone()`` may be edited."""
+    path = tmp_path / "m.snnc"
+    store.save_model(trained_mlp, path)
+    loaded = store.load_model(path)
+    copy = loaded.clone()
+    for layer, twin in zip(loaded.layers, copy.layers):
+        if not layer.parameterized:
+            continue
+        for name in ("weight", "bias"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(layer, name)[...] = 0.0
+            getattr(twin, name)[...] += 1.0
+        np.testing.assert_array_equal(layer.weight + 1.0, twin.weight)
+    assert store.serialize_model(loaded) == store.serialize_model(trained_mlp)
+
+
 def test_bad_magic_is_specific(trained_mlp):
     blob = bytearray(store.serialize_model(trained_mlp))
     blob[:4] = b"XXXX"
