@@ -5,9 +5,9 @@ For each of three configs, runs all eight CLI stages under one checkout and
 then under the other, into the same output directory, and compares every
 file the runs left there and everything they printed, byte for byte:
 
-- ``demo``: ``scripts/run_demo.py --seed SEED`` of each checkout;
+- ``demo``: ``scripts/run_demo.py --seed 7`` of each checkout;
 - ``deep-search`` and ``cnn-exit``: those configs of
-  ``perfbench/workloads.py`` at SEED, one ``python -m spikecal`` per stage.
+  ``perfbench/workloads.py`` at seed 7, one ``python -m spikecal`` per stage.
 
 Exits 1 on any difference, a failed stage included, and names what
 differs. PARENT_SRC and CHANGE_SRC are checkouts of this repository, each
@@ -34,20 +34,21 @@ from workloads import make_config  # noqa: E402
 STAGES = ("train", "convert", "search-phi", "search-rho", "fit-exit", "eval", "ablate", "report")
 CONFIGS = ("demo", "deep-search", "cnn-exit")
 STDOUT = "<stdout>"
+SEED = 7
 
 
-def run(tree: str, name: str, seed: int, out: str) -> dict[str, bytes]:
+def run(tree: str, name: str, out: str) -> dict[str, bytes]:
     """Every file a run of ``name`` under ``tree`` leaves in ``out``, and its
     stdout (with each command's exit code) under the key ``STDOUT``."""
     shutil.rmtree(out, ignore_errors=True)
     os.makedirs(out)
     if name == "demo":
         script = os.path.join(tree, "scripts", "run_demo.py")
-        commands = [[sys.executable, script, "--out", out, "--seed", str(seed)]]
+        commands = [[sys.executable, script, "--out", out, "--seed", str(SEED)]]
     else:
         config = os.path.join(out, "config.json")
         with open(config, "w", encoding="utf-8") as fh:
-            json.dump(make_config(name, seed, out), fh, indent=2)
+            json.dump(make_config(name, SEED, out), fh, indent=2)
         commands = [[sys.executable, "-m", "spikecal", s, "--config", config] for s in STAGES]
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -81,7 +82,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", metavar="PARENT_SRC", help="checkout the change is compared against")
     ap.add_argument("change", metavar="CHANGE_SRC", help="checkout of the change")
-    ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
     trees = [os.path.abspath(t) for t in (args.parent, args.change)]
     for tree in trees:
@@ -91,7 +91,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="check_identity-") as work:
         for name in CONFIGS:
             out = os.path.join(work, name)
-            parent, change = (run(tree, name, args.seed, out) for tree in trees)
+            parent, change = (run(tree, name, out) for tree in trees)
             diff = differences(parent, change)
             if diff:
                 print(f"{name}: {len(diff)} of {len(parent | change)} outputs differ")

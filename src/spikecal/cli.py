@@ -153,7 +153,7 @@ def _fill(cls, data: dict, where: str):
 # Every value a stage would otherwise reject late or crash on, as (keys,
 # test, what the test asks for). A key is "section.key", or a bare key at
 # the top level. Integers stop at store.INT_MAX, the largest an artifact
-# holds; past it numpy sizes overflow.
+# holds. A size below it can still be too large for numpy to allocate.
 _SIZES = ("timesteps", "t_max", "calib_samples", "grid_size", "dataset.n", "dataset.eval_n",
           "train.epochs", "train.batch_size")
 _BOUNDS = (

@@ -210,7 +210,8 @@ def build_table(
     candidate. Candidates whose layer-p trains are equal (same threshold and
     count values) share one downstream simulation; a train equal to the
     trunk's takes the trunk's scores. An empty or repeated candidate set is
-    a ``ValueError``.
+    a ``ValueError``; an E, or a plan's total E, too large for a float is an
+    ``EnergyOverflowError``.
     """
     if kind not in ("phi", "rho"):
         raise ValueError(f"table kind must be phi or rho, got {kind!r}")
@@ -252,6 +253,8 @@ def build_table(
             )
         del currents, simulated  # never hold two layers' feeder currents at once
         source, start = trains[layer], layer + 1
+    # a plan's E adds one entry per layer in this order; no sum exceeds this one
+    _finite(sum(max(table.e[(layer, c)] for c in candidates) for layer in layers), energy)
     return table
 
 

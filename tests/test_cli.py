@@ -315,6 +315,27 @@ def test_bad_energy_setting_is_user_error(finished_run, tmp_path, capsys, energy
         assert err.startswith("error: ") and message in err, (stage, err)
 
 
+@pytest.mark.parametrize("stage, flags", [
+    ("search-phi", ["--e-target", "1"]),  # a given cap: the budget measures no energy
+    ("search-rho", []),
+])
+def test_energy_overflowing_only_in_a_plan_total_is_user_error(finished_run, tmp_path, capsys,
+                                                              stage, flags):
+    # a mu where every layer's E is a float but the dearest plan's sum is not
+    _, _, raw = finished_run
+    table = cli.search.table_from_csv(
+        os.path.join(raw["out_dir"], f"sensitivity_{stage[-3:]}.csv"))
+    dearest = [max(table.e[(layer, c)] for c in table.candidates) for layer in table.layers]
+    most, total = max(dearest), sum(dearest)
+    assert total > 1.01 * most, dearest
+    mu = cli.search.EnergyModel().mu * 2 * sys.float_info.max / (most + total)
+    config, art = _copy_run(finished_run, tmp_path, energy={"mu": mu})
+    capsys.readouterr()
+    assert cli.main([stage, "--config", config, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "makes an energy of inf; lower energy.mu" in err, err
+
+
 def test_largest_artifact_integer_is_accepted(tmp_path):
     config, _ = write_config(tmp_path, seed=store.INT_MAX,
                              search={"phi_candidates": [1, store.INT_MAX]})
