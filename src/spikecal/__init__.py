@@ -19,7 +19,6 @@ from .calibrate import (
     measure_unevenness,
 )
 from .early_exit import (
-    DEFAULT_EXIT_GRID,
     ExitPolicy,
     ExitTrace,
     confidence,

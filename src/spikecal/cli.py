@@ -36,6 +36,14 @@ class UserError(Exception):
     """Bad inputs: missing files, malformed config, impossible requests."""
 
 
+# numpy's words for a shape it cannot index, raised before it allocates
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
+# the settings that size a stage's arrays
+_MEMORY_KEYS = ("timesteps", "t_max", "calib_samples", "grid_size", "dataset.n",
+                "dataset.eval_n", "dataset.dim", "dataset.classes", "model.hidden",
+                "model.channels")
+
+
 @contextlib.contextmanager
 def _stage(name: str):
     """Tag expected failures with the pipeline stage that raised them."""
@@ -47,6 +55,11 @@ def _stage(name: str):
         store.StoreError, train.TrainingDivergedError, search.EnergyOverflowError, OSError
     ) as err:
         raise UserError(f"[{name}] {err}") from err
+    except (MemoryError, ValueError) as err:
+        if isinstance(err, ValueError) and not any(m in str(err) for m in _TOO_BIG):
+            raise
+        raise UserError(f"[{name}] out of memory ({err or type(err).__name__}); lower "
+                        f"the size settings: {', '.join(_MEMORY_KEYS)}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +166,8 @@ def _fill(cls, data: dict, where: str):
 # Every value a stage would otherwise reject late or crash on, as (keys,
 # test, what the test asks for). A key is "section.key", or a bare key at
 # the top level. Integers stop at store.INT_MAX, the largest an artifact
-# holds. A size below it can still be too large for numpy to allocate.
+# holds. A size below it can still be too large for numpy to allocate;
+# ``_stage`` turns that into a user error.
 _SIZES = ("timesteps", "t_max", "calib_samples", "grid_size", "dataset.n", "dataset.eval_n",
           "train.epochs", "train.batch_size")
 _BOUNDS = (

@@ -14,9 +14,10 @@ so steps whose mean entropy is near the minimum demand the most confidence,
 and the gate relaxes as entropy climbs away from it. ``beta = 0`` collapses to
 a fixed boundary. Exits never change the dynamics, so the gate reads the
 per-step record of any run at least ``t_max`` steps long (``apply_gate``).
-``infer_adaptive`` gives the same trace while it simulates: it advances the
-net a chunk of steps at a time, gates the new steps, and stops once every
-input has exited, so an exit saves wall-clock time as well as spikes.
+``infer_adaptive`` gives the same trace while it simulates: it steps the
+whole net one timestep at a time, gates each step as it comes, and stops
+after the step where the last input exits, so an exit saves wall-clock time
+as well as spikes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .engine import (
     SnnRun,
     _as_batch,
     _check_run,
-    _Simulation,
+    _walk,
     run_snn,
     stats_at,
 )
@@ -41,16 +42,6 @@ from .nn import ModelGraph, softmax
 from .store import CalibrationCache
 
 _EPS = 1e-12
-
-# Default tuning grid for the boundary schedule, swept when no explicit
-# (alpha_base, beta, delta) is given: alpha_base trades latency against
-# accuracy, beta adds the entropy-aware bump, delta is left at the scale of
-# typical entropy gaps (nats).
-DEFAULT_EXIT_GRID = tuple(
-    (alpha_base, beta, 1.0)
-    for alpha_base in (0.5, 0.6, 0.7, 0.8)
-    for beta in (0.0, 0.1, 0.2)
-)
 
 
 def entropy(p) -> np.ndarray | float:
@@ -68,8 +59,16 @@ def confidence(scores, class_count: int):
     """Exit confidence in [0, 1] from raw scores: 1 - H(softmax)/ln(classes)."""
     if class_count < 2:
         raise ValueError(f"confidence needs >= 2 classes, got {class_count}")
-    probs = softmax(np.asarray(scores, dtype=np.float64), axis=-1)
-    c = np.clip(1.0 - entropy(probs) / np.log(class_count), 0.0, 1.0)
+    # softmax, entropy and np.clip, operation for operation, calling the
+    # ufuncs without their wrappers: the serve path gates after every step
+    s = np.asarray(scores, dtype=np.float64)
+    e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    np.maximum(p, _EPS, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    h = -np.add.reduce(p * np.log(p), axis=-1)
+    # 0.0 goes first so that a -0.0 stays -0.0, as np.clip leaves it
+    c = np.minimum(np.maximum(0.0, 1.0 - h / np.log(class_count)), 1.0)
     return float(c) if np.ndim(c) == 0 else c
 
 
@@ -175,14 +174,6 @@ def _trace(model, step_scores, step_spikes, conf, hit, labels) -> ExitTrace:
     )
 
 
-# Steps simulated between two looks at the gate. Two beat one on
-# single-input requests on a shared 2-vCPU VM (p90 latency: demo-mlp 1.05
-# against 1.15 ms, deep-search 2.11 against 2.46, cnn-exit 7.4 against 8.1):
-# a look and the per-chunk work cost about as much as a step, and an input
-# exiting at an odd step pays for one step more.
-_CHUNK = 2
-
-
 def infer_adaptive(
     model: ModelGraph,
     configs: list[LayerSnnConfig],
@@ -194,31 +185,29 @@ def infer_adaptive(
 ) -> ExitTrace:
     """Simulate and gate each input, stopping once every input has exited.
 
-    The net advances ``_CHUNK`` steps at a time, every layer and every
-    input, and the new steps are gated; the run ends when each input has
-    exited or at ``policy.t_max``. No input is dropped from the batch, so
-    every product is the one a full run makes, and the trace equals
-    ``apply_gate`` on a ``t_max``-step ``run_snn`` in every field, bit for
-    bit.
+    The whole net steps one timestep at a time (``engine._walk``), every
+    layer and every input, and each step is gated as soon as it is made;
+    the run ends after the step where the last input exits, or at
+    ``policy.t_max``, so an input that exits at step t costs t steps. No
+    input is dropped from the batch, so every product is the one a full run
+    makes, and the trace equals ``apply_gate`` on a ``t_max``-step
+    ``run_snn`` in every field, bit for bit.
     """
     t_max = policy.t_max
     _check_run(model, configs, t_max)
     x0 = _as_batch(model, batch)
-    sim = _Simulation(model, configs, 0, x0, t_max, membrane_init)
     boundaries = policy.boundaries()
     conf, hit = [], []
     waiting = np.ones(len(x0), dtype=bool)
-    while sim.t < t_max and waiting.any():
-        t0 = sim.t
-        sim.advance(min(_CHUNK, t_max - t0))
-        conf.append(confidence(sim.step_scores[t0 : sim.t], model.class_count))  # [c, N]
-        hit.append(conf[-1] >= boundaries[t0 : sim.t, None])
-        waiting &= ~hit[-1].any(axis=0)
-    t = sim.t
-    return _trace(
-        model, sim.step_scores[:t], sim.step_spikes[:t], np.concatenate(conf),
-        np.concatenate(hit), labels,
-    )
+
+    def gate(t, scores):
+        conf.append(confidence(scores, model.class_count))  # [N]
+        hit.append(conf[-1] >= boundaries[t])
+        waiting[hit[-1]] = False
+        return not waiting.any()
+
+    step_scores, step_spikes, _ = _walk(model, configs, x0, t_max, membrane_init, gate)
+    return _trace(model, step_scores, step_spikes, np.stack(conf), np.stack(hit), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -18,20 +18,9 @@ The analog input batch is injected as a constant current every timestep, and
 the dense head never spikes; its accumulated membrane divided by T is the
 score vector. Membranes are carried in float64.
 
-The net is feed-forward, so a layer's whole T-step train depends only on the
-train entering it. Simulation is therefore layer-major: each spiking layer
-runs all T steps before the next one starts, and what passes between layers
-is a ``SpikeTrain`` of integer quanta counts, each layer's one record
-besides its final membrane (rates come from ``SpikeTrain.rate()``).
-Everything before the first relu sees a constant input and is computed once.
-Every dense, conv or pool call is still one call per timestep over the
-batch's N rows, the same products a time-major sweep makes, so results match
-it bit for bit. A run can also start at any layer from a train recorded
-earlier, which is how the sensitivity table and bias calibration reuse a
-shared upstream prefix. A run is resumable: ``_Simulation.advance(c)``
-moves every layer c steps on, which is how the early-exit serve path stops
-once every input has exited. The neuron step writes in place into the
-state it returned the step before (``NeuronState``).
+Offline runs are layer-major (``_simulate``); the serve path walks the net
+time-major (``_walk``) to stop after any step. Both make the same products,
+bit for bit; the README's "Simulation order" section says why and how.
 """
 
 from __future__ import annotations
@@ -303,84 +292,29 @@ def _run_layer(
     return _LayerRun(SpikeTrain(counts, config.threshold), step_spikes, state)
 
 
-class _Simulation:
-    """``model.layers[start:]`` fed ``source``, simulated up to ``horizon``
-    steps; ``advance(c)`` moves every layer c steps on, one layer after the
-    other.
+def _prepare(model: ModelGraph, configs: list[LayerSnnConfig], start: int, source):
+    """``(feeds, spiking, source)`` for a run of ``model.layers[start:]``.
 
-    ``source`` enters layer ``start``: the constant input batch, or the train
-    of the spiking layer just before ``start``. ``configs`` covers every
-    spiking layer of the model. Between calls the object holds what the next
-    chunk continues from: each spiking layer's ``NeuronState``, the float64
-    dense operands (``_float64_operands``; a loaded model's are kept on its
-    layers, so building a simulation of it casts nothing), the constant
-    prefix's output, computed once through those operands, the head's
-    accumulator and ``t``, the steps done. ``step_scores[:t]`` and
-    ``step_spikes[:t]`` are filled. A layer's train lives while the next
-    layer reads it; with ``keep_trains``, ``trains`` holds each layer's train
-    of the last chunk.
+    ``spiking`` pairs each spiking layer from ``start`` on with its config;
+    ``feeds`` holds the layers before each, then the head's, with their
+    float64 dense operands (``_float64_operands``). ``source`` enters layer
+    ``start``: the train of the spiking layer before it, or the constant
+    input batch, which goes through the first feeders here, once.
     """
-
-    def __init__(
-        self,
-        model: ModelGraph,
-        configs: list[LayerSnnConfig],
-        start: int,
-        source,
-        horizon: int,
-        membrane_init: float,
-        *,
-        keep_trains: bool = False,
-    ):
-        position = {idx: p for p, idx in enumerate(spiking_layer_indices(model))}
-        feeds, self.spiking, begin = [], [], start
-        for i in range(start, len(model.layers)):
-            if model.layers[i].kind == "relu":
-                feeds.append(model.layers[begin:i])
-                self.spiking.append((i, configs[position[i]]))
-                begin = i + 1
-        feeds.append(model.layers[begin:])  # the head's
-        if not isinstance(source, SpikeTrain):  # a constant input: its prefix runs once
-            source = next(_currents(feeds[0], source, 1))
-            feeds[0] = []
-        self.feeds = [(layers, [_float64_operands(layer) for layer in layers]) for layers in feeds]
-        self.source, self.horizon, self.membrane_init = source, horizon, membrane_init
-        n = source.counts.shape[1] if isinstance(source, SpikeTrain) else source.shape[0]
-        self.step_spikes = np.zeros((horizon, len(self.spiking), n), dtype=np.int64)
-        self.step_scores = None  # [horizon, N, classes], made at the first step
-        self.acc = None  # the head's output summed over the steps done
-        self.states: dict[int, NeuronState] = {}
-        self.trains: dict[int, SpikeTrain] | None = {} if keep_trains else None
-        self.t = 0
-
-    def advance(self, steps: int) -> None:
-        """Simulate steps ``t`` to ``t + steps`` (at most ``horizon``) of every layer."""
-        t0, t1 = self.t, self.t + steps
-        last = t1 == self.horizon  # no chunk follows: keep only what the run returns
-        source = self.source
-        if isinstance(source, SpikeTrain):
-            source = SpikeTrain(source.counts[t0:t1], source.threshold)
-        if last:
-            self.source = None
-        for pos, ((layers, ops), (i, config)) in enumerate(zip(self.feeds, self.spiking)):
-            currents = _currents(layers, source, steps, ops)
-            run = _run_layer(currents, config, steps, self.membrane_init, self.states.get(i))
-            if last:
-                run.state.k = None
-            self.states[i] = run.state
-            self.step_spikes[t0:t1, pos] = run.step_spikes
-            source = run.train
-            if self.trains is not None:
-                self.trains[i] = run.train
-        layers, ops = self.feeds[-1]
-        for t, y in enumerate(_currents(layers, source, steps, ops), start=t0):
-            if t == 0:
-                self.acc = y
-                self.step_scores = np.empty((self.horizon, *y.shape), dtype=y.dtype)
-            else:
-                self.acc = self.acc + y
-            self.step_scores[t] = self.acc / float(t + 1)
-        self.t = t1
+    position = {idx: p for p, idx in enumerate(spiking_layer_indices(model))}
+    feeds, spiking, begin = [], [], start
+    for i in range(start, len(model.layers)):
+        if model.layers[i].kind == "relu":
+            feeds.append(model.layers[begin:i])
+            spiking.append((i, configs[position[i]]))
+            begin = i + 1
+    feeds.append(model.layers[begin:])  # the head's
+    feeds = [(layers, [_float64_operands(layer) for layer in layers]) for layers in feeds]
+    if not isinstance(source, SpikeTrain):
+        layers, ops = feeds[0]
+        source = next(_currents(layers, source, 1, ops))
+        feeds[0] = ([], [])
+    return feeds, spiking, source
 
 
 def _simulate(
@@ -392,17 +326,78 @@ def _simulate(
     membrane_init: float,
     *,
     keep_trains: bool = False,
-) -> _Simulation:
-    """Run ``model.layers[start:]`` layer by layer, all ``timesteps`` steps
-    of one layer before the next (``_Simulation`` advanced once)."""
-    sim = _Simulation(
-        model, configs, start, source, timesteps, membrane_init, keep_trains=keep_trains
+):
+    """Run ``model.layers[start:]`` fed ``source`` (see ``_prepare``), all
+    ``timesteps`` steps of one layer before the next. Returns ``(step_scores,
+    step_spikes, v_last, trains)`` of the spiking layers from ``start`` on;
+    without ``keep_trains``, ``trains`` is None and each train is dropped
+    once the next layer has read it."""
+    feeds, spiking, source = _prepare(model, configs, start, source)
+    n = source.counts.shape[1] if isinstance(source, SpikeTrain) else source.shape[0]
+    step_spikes = np.zeros((timesteps, len(spiking), n), dtype=np.int64)
+    v_last, trains = {}, ({} if keep_trains else None)
+    for pos, ((layers, ops), (i, config)) in enumerate(zip(feeds, spiking)):
+        currents = _currents(layers, source, timesteps, ops)
+        run = _run_layer(currents, config, timesteps, membrane_init)
+        v_last[i] = run.state.v
+        run.state.k = None  # frees k before the next layer runs (peak memory)
+        step_spikes[:, pos] = run.step_spikes
+        source = run.train
+        if trains is not None:
+            trains[i] = run.train
+    layers, ops = feeds[-1]
+    for t, y in enumerate(_currents(layers, source, timesteps, ops)):
+        if t == 0:
+            acc, step_scores = y, np.empty((timesteps, *y.shape), dtype=y.dtype)
+        else:
+            acc = acc + y
+        step_scores[t] = acc / float(t + 1)  # the head's mean output so far
+    return step_scores, step_spikes, v_last, trains
+
+
+def _walk(
+    model: ModelGraph,
+    configs: list[LayerSnnConfig],
+    x0: np.ndarray,
+    horizon: int,
+    membrane_init: float,
+    stop,
+):
+    """Step the whole net, input to head, once per timestep, up to
+    ``horizon`` steps; after step ``t`` (from 0), ``stop(t, scores)`` sees
+    its cumulative scores [N, classes] and ends the walk by returning true.
+
+    Emitted amplitudes feed the next layer directly; they are ``counts[t] *
+    threshold`` bit for bit, so a walk of t steps is a t-step ``run_snn``.
+    Returns ``(step_scores, step_spikes, v_last)`` of the steps walked.
+    """
+    feeds, spiking, x0 = _prepare(model, configs, 0, x0)
+    states, counts = [], []
+    for t in range(horizon):
+        x = x0
+        for pos, ((layers, ops), (_, config)) in enumerate(zip(feeds, spiking)):
+            for layer, op in zip(layers, ops):
+                x = apply_layer(layer, x, op)
+            if t == 0:
+                states.append(initial_state(config, x.shape, membrane_init))
+                counts.append(np.empty((horizon, *x.shape), np.min_scalar_type(config.phi)))
+            states[pos], x = step_layer(states[pos], x, config)
+            counts[pos][t] = states[pos].k
+        for layer, op in zip(*feeds[-1]):
+            x = apply_layer(layer, x, op)
+        if t == 0:
+            acc, step_scores = x, np.empty((horizon, *x.shape), dtype=x.dtype)
+        else:
+            acc = acc + x
+        step_scores[t] = acc / float(t + 1)
+        if stop(t, step_scores[t]):
+            break
+    steps = t + 1
+    step_spikes = np.stack(
+        [c[:steps].reshape(steps, len(x0), -1).sum(axis=2, dtype=np.int64) for c in counts], axis=1
     )
-    # the constant prefix has read the batch; dropping this reference lets
-    # its float64 copy go before the trains are made (peak memory)
-    del source
-    sim.advance(timesteps)
-    return sim
+    v_last = {i: state.v for (i, _), state in zip(spiking, states)}
+    return step_scores[:steps], step_spikes, v_last
 
 
 def stats_at(model: ModelGraph, step_spikes: np.ndarray, last) -> RunStats:
@@ -438,17 +433,17 @@ def run_snn(
     and every shorter horizon read.
     """
     _check_run(model, configs, timesteps)
-    sim = _simulate(
+    step_scores, step_spikes, v_last, trains = _simulate(
         model, configs, 0, _as_batch(model, batch), timesteps, membrane_init,
         keep_trains=record_trains,
     )
     return SnnRun(
-        scores=sim.step_scores[-1],
-        stats=stats_at(model, sim.step_spikes, timesteps - 1),
-        v_last={i: state.v for i, state in sim.states.items()},
-        step_scores=sim.step_scores,
-        step_spikes=sim.step_spikes,
-        trains=sim.trains,
+        scores=step_scores[-1],
+        stats=stats_at(model, step_spikes, timesteps - 1),
+        v_last=v_last,
+        step_scores=step_scores,
+        step_spikes=step_spikes,
+        trains=trains,
     )
 
 

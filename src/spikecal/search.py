@@ -245,8 +245,9 @@ def build_table(
                 spikes = int(run.step_spikes.sum())
                 scores = next((sc for tr, sc in simulated if tr.equals(run.train)), None)
                 if scores is None:
-                    sim = _simulate(model, trial, layer + 1, run.train, timesteps, membrane_init)
-                    scores = sim.step_scores[-1]
+                    scores = _simulate(
+                        model, trial, layer + 1, run.train, timesteps, membrane_init
+                    )[0][-1]
                     simulated.append((run.train, scores))
             table.s[(layer, cand)], table.e[(layer, cand)] = _measure(
                 model, layer, target, scores, spikes, energy, cache.sample_count

@@ -23,6 +23,15 @@ SEED = 13
 TIMESTEPS = 4
 T_MAX = 8
 
+# The documented default sweep of exit parameters: alpha_base trades latency
+# against accuracy, beta adds the entropy-aware bump, delta is left at the
+# scale of typical entropy gaps (nats).
+DEFAULT_EXIT_GRID = tuple(
+    (alpha_base, beta, 1.0)
+    for alpha_base in (0.5, 0.6, 0.7, 0.8)
+    for beta in (0.0, 0.1, 0.2)
+)
+
 
 def report(number: int, label: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
@@ -338,7 +347,7 @@ def test_criterion_8_adaptive_exit_latency(pipeline):
         fixed_acc, _, _ = pipeline["evaluate"](configs, T_MAX)
 
         best = None
-        for alpha_base, beta, delta in early_exit.DEFAULT_EXIT_GRID:
+        for alpha_base, beta, delta in DEFAULT_EXIT_GRID:
             policy = early_exit.fit_exit_policy(
                 snn, configs, cache, T_MAX,
                 alpha_base=alpha_base, beta=beta, delta=delta,

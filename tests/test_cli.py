@@ -482,6 +482,38 @@ def test_convert_with_changed_dim_is_user_error(finished_run, tmp_path, capsys):
     assert "dataset samples have shape (16,), the model takes (32,)" in err, err
 
 
+def test_size_numpy_cannot_index_is_user_error(tmp_path, capsys):
+    """A horizon within store.INT_MAX whose arrays numpy cannot index exits
+    1, naming the stage and the size settings; numpy rejects the shape
+    before it allocates anything."""
+    config, _ = write_config(tmp_path, dataset={"kind": "blobs", "n": 100, "eval_n": 50,
+                                                "dim": [8], "classes": 4},
+                             model={"hidden": [8]}, train={"epochs": 1}, calib_samples=32)
+    assert cli.main(["train", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert cli.main(["convert", "--config", str(config), "--timesteps", "999999999999999999"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [calibrate-biases] out of memory (array is too big"), err
+    assert "lower the size settings: timesteps, t_max, calib_samples, grid_size" in err, err
+
+
+def test_out_of_memory_inside_a_stage_is_user_error(finished_run, tmp_path, capsys, monkeypatch):
+    _, _, raw = finished_run
+    out = tmp_path / "copy"
+    shutil.copytree(raw["out_dir"], out)
+    config, _ = write_config(tmp_path, out_dir=str(out))
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(cli.engine, "run_snn", exhausted)
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [eval-fixed] out of memory (Unable to allocate 8.00 EiB"), err
+    assert "lower the size settings: timesteps, t_max" in err, err
+
+
 def test_engine_fault_inside_a_stage_exits_2(finished_run, tmp_path, capsys, monkeypatch):
     _, _, raw = finished_run
     out = tmp_path / "copy"

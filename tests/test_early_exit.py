@@ -3,11 +3,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from spikecal import calibrate, early_exit, engine, search, store
+from spikecal import calibrate, early_exit, engine, nn, search, store
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,34 @@ def test_confidence_monotone_under_sharpening(classes, seed):
     c1 = early_exit.confidence(scores, classes)
     c2 = early_exit.confidence(scores * 3.0, classes)  # sharper distribution
     assert c2[0] >= c1[0] - 1e-9
+
+
+def _reference_confidence(scores, class_count):
+    """The exit confidence as softmax, then ``entropy``, then ``np.clip``:
+    the formula ``confidence`` computes with bare ufuncs."""
+    probs = nn.softmax(np.asarray(scores, dtype=np.float64), axis=-1)
+    c = np.clip(1.0 - early_exit.entropy(probs) / np.log(class_count), 0.0, 1.0)
+    return float(c) if np.ndim(c) == 0 else c
+
+
+@settings(max_examples=300, deadline=None)
+@example(classes=2, lead=[], scale=0.0, tied=True, seed=0)
+@example(classes=2, lead=[3], scale=3.0, tied=False, seed=1)
+@given(
+    classes=st.integers(2, 12),
+    lead=st.lists(st.integers(1, 4), max_size=2),  # 1-D, 2-D or 3-D scores
+    scale=st.floats(-3.0, 3.0),  # scores of magnitude 1e-3 to 1e3
+    tied=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_confidence_equals_reference_formula(classes, lead, scale, tied, seed):
+    g = np.random.default_rng(seed)
+    shape = (*lead, classes)
+    draw = g.integers(0, 3, shape) if tied else g.standard_normal(shape)  # tied: 3 values
+    scores = draw * 10.0 ** scale
+    got, want = early_exit.confidence(scores, classes), _reference_confidence(scores, classes)
+    assert type(got) is type(want) and type(got) is (float if not lead else np.ndarray)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("classes", [2, 10], ids=lambda c: f"{c}-entropy")
@@ -277,8 +305,8 @@ def _flat_policy(t_max, alpha):
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
 def test_adaptive_run_equals_gate_on_full_run(random_net, arch, monkeypatch):
     """``infer_adaptive`` is ``apply_gate`` on a ``t_max``-step run, bit for
-    bit, and simulates up to the chunk holding the last exit, no further."""
-    t_max, chunk = 7, early_exit._CHUNK
+    bit, and simulates up to the step of the last exit, no further."""
+    t_max = 7
     mixed = set()
     for seed in range(3):
         model, cache, configs = random_net(arch, seed, 16)
@@ -306,7 +334,7 @@ def test_adaptive_run_equals_gate_on_full_run(random_net, arch, monkeypatch):
                         g, w = getattr(got, f.name), getattr(want, f.name)
                         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (name, f.name)
                 last = int(want.exit_t.max())
-                assert len(calls) == layers * min(t_max, -(-last // chunk) * chunk), name
+                assert len(calls) == layers * last, name
                 if name == "first":
                     assert (got.exit_t == 1).all()
                 elif name == "never":
@@ -318,14 +346,28 @@ def test_adaptive_run_equals_gate_on_full_run(random_net, arch, monkeypatch):
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
 def test_exits_at_first_step_simulate_one_chunk(random_net, arch, monkeypatch):
-    """When every input exits at step 1, each spiking layer steps at most one chunk."""
+    """When every input exits at step 1, each spiking layer steps exactly
+    once: the gate is checked after every step."""
     model, cache, configs = random_net(arch, 4)
     calls = _count_steps(monkeypatch)
     trace = early_exit.infer_adaptive(model, configs, _flat_policy(8, 0.0), cache.inputs)
     assert (trace.exit_t == 1).all()
     per_layer = collections.Counter(calls)
     assert len(per_layer) == len(configs)
-    assert max(per_layer.values()) <= early_exit._CHUNK < 8
+    assert set(per_layer.values()) == {1}
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_no_exit_steps_each_layer_t_max_times(random_net, arch, monkeypatch):
+    """When no input ever clears the boundary, each spiking layer steps
+    exactly ``t_max`` times, and every input exits at ``t_max``."""
+    model, cache, configs = random_net(arch, 4)
+    calls = _count_steps(monkeypatch)
+    trace = early_exit.infer_adaptive(model, configs, _flat_policy(8, 1.1), cache.inputs)
+    assert (trace.exit_t == 8).all()
+    per_layer = collections.Counter(calls)
+    assert len(per_layer) == len(configs)
+    assert set(per_layer.values()) == {8}
 
 
 def test_gate_needs_t_max_steps(snn, calibration):

@@ -352,31 +352,35 @@ def test_layer_major_run_equals_time_major_sweep(random_net, arch, timesteps):
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
-@pytest.mark.parametrize("chunk", [1, 2, 3])
-def test_resumed_run_equals_one_pass(random_net, arch, chunk):
-    """Advancing a simulation chunk by chunk gives one pass's record bit for
-    bit, whether it starts from the input or from a recorded train."""
-    timesteps = 7
+def test_walk_equals_layer_major_run(random_net, arch):
+    """The time-major walk's first t steps are a layer-major t-step
+    ``run_snn``, bit for bit: scores after each step, unit spikes per step
+    and final membranes, at one input, three and the whole batch. ``stop``
+    sees each step's scores as they are made and ends the walk."""
+    horizon = 7
     for seed in range(3):
         model, cache, configs = random_net(arch, seed)
-        spiking = engine.spiking_layer_indices(model)
-        trunk = engine.run_snn(model, configs, cache.inputs, timesteps, record_trains=True)
-        starts = [(0, engine._as_batch(model, cache.inputs))]
-        starts.append((spiking[0] + 1, trunk.trains[spiking[0]]))
-        for start, source in starts:
-            whole = engine._simulate(model, configs, start, source, timesteps, 0.5, keep_trains=True)
-            sim = engine._Simulation(model, configs, start, source, timesteps, 0.5, keep_trains=True)
-            while sim.t < timesteps:
-                t0 = sim.t
-                sim.advance(min(chunk, timesteps - t0))
-                for i, train in sim.trains.items():
-                    want = whole.trains[i].counts[t0 : sim.t]
-                    assert train.counts.tobytes() == want.tobytes(), (start, i, t0)
-            assert sim.step_scores.tobytes() == whole.step_scores.tobytes()
-            assert sim.step_spikes.tobytes() == whole.step_spikes.tobytes()
-            assert sim.states.keys() == whole.states.keys()
-            for i, state in sim.states.items():
-                assert state.v.tobytes() == whole.states[i].v.tobytes()
+        for n in (1, 3, cache.sample_count):
+            x0 = engine._as_batch(model, cache.inputs[:n])
+            for last in (0, 3, horizon - 1, None):  # None: stop never says yes
+                seen = []
+
+                def stop(t, scores):
+                    seen.append(scores.copy())
+                    return t == last
+
+                step_scores, step_spikes, v_last = engine._walk(
+                    model, configs, x0, horizon, 0.5, stop
+                )
+                steps = horizon if last is None else last + 1
+                want = engine.run_snn(model, configs, x0, steps)
+                for got, ref in ((step_scores, want.step_scores), (step_spikes, want.step_spikes),
+                                 (np.stack(seen), want.step_scores)):
+                    assert got.dtype == ref.dtype and got.shape == ref.shape, (n, last)
+                    assert got.tobytes() == ref.tobytes(), (n, last)
+                assert v_last.keys() == want.v_last.keys()
+                for i, v in v_last.items():
+                    assert v.tobytes() == want.v_last[i].tobytes(), (n, last, i)
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
