@@ -384,6 +384,38 @@ def test_walk_equals_layer_major_run(random_net, arch):
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_resumed_run_equals_one_pass(random_net, arch, chunk):
+    """A run resumed from a spiking layer's recorded train (as
+    ``search.build_table`` resumes one), or started from the input, gives one
+    pass's record bit for bit: over its first ``chunk`` steps and over the
+    whole horizon."""
+    timesteps = 7
+    for seed in range(3):
+        model, cache, configs = random_net(arch, seed)
+        x0 = engine._as_batch(model, cache.inputs)
+        spiking = engine.spiking_layer_indices(model)
+        whole = engine._simulate(model, configs, 0, x0, timesteps, 0.5, keep_trains=True)
+        starts = [(0, 0, x0)]
+        starts += [(i + 1, p + 1, whole[3][i]) for p, i in enumerate(spiking)]
+        for steps in (chunk, timesteps):
+            prefix = engine._simulate(model, configs, 0, x0, steps, 0.5)
+            for start, pos, source in starts:
+                scores, spikes, v_last, trains = engine._simulate(
+                    model, configs, start, source, steps, 0.5, keep_trains=True
+                )
+                assert scores.tobytes() == whole[0][:steps].tobytes(), (start, steps)
+                assert spikes.dtype == whole[1].dtype, (start, steps)
+                assert spikes.tobytes() == whole[1][:steps, pos:].tobytes(), (start, steps)
+                assert list(v_last) == list(trains) == spiking[pos:], (start, steps)
+                for i, train in trains.items():
+                    want = whole[3][i].counts[:steps]
+                    assert train.counts.dtype == want.dtype, (start, steps, i)
+                    assert train.counts.tobytes() == want.tobytes(), (start, steps, i)
+                    assert v_last[i].tobytes() == prefix[2][i].tobytes(), (start, steps, i)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
 def test_stats_at_stops_each_input_at_its_step(random_net, arch):
     rng = np.random.default_rng(1)
     for seed in range(3):
