@@ -55,7 +55,6 @@ from .search import (
     build_table,
     energy_of,
     kl_divergence,
-    layer_sensitivity,
     pareto_search,
 )
 from .store import (

@@ -167,7 +167,9 @@ def _fill(cls, data: dict, where: str):
 # test, what the test asks for). A key is "section.key", or a bare key at
 # the top level. Integers stop at store.INT_MAX, the largest an artifact
 # holds. A size below it can still be too large for numpy to allocate;
-# ``_stage`` turns that into a user error.
+# ``_stage`` turns that into a user error. Training steps by np.float32(lr),
+# so lr must round to a positive, finite float32.
+_LR_RANGE = (float(np.finfo(np.float32).smallest_subnormal), float(np.finfo(np.float32).max))
 _SIZES = ("timesteps", "t_max", "calib_samples", "grid_size", "dataset.n", "dataset.eval_n",
           "train.epochs", "train.batch_size")
 _BOUNDS = (
@@ -181,6 +183,8 @@ _BOUNDS = (
      f"at most {store.INT_MAX}"),
     (("model.arch",), lambda v: v in ("mlp", "cnn"), "mlp or cnn"),
     (("train.lr",), lambda v: v > 0, "positive"),
+    (("train.lr",), lambda v: _LR_RANGE[0] <= v <= _LR_RANGE[1],
+     "from {} to {}, the positive float32 range".format(*_LR_RANGE)),
     (("search.phi_candidates", "search.rho_candidates"),
      lambda v: v and min(v) >= 1 and len(set(v)) == len(v),
      "a non-empty list of distinct values, each at least 1"),

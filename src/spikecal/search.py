@@ -159,35 +159,6 @@ def _measure(model, layer, target, scores, spikes, energy, sample_count) -> tupl
     return s, _finite(float(count) / sample_count / 1e-3 * energy.mu, energy)
 
 
-def layer_sensitivity(
-    model: ModelGraph,
-    configs: list[LayerSnnConfig],
-    layer: int,
-    candidate: int,
-    kind: str,
-    cache: CalibrationCache,
-    timesteps: int,
-    energy: EnergyModel = EnergyModel(),
-    *,
-    membrane_init: float = DEFAULT_MEMBRANE_INIT,
-) -> tuple[float, float]:
-    """(S, E) for one layer trying one candidate, others at baseline.
-
-    Simulates the whole net from its input, sharing nothing with other
-    pairs; it is the reference ``build_table`` matches bit for bit.
-    """
-    target = _check_sensitivity_inputs(model, cache)
-    spiking = spiking_layer_indices(model)
-    if layer not in spiking:
-        raise ValueError(f"layer {layer} is not a spiking layer")
-    trial = _with_candidate(configs, spiking.index(layer), kind, candidate)
-    run = run_snn(model, trial, cache.inputs, timesteps, membrane_init=membrane_init)
-    return _measure(
-        model, layer, target, run.scores, run.stats.layer_spikes[layer], energy,
-        cache.sample_count,
-    )
-
-
 def build_table(
     model: ModelGraph,
     configs: list[LayerSnnConfig],
@@ -201,17 +172,17 @@ def build_table(
 ) -> SensitivityTable:
     """Measure S and E for every (spiking layer, candidate) pair.
 
-    Each pair equals ``layer_sensitivity`` bit for bit. A trial changes one
-    layer, so everything upstream of it runs at baseline: the baseline run
-    (the trunk) is made once and keeps its spike trains, and a candidate
-    equal to the baseline value is the trunk itself. At each layer p the
-    feeder currents from the trunk's train entering p (or from the constant
-    input) are computed once, and p's neuron runs on them for each other
-    candidate. Candidates whose layer-p trains are equal (same threshold and
-    count values) share one downstream simulation; a train equal to the
-    trunk's takes the trunk's scores. An empty or repeated candidate set is
-    a ``ValueError``; an E, or a plan's total E, too large for a float is an
-    ``EnergyOverflowError``.
+    Each pair equals, bit for bit, the (S, E) of a whole-net ``run_snn`` of
+    that trial alone. A trial changes one layer, so everything upstream of
+    it runs at baseline: the baseline run (the trunk) is made once and keeps
+    its spike trains, and a candidate equal to the baseline value is the
+    trunk itself. At each layer p the feeder currents from the trunk's train
+    entering p (or from the constant input) are computed once, and p's
+    neuron runs on them for each other candidate. Candidates whose layer-p
+    trains are equal (same threshold and count values) share one downstream
+    simulation; a train equal to the trunk's takes the trunk's scores. An
+    empty or repeated candidate set is a ``ValueError``; an E, or a plan's
+    total E, too large for a float is an ``EnergyOverflowError``.
     """
     if kind not in ("phi", "rho"):
         raise ValueError(f"table kind must be phi or rho, got {kind!r}")

@@ -2,7 +2,9 @@
 
 Exists only to produce desk-scale source nets for conversion experiments:
 softmax cross-entropy, hand-rolled backprop, no momentum, no augmentation.
-Fixed seeds give bit-identical parameters on repeat runs.
+Backprop forms parameter gradients only: its reverse loop stops at the first
+parameterized layer, whose input gradient nothing reads. Fixed seeds give
+bit-identical parameters on repeat runs.
 """
 
 from __future__ import annotations
@@ -33,25 +35,31 @@ def _forward_cached(model: ModelGraph, x: Tensor):
 
 
 def _backward(model: ModelGraph, inputs, dlogits: Tensor):
+    """``{layer index: (dW, db)}`` for every parameterized layer, and nothing else.
+
+    The reverse loop stops at the first parameterized layer: its ``(dW, db)``
+    is formed, its input gradient is not, since no layer below reads it.
+    """
     grads: dict[int, tuple[Tensor, Tensor]] = {}
     dy = dlogits
-    for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
+    layers = model.layers
+    first = next((i for i, layer in enumerate(layers) if layer.parameterized), len(layers))
+    for i in range(len(layers) - 1, first - 1, -1):
+        layer = layers[i]
         x = inputs[i]
         if layer.kind == "dense":
             grads[i] = (dy.T @ x, dy.sum(axis=0))
-            dy = dy @ layer.weight
+            if i > first:
+                dy = dy @ layer.weight
         elif layer.kind == "conv2d":
             cols, (ho, wo) = _im2col(x, layer.kernel, layer.stride, layer.padding)
             dflat = dy.reshape(x.shape[0], layer.out_channels, ho * wo)
             dw = np.einsum("nol,ncl->oc", dflat, cols, optimize=True)
-            grads[i] = (
-                dw.reshape(layer.weight.shape),
-                dy.sum(axis=(0, 2, 3)),
-            )
-            w2 = layer.weight.reshape(layer.out_channels, -1)
-            dcols = np.einsum("oc,nol->ncl", w2, dflat, optimize=True)
-            dy = _col2im(dcols, x.shape, layer.kernel, layer.stride, layer.padding)
+            grads[i] = (dw.reshape(layer.weight.shape), dy.sum(axis=(0, 2, 3)))
+            if i > first:
+                w2 = layer.weight.reshape(layer.out_channels, -1)
+                dcols = np.einsum("oc,nol->ncl", w2, dflat, optimize=True)
+                dy = _col2im(dcols, x.shape, layer.kernel, layer.stride, layer.padding)
         elif layer.kind == "avgpool2d":
             kh, kw = layer.kernel
             sh, sw = layer.stride
@@ -111,8 +119,12 @@ def train_reference(
             probs[np.arange(len(yb)), yb] -= 1.0
             dlogits = (probs / len(yb)).astype(np.float32)
             grads = _backward(trained, inputs, dlogits)
+            # in place on the fresh gradients: the same float32 values as
+            # ``param -= lr * grad``, without two temporaries per parameter
             for idx, (dw, db) in grads.items():
                 layer = trained.layers[idx]
-                layer.weight -= np.float32(lr) * dw.astype(np.float32)
-                layer.bias -= np.float32(lr) * db.astype(np.float32)
+                for param, grad in ((layer.weight, dw), (layer.bias, db)):
+                    grad = grad.astype(np.float32, copy=False)
+                    grad *= np.float32(lr)
+                    param -= grad
     return trained

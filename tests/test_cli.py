@@ -221,6 +221,10 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, overrides, key):
      "config key 'dim' in dataset must be a non-empty list of sizes, each at least 1, got []"),
     ({"train": {"epochs": 12, "lr": -0.05}}, "config key 'lr' in train must be positive, got -0.05"),
     ({"train": {"epochs": 12, "lr": 0}}, "config key 'lr' in train must be positive, got 0"),
+    # lr is used as np.float32(lr): 5e-324 rounds to 0, 1e308 overflows to inf
+    *[({"train": {"epochs": 12, "lr": lr}},
+       "config key 'lr' in train must be from 1.401298464324817e-45 to 3.4028234663852886e+38, "
+       f"the positive float32 range, got {lr!r}") for lr in (5e-324, 1e308)],
     ({"exit": {"delta": 0}}, "config key 'delta' in exit must be positive, got 0"),
     ({"search": {"rho_candidates": [1, 1, 2]}},
      "config key 'rho_candidates' in search must be a non-empty list of distinct values, "
@@ -254,6 +258,7 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, overrides, key):
      f"config key 'dim' in dataset must be a list of values each at most {store.INT_MAX}"),
 ], ids=["nan-membrane-init", "nan-alpha-base", "inf-slack", "zero-width", "no-hidden-layer",
         "zero-channels", "cnn-input-too-small", "zero-dim", "empty-dim", "negative-lr", "zero-lr",
+        "subnormal-lr", "overflowing-lr",
         "zero-delta", "repeated-rho", "zero-phi", "no-phi", "negative-e-target",
         "word-s-target", "unknown-arch", "huge-seed", "huge-phi", "huge-rho", "huge-timesteps",
         "huge-t-max", "huge-calib-samples", "huge-grid-size", "huge-n", "huge-eval-n",
