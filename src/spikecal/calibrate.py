@@ -169,14 +169,14 @@ def calibrate_biases(
     for pos, idx in enumerate(spiking_layer_indices(corrected)):
         segment = corrected.layers[start:idx]
         currents = _currents(segment, source, timesteps)
-        rates = _run_layer(currents, configs[pos], timesteps, membrane_init).train.rate()
+        rates = _run_layer(currents, configs[pos], timesteps, membrane_init)[0].rate()
         tap = np.asarray(cache.taps[idx], dtype=np.float64)
         axes = _channel_axes(tap)
         correction = tap.mean(axis=axes) - rates.mean(axis=axes)
         feeder = corrected.layers[idx - 1]
         feeder.bias = (feeder.bias.astype(np.float64) + correction).astype(np.float32)
         currents = _currents(segment, source, timesteps)
-        source = _run_layer(currents, configs[pos], timesteps, membrane_init).train
+        source, _ = _run_layer(currents, configs[pos], timesteps, membrane_init)
         start = idx + 1
     return corrected
 

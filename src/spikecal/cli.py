@@ -169,7 +169,8 @@ def _fill(cls, data: dict, where: str):
 # holds. A size below it can still be too large for numpy to allocate;
 # ``_stage`` turns that into a user error. Training steps by np.float32(lr),
 # so lr must round to a positive, finite float32.
-_LR_RANGE = (float(np.finfo(np.float32).smallest_subnormal), float(np.finfo(np.float32).max))
+_F32_MAX = float(np.finfo(np.float32).max)
+_LR_RANGE = (float(np.finfo(np.float32).smallest_subnormal), _F32_MAX)
 _SIZES = ("timesteps", "t_max", "calib_samples", "grid_size", "dataset.n", "dataset.eval_n",
           "train.epochs", "train.batch_size")
 _BOUNDS = (
@@ -179,6 +180,9 @@ _BOUNDS = (
      "one of blobs, rings, idx, csv"),
     (("dataset.dim",), lambda v: v and min(v) >= 1, "a non-empty list of sizes, each at least 1"),
     (("dataset.classes",), lambda v: v >= 2, "at least 2"),
+    # the blobs are float32: a larger gap overflows them to inf
+    (("dataset.separation",), lambda v: 0 <= v <= _F32_MAX,
+     f"from 0 to {_F32_MAX}, the largest float32"),
     (("seed", "dataset.classes", *_SIZES), lambda v: v <= store.INT_MAX,
      f"at most {store.INT_MAX}"),
     (("model.arch",), lambda v: v in ("mlp", "cnn"), "mlp or cnn"),

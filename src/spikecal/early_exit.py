@@ -14,10 +14,10 @@ so steps whose mean entropy is near the minimum demand the most confidence,
 and the gate relaxes as entropy climbs away from it. ``beta = 0`` collapses to
 a fixed boundary. Exits never change the dynamics, so the gate reads the
 per-step record of any run at least ``t_max`` steps long (``apply_gate``).
-``infer_adaptive`` gives the same trace while it simulates: it steps the
-whole net one timestep at a time, gates each step as it comes, and stops
-after the step where the last input exits, so an exit saves wall-clock time
-as well as spikes.
+``infer_adaptive`` gives the same trace while it simulates: it runs the
+simulation loop every run uses (``engine._simulate``) with the gate as its
+``stop``, gates each step as it comes, and stops after the step where the
+last input exits, so an exit saves wall-clock time as well as spikes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .engine import (
     SnnRun,
     _as_batch,
     _check_run,
-    _walk,
+    _simulate,
     run_snn,
     stats_at,
 )
@@ -185,12 +185,12 @@ def infer_adaptive(
 ) -> ExitTrace:
     """Simulate and gate each input, stopping once every input has exited.
 
-    The whole net steps one timestep at a time (``engine._walk``), every
-    layer and every input, and each step is gated as soon as it is made;
-    the run ends after the step where the last input exits, or at
-    ``policy.t_max``, so an input that exits at step t costs t steps. No
-    input is dropped from the batch, so every product is the one a full run
-    makes, and the trace equals ``apply_gate`` on a ``t_max``-step
+    This is ``run_snn``'s loop (``engine._simulate``) with the gate as its
+    ``stop``: each step runs every layer for every input and is gated as
+    soon as it is made; the run ends after the step where the last input
+    exits, or at ``policy.t_max``, so an input that exits at step t costs t
+    steps. No input is dropped from the batch, so every product is the one a
+    full run makes, and the trace equals ``apply_gate`` on a ``t_max``-step
     ``run_snn`` in every field, bit for bit.
     """
     t_max = policy.t_max
@@ -206,7 +206,7 @@ def infer_adaptive(
         waiting[hit[-1]] = False
         return not waiting.any()
 
-    step_scores, step_spikes, _ = _walk(model, configs, x0, t_max, membrane_init, gate)
+    step_scores, step_spikes = _simulate(model, configs, 0, x0, t_max, membrane_init, stop=gate)[:2]
     return _trace(model, step_scores, step_spikes, np.stack(conf), np.stack(hit), labels)
 
 

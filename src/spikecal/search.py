@@ -212,14 +212,14 @@ def build_table(
                 scores, spikes = base_scores, base_spikes[layer]
             else:
                 trial = _with_candidate(configs, pos, kind, cand)
-                run = _run_layer(currents, trial[pos], timesteps, membrane_init)
-                spikes = int(run.step_spikes.sum())
-                scores = next((sc for tr, sc in simulated if tr.equals(run.train)), None)
+                train, _ = _run_layer(currents, trial[pos], timesteps, membrane_init)
+                spikes = int(train.counts.sum(dtype=np.int64))
+                scores = next((sc for tr, sc in simulated if tr.equals(train)), None)
                 if scores is None:
                     scores = _simulate(
-                        model, trial, layer + 1, run.train, timesteps, membrane_init
+                        model, trial, layer + 1, train, timesteps, membrane_init
                     )[0][-1]
-                    simulated.append((run.train, scores))
+                    simulated.append((train, scores))
             table.s[(layer, cand)], table.e[(layer, cand)] = _measure(
                 model, layer, target, scores, spikes, energy, cache.sample_count
             )

@@ -225,6 +225,11 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, overrides, key):
     *[({"train": {"epochs": 12, "lr": lr}},
        "config key 'lr' in train must be from 1.401298464324817e-45 to 3.4028234663852886e+38, "
        f"the positive float32 range, got {lr!r}") for lr in (5e-324, 1e308)],
+    # a negative gap passes make_synthetic's check at once; 1e39 overflows the float32 blobs
+    *[({"dataset": {"kind": "blobs", "n": 300, "eval_n": 150, "dim": [32], "classes": 4,
+                    "separation": sep}},
+       "config key 'separation' in dataset must be from 0 to 3.4028234663852886e+38, "
+       f"the largest float32, got {sep!r}") for sep in (-1.0, 1e39)],
     ({"exit": {"delta": 0}}, "config key 'delta' in exit must be positive, got 0"),
     ({"search": {"rho_candidates": [1, 1, 2]}},
      "config key 'rho_candidates' in search must be a non-empty list of distinct values, "
@@ -258,7 +263,7 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, overrides, key):
      f"config key 'dim' in dataset must be a list of values each at most {store.INT_MAX}"),
 ], ids=["nan-membrane-init", "nan-alpha-base", "inf-slack", "zero-width", "no-hidden-layer",
         "zero-channels", "cnn-input-too-small", "zero-dim", "empty-dim", "negative-lr", "zero-lr",
-        "subnormal-lr", "overflowing-lr",
+        "subnormal-lr", "overflowing-lr", "negative-separation", "overflowing-separation",
         "zero-delta", "repeated-rho", "zero-phi", "no-phi", "negative-e-target",
         "word-s-target", "unknown-arch", "huge-seed", "huge-phi", "huge-rho", "huge-timesteps",
         "huge-t-max", "huge-calib-samples", "huge-grid-size", "huge-n", "huge-eval-n",

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,11 +144,11 @@ def test_owned_state_steps_equal_functional_reference(phi):
     assert [c.tobytes() for c in currents] == saved
     assert first.v.tobytes() == v0.tobytes() and first.k is None
     # the count train stores k in the smallest dtype that holds phi
-    run = engine._run_layer(currents, cfg, steps, 0.0, engine.NeuronState(v=v0.copy()))
+    train, state = engine._run_layer(currents, cfg, steps, 0.0, engine.NeuronState(v=v0.copy()))
     dtype = np.min_scalar_type(phi)
-    assert run.train.counts.dtype == dtype
-    assert run.train.counts.tobytes() == np.stack(want_k).astype(dtype).tobytes()
-    assert run.state.v.tobytes() == want_v.tobytes()
+    assert train.counts.dtype == dtype
+    assert train.counts.tobytes() == np.stack(want_k).astype(dtype).tobytes()
+    assert state.v.tobytes() == want_v.tobytes()
     assert [c.tobytes() for c in currents] == saved
 
 
@@ -188,9 +189,9 @@ def test_run_layer_leaves_shared_currents_unchanged(random_net, arch):
             saved = [c.tobytes() for c in currents]
             other = engine.LayerSnnConfig(configs[pos].v_th, configs[pos].rho + 1, configs[pos].phi + 1)
             for cfg in (configs[pos], other):
-                got = engine._run_layer(currents, cfg, timesteps, 0.5).train
+                got, _ = engine._run_layer(currents, cfg, timesteps, 0.5)
                 fresh = engine._currents(feeders, source, timesteps)
-                fresh = engine._run_layer(fresh, cfg, timesteps, 0.5).train
+                fresh, _ = engine._run_layer(fresh, cfg, timesteps, 0.5)
                 assert got.threshold == fresh.threshold and got.counts.dtype == fresh.counts.dtype
                 assert got.counts.tobytes() == fresh.counts.tobytes()
                 assert [c.tobytes() for c in currents] == saved
@@ -353,34 +354,65 @@ def test_layer_major_run_equals_time_major_sweep(random_net, arch, timesteps):
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
 def test_walk_equals_layer_major_run(random_net, arch):
-    """The time-major walk's first t steps are a layer-major t-step
-    ``run_snn``, bit for bit: scores after each step, unit spikes per step
-    and final membranes, at one input, three and the whole batch. ``stop``
-    sees each step's scores as they are made and ends the walk."""
+    """A run that ``stop`` ends after step ``last`` is a ``last + 1``-step
+    run, bit for bit, and the time-major reference's: scores after each
+    step, unit spikes per step, trains and final membranes, at one input,
+    three and the whole batch. ``stop`` sees every recorded step's scores
+    as they are made."""
     horizon = 7
     for seed in range(3):
         model, cache, configs = random_net(arch, seed)
+        spiking = engine.spiking_layer_indices(model)
         for n in (1, 3, cache.sample_count):
             x0 = engine._as_batch(model, cache.inputs[:n])
             for last in (0, 3, horizon - 1, None):  # None: stop never says yes
                 seen = []
 
                 def stop(t, scores):
+                    assert t == len(seen)
                     seen.append(scores.copy())
                     return t == last
 
-                step_scores, step_spikes, v_last = engine._walk(
-                    model, configs, x0, horizon, 0.5, stop
+                step_scores, step_spikes, v_last, trains = engine._simulate(
+                    model, configs, 0, x0, horizon, 0.5, keep_trains=True, stop=stop
                 )
                 steps = horizon if last is None else last + 1
-                want = engine.run_snn(model, configs, x0, steps)
-                for got, ref in ((step_scores, want.step_scores), (step_spikes, want.step_spikes),
-                                 (np.stack(seen), want.step_scores)):
+                want_scores, want_spikes, want_v, want_trains = engine._simulate(
+                    model, configs, 0, x0, steps, 0.5, keep_trains=True
+                )
+                _, ref_scores, ref_trains, ref_states = _time_major_run(model, configs, x0, steps)
+                ref_spikes = np.stack([
+                    [np.rint(a / cfg.threshold).reshape(n, -1).sum(axis=1).astype(np.int64)
+                     for a in ref_trains[i]] for i, cfg in zip(spiking, configs)
+                ], axis=1)
+                for got, ref in ((step_scores, want_scores), (step_spikes, want_spikes),
+                                 (np.stack(seen), want_scores), (step_scores, ref_scores),
+                                 (step_spikes, ref_spikes)):
                     assert got.dtype == ref.dtype and got.shape == ref.shape, (n, last)
                     assert got.tobytes() == ref.tobytes(), (n, last)
-                assert v_last.keys() == want.v_last.keys()
+                assert list(v_last) == list(want_v) == list(trains) == spiking
                 for i, v in v_last.items():
-                    assert v.tobytes() == want.v_last[i].tobytes(), (n, last, i)
+                    assert v.tobytes() == want_v[i].tobytes(), (n, last, i)
+                    assert v.tobytes() == ref_states[i].v.tobytes(), (n, last, i)
+                    assert trains[i].equals(want_trains[i]), (n, last, i)
+                    for t, amplitudes in enumerate(ref_trains[i]):
+                        assert trains[i].amplitudes(t).tobytes() == amplitudes.tobytes(), (i, t)
+
+
+def test_run_without_trains_holds_less_than_every_count():
+    """A run that keeps no trains never holds memory the size of every
+    spiking layer's counts (L * T * N * width bytes, at a byte a count)."""
+    layers, width, n, timesteps = 8, 128, 512, 32
+    model = nn.build_mlp(64, [width] * layers, 10, seed=0)
+    x = np.random.default_rng(0).standard_normal((n, 64))
+    configs = [engine.LayerSnnConfig(v_th=1.0, phi=4)] * layers
+    tracemalloc.start()
+    try:
+        engine.run_snn(model, configs, x, timesteps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < layers * timesteps * n * width, peak
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
