@@ -35,15 +35,26 @@ from .store import CalibrationCache
 
 def clip_floor(x, timesteps: int, v_th: float, phi: int = 1):
     """Rate-coded relu surrogate; saturates at ``v_th * phi``."""
+    arr = np.asarray(x, dtype=np.float64)
+    scaled = np.multiply(arr, timesteps, out=np.empty(arr.shape))
+    # [()] hands a 0-d result back as a numpy scalar, as a ufunc would
+    return _clip_floor_into(scaled, scaled, timesteps, v_th, phi)[()]
+
+
+def _clip_floor_into(out, scaled, timesteps, v_th, phi):
+    """``clip_floor(x, ...)`` from ``scaled = x * timesteps``, written into
+    ``out`` (which may be ``scaled``), so a caller trying many thresholds on
+    one ``x`` scales it once and reuses one buffer."""
     if timesteps < 1:
         raise ValueError(f"timesteps must be >= 1, got {timesteps}")
     if not v_th > 0:
         raise ValueError(f"v_th must be positive, got {v_th}")
     if phi < 1:
         raise ValueError(f"phi must be >= 1, got {phi}")
-    arr = np.asarray(x, dtype=np.float64)
-    q = np.floor(arr * timesteps / v_th)
-    return (v_th / timesteps) * np.clip(q, 0.0, float(timesteps) * phi)
+    np.divide(scaled, v_th, out=out)
+    np.floor(out, out=out)
+    np.clip(out, 0.0, float(timesteps) * phi, out=out)
+    return np.multiply(v_th / timesteps, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -103,9 +114,13 @@ def fit_threshold(
         if float(a.max()) <= 0.0:
             degenerate = True
     mse = np.empty(len(candidates), dtype=np.float64)
+    scaled, err = a * timesteps, np.empty_like(a)
     for i, cand in enumerate(candidates):
-        err = clip_floor(a, timesteps, float(cand), phi) - a
-        mse[i] = float(np.mean(err * err))
+        # err = clip_floor(a, timesteps, cand, phi) - a, squared, in one buffer
+        _clip_floor_into(err, scaled, timesteps, float(cand), phi)
+        np.subtract(err, a, out=err)
+        np.multiply(err, err, out=err)
+        mse[i] = float(np.mean(err))
     best = int(np.argmin(mse))  # argmin takes the first (smallest) on ties
     return ThresholdFit(
         layer=int(layer),

@@ -258,16 +258,22 @@ def apply_layer(
 
     ``operands``, for a dense layer only, is its ``(W.T, b)`` already cast to
     ``x``'s dtype, so a caller applying the layer at every step casts once.
+    Bias and pooling divisor are applied in place on the fresh product or
+    sum: the same float operations as ``x @ w_t + b``, without a second array.
     """
     kind = layer.kind
     if kind == "dense":
         w_t, b = operands or (layer.weight.T, layer.bias)
-        return x @ w_t + b
+        y = x @ w_t
+        y += b
+        return y
     if kind == "conv2d":
         cols, (ho, wo) = _im2col(x, layer.kernel, layer.stride, layer.padding)
         w2 = layer.weight.reshape(layer.out_channels, -1)
         y = np.einsum("oc,ncl->nol", w2, cols, optimize=True)
-        return y.reshape(x.shape[0], layer.out_channels, ho, wo) + layer.bias.reshape(1, -1, 1, 1)
+        y = y.reshape(x.shape[0], layer.out_channels, ho, wo)
+        y += layer.bias.reshape(1, -1, 1, 1)
+        return y
     if kind == "avgpool2d":
         kh, kw = layer.kernel
         sh, sw = layer.stride
@@ -278,7 +284,8 @@ def apply_layer(
         for i in range(kh):
             for j in range(kw):
                 acc += x[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-        return acc / (kh * kw)
+        acc /= kh * kw
+        return acc
     if kind == "flatten":
         return x.reshape(x.shape[0], -1)
     if kind == "relu":

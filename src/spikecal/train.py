@@ -96,7 +96,9 @@ def train_reference(
     """Train a copy of ``model`` on ``dataset`` (needs .images and .labels).
 
     Plain mini-batch SGD with a per-epoch reshuffle drawn from ``seed``. A
-    non-finite loss aborts with diagnostics rather than running to garbage.
+    non-finite loss aborts with diagnostics rather than running to garbage;
+    numpy's overflow and invalid-value warnings on the way there are silenced,
+    since the abort says what went wrong.
     """
     model.validate()
     trained = model.clone()
@@ -104,27 +106,30 @@ def train_reference(
     labels = np.asarray(dataset.labels, dtype=np.int64)
     n = len(labels)
     rng = np.random.default_rng(seed)
-    for epoch in range(int(epochs)):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            pick = order[start : start + batch_size]
-            xb, yb = images[pick], labels[pick]
-            logits, inputs = _forward_cached(trained, xb)
-            loss = cross_entropy(logits, yb)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss {loss} at epoch {epoch}, batch offset {start}"
-                )
-            probs = softmax(logits, axis=1)
-            probs[np.arange(len(yb)), yb] -= 1.0
-            dlogits = (probs / len(yb)).astype(np.float32)
-            grads = _backward(trained, inputs, dlogits)
-            # in place on the fresh gradients: the same float32 values as
-            # ``param -= lr * grad``, without two temporaries per parameter
-            for idx, (dw, db) in grads.items():
-                layer = trained.layers[idx]
-                for param, grad in ((layer.weight, dw), (layer.bias, db)):
-                    grad = grad.astype(np.float32, copy=False)
-                    grad *= np.float32(lr)
-                    param -= grad
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(int(epochs)):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                pick = order[start : start + batch_size]
+                xb, yb = images[pick], labels[pick]
+                logits, inputs = _forward_cached(trained, xb)
+                loss = cross_entropy(logits, yb)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss {loss} at epoch {epoch}, batch offset {start}; the "
+                        f"largest input magnitude is {float(np.abs(images).max())!r}: lower "
+                        "dataset.separation (or rescale the inputs) or train.lr"
+                    )
+                probs = softmax(logits, axis=1)
+                probs[np.arange(len(yb)), yb] -= 1.0
+                dlogits = (probs / len(yb)).astype(np.float32)
+                grads = _backward(trained, inputs, dlogits)
+                # in place on the fresh gradients: the same float32 values as
+                # ``param -= lr * grad``, without two temporaries per parameter
+                for idx, (dw, db) in grads.items():
+                    layer = trained.layers[idx]
+                    for param, grad in ((layer.weight, dw), (layer.bias, db)):
+                        grad = grad.astype(np.float32, copy=False)
+                        grad *= np.float32(lr)
+                        param -= grad
     return trained

@@ -105,6 +105,61 @@ def test_fit_threshold_rejects_bad_grid():
         calibrate.fit_threshold(np.ones(10), timesteps=8, grid=[0.0, 1.0])
 
 
+@st.composite
+def _fit_cases(draw):
+    """Taps with exact zeros, negatives and values on multiples of c / T,
+    or all zero; and a percentile grid or an explicit one holding c."""
+    timesteps, phi = draw(st.integers(1, 64)), draw(st.sampled_from([1, 3]))
+    c = draw(st.floats(0.05, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    taps = rng.standard_normal(n) * c
+    taps[rng.random(n) < 0.2] = 0.0
+    on_grid = rng.random(n) < 0.3
+    taps[on_grid] = rng.integers(-2, timesteps * phi + 3, on_grid.sum()) * (c / timesteps)
+    if draw(st.booleans()):
+        taps = taps.astype(np.float32)  # as the calibration cache keeps them
+    if draw(st.integers(0, 4)) == 0:
+        taps = np.zeros_like(taps)
+    grid = draw(st.one_of(
+        st.builds(calibrate.GridSpec, size=st.integers(1, 24)),
+        st.lists(st.floats(0.01, 5.0), min_size=0, max_size=8).map(lambda g: [*g, c]),
+    ))
+    return taps, timesteps, phi, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fit_cases())
+def test_fit_threshold_equals_per_candidate_formula(case):
+    """The one-buffer fit scores every candidate as ``clip_floor(a) - a``,
+    squared and averaged, bit for bit; ``clip_floor`` is the old expression."""
+    taps, timesteps, phi, grid = case
+    fit = calibrate.fit_threshold(taps, timesteps, phi=phi, grid=grid)
+    a = np.asarray(taps, dtype=np.float64)
+    mse = np.empty(len(fit.grid))
+    for i, cand in enumerate(fit.grid):
+        floored = clip_floor(a, timesteps, float(cand), phi)
+        q = np.floor(a * timesteps / cand)
+        old = (cand / timesteps) * np.clip(q, 0.0, float(timesteps) * phi)
+        assert floored.dtype == old.dtype and floored.tobytes() == old.tobytes()
+        err = floored - a
+        mse[i] = float(np.mean(err * err))
+    assert fit.grid_mse.dtype == mse.dtype and fit.grid_mse.tobytes() == mse.tobytes()
+    best = int(np.argmin(mse))
+    assert fit.v_th == float(fit.grid[best]) and fit.mse == float(mse[best])
+    if isinstance(grid, calibrate.GridSpec):
+        assert fit.degenerate == (float(np.percentile(a, grid.high_percentile)) <= 0.0)
+    else:
+        np.testing.assert_array_equal(fit.grid, np.unique(grid))
+        assert fit.degenerate == (float(a.max()) <= 0.0)
+
+
+def test_clip_floor_keeps_scalar_results_scalar():
+    got = clip_floor(np.array(1.3), 4, 2.0, 1)
+    assert type(got) is np.float64 and got == 1.0
+    assert clip_floor([[1.3, -1.0]], 4, 2.0, 1).shape == (1, 2)
+
+
 def test_fit_all_thresholds_covers_spiking_layers(trained_mlp, calibration):
     fits = calibrate.fit_all_thresholds(trained_mlp, calibration, timesteps=8)
     assert [f.layer for f in fits] == engine.spiking_layer_indices(trained_mlp)

@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -273,6 +274,24 @@ def test_config_value_out_of_range_rejected(tmp_path, capsys, overrides, message
     assert cli.main(["train", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("separation, offset", [(1e30, 64), (3.4028234663852886e38, 0)],
+                         ids=["huge-separation", "largest-separation"])
+def test_diverging_training_names_its_settings(tmp_path, capsys, separation, offset):
+    """Blobs this far apart overflow the first products: training exits 1
+    naming the input magnitude and the settings, and no numpy warning leaks."""
+    config, _ = write_config(tmp_path, dataset={
+        "kind": "blobs", "n": 300, "eval_n": 150, "dim": [32], "classes": 4,
+        "separation": separation})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        rf"error: \[train\] non-finite loss nan at epoch 0, batch offset {offset}; the largest "
+        r"input magnitude is \d\.\d+e\+\d\d: lower dataset\.separation \(or rescale the inputs\) "
+        r"or train\.lr\n", err), err
 
 
 @pytest.mark.parametrize("overrides, key, where, least", [

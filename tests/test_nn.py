@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from spikecal import nn
+from spikecal import engine, nn
 
 
 def random_dense_model(rng, in_dim=6, hidden=5, classes=3):
@@ -60,6 +60,64 @@ def test_avgpool_matches_oracle_fuzz(rng):
         got = nn.apply_layer(nn.avgpool2d(k), x)
         want = oracles.avgpool2d_forward(x, (k, k), (k, k))
         np.testing.assert_allclose(got, want, atol=1e-5)
+
+
+def _assert_same_array(got, want):
+    """Same dtype, shape, bytes, and memory layout (strides of the axes longer than 1)."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    layout = [tuple(s for s, d in zip(a.strides, a.shape) if d > 1) for a in (got, want)]
+    assert layout[0] == layout[1]
+    assert got.tobytes() == want.tobytes()
+
+
+# the dense widths of the benchmark workloads: deep-search 64-128-...-10, demo 784-256-128-10
+DENSE_SHAPES = ((64, 128), (128, 128), (128, 10), (784, 256), (256, 128))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 512])
+@pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("float64_operands", [False, True])
+def test_dense_bias_in_place_equals_sum_expression(n, x_dtype, float64_operands):
+    """The in-place bias add gives ``x @ w_t + b`` bit for bit, float64
+    whenever the input or the operands are."""
+    rng = np.random.default_rng(n)
+    for i, o in DENSE_SHAPES:
+        layer = nn.dense(i, o, rng.standard_normal((o, i)), rng.standard_normal(o))
+        ops = engine._float64_operands(layer) if float64_operands else None
+        x = rng.standard_normal((n, i))
+        x[rng.random(x.shape) < 0.5] = 0.0  # sparse, as spike amplitudes are
+        x = x.astype(x_dtype)
+        w_t, b = ops or (layer.weight.T, layer.bias)
+        want = x @ w_t + b
+        got = nn.apply_layer(layer, x, ops)
+        _assert_same_array(got, want)
+        assert got.dtype == (np.float64 if float64_operands else x_dtype)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 512])
+@pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+def test_conv_and_pool_in_place_equal_old_expressions(n, x_dtype):
+    """cnn-exit's conv and avgpool layers: the in-place bias add and divide
+    give the old out-of-place expressions bit for bit."""
+    rng = np.random.default_rng(n)
+    for c_in, c_out, hw in ((1, 8, 16), (8, 16, 8)):  # cnn-exit: 1x16x16 input, channels [8, 16]
+        weight = rng.standard_normal((c_out, c_in, 3, 3))
+        layer = nn.conv2d(c_in, c_out, 3, padding=1, weight=weight, bias=rng.standard_normal(c_out))
+        x = rng.standard_normal((n, c_in, hw, hw)).astype(x_dtype)
+        cols, (ho, wo) = nn._im2col(x, layer.kernel, layer.stride, layer.padding)
+        w2 = layer.weight.reshape(layer.out_channels, -1)
+        y = np.einsum("oc,ncl->nol", w2, cols, optimize=True)
+        want = y.reshape(n, layer.out_channels, ho, wo) + layer.bias.reshape(1, -1, 1, 1)
+        _assert_same_array(nn.apply_layer(layer, x), want)
+
+        x = np.maximum(want, 0)  # the relu the pool follows
+        for k in (2, 3):  # cnn-exit's pool, and a divisor that is not a power of two
+            pool, ho = nn.avgpool2d(k), hw // k
+            acc = np.zeros((n, c_out, ho, ho), dtype=x.dtype)
+            for a in range(k):
+                for b in range(k):
+                    acc += x[:, :, a : a + k * ho : k, b : b + k * ho : k]
+            _assert_same_array(nn.apply_layer(pool, x), acc / (k * k))
 
 
 def test_softmax_matches_oracle(rng):
