@@ -3,10 +3,10 @@
 
 Small library-API experiment (no CLI, no artifacts): convert one trained
 net, then row by row evaluate uniform phi = 1..4 and finally the plan the
-multiplier sweep picks under the uniform-phi=2 energy budget. The point the
-table makes: with the same nominal budget as a uniform phi=2 bump, a mixed
-per-layer plan recovers essentially all of the short-horizon accuracy that
-uniform phi=2 leaves on the table.
+exact per-layer search picks under the uniform-phi=2 energy budget. The
+point the table makes: with the same nominal budget as a uniform phi=2
+bump, a mixed per-layer plan recovers essentially all of the short-horizon
+accuracy that uniform phi=2 leaves on the table.
 
 Feasibility is judged on the calibration set through the additive per-layer
 cost surrogate, so the plan's measured eval-set energy can land slightly

@@ -676,6 +676,16 @@ def cmd_report(cfg: RunConfig) -> int:
         model = store.load_model(art.calibrated)
         configs, _ = _best_configs(art, model)
         images, labels = _model_inputs(cfg, model, "eval")
+        spiking = engine.spiking_layer_indices(model)
+        plans = {}
+        for kind, path in (("phi", art.plan_phi), ("rho", art.plan_rho)):
+            plan = plans[kind] = search.load_plan(path)
+            if (plan.kind, plan.layers) != (kind, spiking):
+                raise UserError(
+                    f"[report-setup] {path} is a {plan.kind} plan for layers {plan.layers}, "
+                    f"but report needs a {kind} plan for the spiking layers {spiking} "
+                    f"of {art.calibrated}"
+                )
     with _stage("accuracy-curve"):
         run = engine.run_snn(
             model, configs, images, max(ACCURACY_CURVE_TIMESTEPS),
@@ -690,8 +700,7 @@ def cmd_report(cfg: RunConfig) -> int:
         )
     with _stage("frontier"):
         rows = []
-        for kind, path in (("phi", art.plan_phi), ("rho", art.plan_rho)):
-            plan = search.load_plan(path)
+        for kind, plan in plans.items():
             for s, e in sorted(set(plan.frontier)):
                 rows.append(f"{kind},{s!r},{e!r}")
         store.write_atomic(art.frontier, ["kind,s_sum,e_sum", *rows])

@@ -14,13 +14,18 @@ convention
 
 optionally weighted by fan-out (``synop`` mode). A plan assigns one candidate
 per layer; the search minimizes total sensitivity under an energy cap (burst
-search) or total energy under a sensitivity cap (compression search) by
-sweeping the Lagrangian relaxation, whose per-layer argmin structure makes
-each sweep point cheap. Small problems are solved exactly by enumeration.
+search) or total energy under a sensitivity cap (compression search). It is
+exact at every table size: the layers are merged one at a time, keeping only
+the partial plans that no earlier one dominates (the Pareto dynamic program
+for multiple-choice knapsack), and ties go to the first plan in
+``itertools.product`` order, as enumerating every plan would send them. A
+sweep of the Lagrangian relaxation, which reaches only plans on the lower
+convex hull, stays as the named alternative ``method="sweep"``.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -42,9 +47,6 @@ from .engine import (
 )
 from .nn import ModelGraph, softmax
 from .store import CalibrationCache
-
-_EXHAUSTIVE_MAX_LAYERS = 8
-_EXHAUSTIVE_MAX_CANDIDATES = 4
 
 
 @dataclass(frozen=True)
@@ -323,10 +325,39 @@ def _sweep_plans(table: SensitivityTable, minimize_s: bool) -> np.ndarray:
     return np.array(plans, dtype=np.intp).reshape(len(plans), len(table.layers))
 
 
-def _exhaustive_plans(table: SensitivityTable) -> np.ndarray:
-    """Every plan as a row of candidate indices, in ``itertools.product`` order."""
-    n_layers, n_cands = len(table.layers), len(table.candidates)
-    return np.indices((n_cands,) * n_layers).reshape(n_layers, n_cands**n_layers).T
+def _merge_plans(table: SensitivityTable) -> np.ndarray:
+    """Index rows, in product order, of every plan a search of all plans could pick.
+
+    Merges the layers one at a time, from one empty plan (Nemhauser & Ullmann,
+    "Discrete Dynamic Programming and Capital Allocation", 1969). Each kept
+    row is extended by every candidate, old row major, and a new row is kept
+    unless an earlier one has S and E no greater: a staircase of the rows so
+    far (S ascending, E descending) answers that by bisection. Sums are added
+    in table-layer order, as ``_plan_sums`` adds them, and rounding is
+    monotone, so every plan is weakly dominated by a kept plan no later in
+    product order. The best plan, the cheapest, their first-row tie-breaks
+    and the frontier therefore all survive.
+    """
+    n = len(table.candidates)
+    plans = np.zeros((1, 0), dtype=np.intp)
+    s_sums, e_sums = np.zeros(1), np.zeros(1)
+    for layer in table.layers:
+        s_rows = (s_sums[:, None] + [table.s[(layer, c)] for c in table.candidates]).ravel()
+        e_rows = (e_sums[:, None] + [table.e[(layer, c)] for c in table.candidates]).ravel()
+        kept, stair_s, stair_neg_e = [], [], []
+        for row, (s, e) in enumerate(zip(s_rows.tolist(), e_rows.tolist())):
+            i = bisect.bisect_right(stair_s, s)
+            if i and stair_neg_e[i - 1] >= -e:
+                continue
+            # the new row replaces the staircase rows it weakly dominates
+            lo = bisect.bisect_left(stair_s, s)
+            hi = bisect.bisect_right(stair_neg_e, -e, lo)
+            stair_s[lo:hi], stair_neg_e[lo:hi] = [s], [-e]
+            kept.append(row)
+        kept = np.array(kept, dtype=np.intp)
+        plans = np.column_stack((plans[kept // n], kept % n))
+        s_sums, e_sums = s_rows[kept], e_rows[kept]
+    return plans
 
 
 def pareto_search(
@@ -337,19 +368,15 @@ def pareto_search(
     ``energy_cap`` minimizes total sensitivity subject to total energy within
     the cap; ``sensitivity_cap`` swaps the roles. An infeasible budget returns
     ``feasible=False`` carrying the cheapest plan available instead of raising.
+    ``auto`` is exact at every size: its plan, sums, feasibility and frontier
+    equal those of scoring every plan, and exact ties go to the first plan in
+    ``itertools.product`` order. ``sweep`` scores only the plans some
+    Lagrange multiplier selects; nothing picks it unless asked by name.
     """
-    if method == "auto":
-        small = (
-            len(table.layers) <= _EXHAUSTIVE_MAX_LAYERS
-            and len(table.candidates) <= _EXHAUSTIVE_MAX_CANDIDATES
-        )
-        method = "exhaustive" if small else "sweep"
-    if method not in ("sweep", "exhaustive"):
+    if method not in ("auto", "sweep"):
         raise ValueError(f"unknown search method {method!r}")
     minimize_s = budget.kind == "energy_cap"
-    plans = (
-        _exhaustive_plans(table) if method == "exhaustive" else _sweep_plans(table, minimize_s)
-    )
+    plans = _merge_plans(table) if method == "auto" else _sweep_plans(table, minimize_s)
     s_sums, e_sums = _plan_sums(table, plans)
     best, cheapest = _select_best(s_sums, e_sums, budget.cap, minimize_s)
     pick = cheapest if best is None else best

@@ -421,6 +421,30 @@ def test_auto_compression_cap_without_rho_one_uses_first_candidate(finished_run,
     assert cli.search.load_plan(art.plan_rho).budget.cap == cap
 
 
+def _other_layers(art):
+    """plan_phi.txt with its choice lines moved to layers the model does not have."""
+    text = open(art.plan_phi).read()
+    return re.sub(r"^choice layer (\d+)", lambda m: f"choice layer {int(m[1]) + 100}", text,
+                  flags=re.M)
+
+
+@pytest.mark.parametrize("plan_text, message", [
+    (_other_layers, r"is a phi plan for layers \[101, 103\], but report needs a phi plan "
+                    r"for the spiking layers \[1, 3\]"),
+    (lambda art: open(art.plan_rho).read(), r"is a rho plan for layers \[1, 3\], but "
+                                            r"report needs a phi plan"),
+], ids=["other-layers", "other-kind"])
+def test_report_rejects_plan_from_another_run(finished_run, tmp_path, capsys, plan_text, message):
+    config, art = _copy_run(finished_run, tmp_path)
+    text = plan_text(art)
+    with open(art.plan_phi, "w") as fh:
+        fh.write(text)
+    capsys.readouterr()
+    assert cli.main(["report", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert re.search(message, err) and "plan_phi.txt" in err and "model_calibrated.snnc" in err, err
+
+
 def test_ablate_with_silent_baseline_writes_nan_deltas(finished_run, tmp_path, capsys):
     # the membrane starts so low that no layer reaches its threshold in T steps
     config, art = _copy_run(finished_run, tmp_path, membrane_init=-1e6)

@@ -29,6 +29,25 @@ def random_table(rng, n_layers, n_cands, kind="phi"):
     return make_table(layers, candidates, s, e, kind)
 
 
+def monotone_table(rng, n_layers, n_cands):
+    """A burst-cap-like table: per layer, S falls and E rises with the candidate."""
+    layers, candidates = list(range(1, 2 * n_layers, 2)), list(range(1, n_cands + 1))
+    s, e = {}, {}
+    for layer in layers:
+        falling = sorted(rng.uniform(0, 2, n_cands), reverse=True)
+        rising = sorted(rng.uniform(0.1, 3, n_cands))
+        for cand, s_val, e_val in zip(candidates, falling, rising):
+            s[(layer, cand)] = float(np.round(s_val, 6))
+            e[(layer, cand)] = float(np.round(e_val, 6))
+    return make_table(layers, candidates, s, e)
+
+
+def median_uniform_sum(table, values):
+    """The median total of ``values`` (``table.s`` or ``table.e``) over the
+    plans that give every layer one candidate."""
+    return float(np.median([sum(values[(l, c)] for l in table.layers) for c in table.candidates]))
+
+
 # ---------------------------------------------------------------------------
 # scalar pieces
 
@@ -76,7 +95,7 @@ def test_energy_model_rejects_unknown_mode():
 
 
 # ---------------------------------------------------------------------------
-# plan search against the exhaustive oracle
+# plan search against the brute-force references
 
 
 def test_plan_search_worked_example():
@@ -113,7 +132,7 @@ def test_plan_search_sensitivity_cap_direction():
 
 
 def test_auto_matches_exhaustive_on_many_tables(rng):
-    """The default method solves small instances exactly, per brute force."""
+    """The default method solves every instance exactly, per brute force."""
     for trial in range(50):
         n_layers = int(rng.integers(1, 4))
         n_cands = int(rng.integers(2, 5))
@@ -148,7 +167,7 @@ def test_sweep_contract_on_many_tables(rng):
     multiplier can reach, and never returns a dominated point.
 
     The sweep cannot promise the true constrained optimum (it may sit off the
-    lower convex hull); that exactness is the auto/exhaustive path's job.
+    lower convex hull); that exactness is the auto path's job.
     """
     for trial in range(30):
         n_layers = int(rng.integers(1, 4))
@@ -161,11 +180,11 @@ def test_sweep_contract_on_many_tables(rng):
         cap = float(rng.uniform(e_min * 0.9, e_min * 2.5))
         budget = search.SearchBudget("energy_cap", cap)
         fast = search.pareto_search(table, budget, method="sweep")
-        slow = search.pareto_search(table, budget, method="exhaustive")
-        assert fast.feasible == slow.feasible
+        _, slow_s_sum, _, slow_feasible, _ = _pareto_reference(table, budget)
+        assert fast.feasible == slow_feasible
         if not fast.feasible:
             continue
-        assert fast.s_sum >= slow.s_sum - 1e-9  # cannot beat brute force
+        assert fast.s_sum >= slow_s_sum - 1e-9  # cannot beat brute force
         feasible_reachable = [p for p in reachable if p[2] <= cap + 1e-12]
         assert feasible_reachable, "sweep claimed feasible but oracle found none"
         best = min(feasible_reachable, key=lambda p: (p[1], p[2]))
@@ -183,9 +202,7 @@ def test_exhaustive_matches_loop_oracle(rng):
     for _ in range(20):
         table = random_table(rng, 2, 3)
         cap = float(rng.uniform(1.0, 5.0))
-        plan = search.pareto_search(
-            table, search.SearchBudget("energy_cap", cap), method="exhaustive"
-        )
+        plan = search.pareto_search(table, search.SearchBudget("energy_cap", cap))
         (choice, s_sum, e_sum), feasible = oracles.best_plan_under_cap(
             table.layers, table.candidates, table.s, table.e, "energy_cap", cap
         )
@@ -196,11 +213,9 @@ def test_exhaustive_matches_loop_oracle(rng):
 
 def test_auto_method_picks_exhaustive_for_small_problems(rng):
     table = random_table(rng, 2, 3)
-    plan = search.pareto_search(table, search.SearchBudget("energy_cap", 100.0))
-    exhaustive = search.pareto_search(
-        table, search.SearchBudget("energy_cap", 100.0), method="exhaustive"
-    )
-    assert plan.choice == exhaustive.choice
+    budget = search.SearchBudget("energy_cap", 100.0)
+    plan = search.pareto_search(table, budget)
+    assert plan.choice == _pareto_reference(table, budget)[0]
 
 
 def test_frontier_is_mutually_nondominated(rng):
@@ -528,7 +543,7 @@ def _pareto_reference(table, budget):
 
 
 def test_exhaustive_search_equals_dict_loop(rng):
-    """Vectorized plan scoring picks the same plan, sums, feasibility and
+    """The search picks the same plan, sums, feasibility and
     frontier as a plain loop, ties included (values on a coarse grid)."""
     for trial in range(40):
         table = random_table(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
@@ -538,9 +553,80 @@ def test_exhaustive_search_equals_dict_loop(rng):
         kind = "energy_cap" if trial % 2 else "sensitivity_cap"
         for cap in (0.0, float(rng.uniform(0.0, 3.0)), np.inf):
             budget = search.SearchBudget(kind, cap)
-            plan = search.pareto_search(table, budget, method="exhaustive")
+            plan = search.pareto_search(table, budget)
             choice, s, e, feasible, frontier = _pareto_reference(table, budget)
             assert plan.choice == choice and plan.feasible == feasible
             assert (plan.s_sum, plan.e_sum) == (s, e)
             assert plan.frontier == frontier
             assert all(type(v) is float for v in (plan.s_sum, plan.e_sum, *sum(plan.frontier, ())))
+
+
+def _same_as_reference(table, budget):
+    """The search's plan, sums, feasibility and frontier equal ``_pareto_reference``'s."""
+    plan = search.pareto_search(table, budget)
+    want = _pareto_reference(table, budget)
+    assert (plan.choice, plan.s_sum, plan.e_sum, plan.feasible, plan.frontier) == want
+    return plan
+
+
+@pytest.mark.parametrize("n_layers, n_cands", [(9, 4), (4, 5)])
+def test_search_is_exact_past_eight_layers_or_four_candidates(n_layers, n_cands):
+    """Seeded tables on which a sweep, which reaches only plans on the lower
+    convex hull, returns a plan of higher S than brute force under the cap."""
+    table = monotone_table(np.random.default_rng(0), n_layers, n_cands)
+    cap = median_uniform_sum(table, table.e)
+    plan = search.pareto_search(table, search.SearchBudget("energy_cap", cap))
+    (choice, s_sum, e_sum), feasible = oracles.best_plan_under_cap(
+        table.layers, table.candidates, table.s, table.e, "energy_cap", cap
+    )
+    assert plan.feasible and feasible
+    assert (plan.choice, plan.s_sum, plan.e_sum) == (choice, s_sum, e_sum)
+
+
+def test_search_keeps_the_first_of_plans_tied_by_rounding():
+    """Over layers 0-2, prefix (1, 1, 2) sums to (0.4, 1.8) and the later
+    prefix (2, 1, 1) to (0.4, 1.7999999999999998); with layer 3 at candidate 2
+    both round to (0.5, 2.4). Dropping the first prefix because the second
+    dominates it would send the tie to the later plan; scoring every plan
+    picks the first."""
+    s = {(0, 1): 0.0, (0, 2): 0.30000000000000004, (1, 1): 0.1, (1, 2): 0.2,
+         (2, 1): 0.0, (2, 2): 0.30000000000000004, (3, 1): 0.30000000000000004, (3, 2): 0.1}
+    e = {(0, 1): 0.6, (0, 2): 0.3, (1, 1): 0.8999999999999999, (1, 2): 0.8999999999999999,
+         (2, 1): 0.6, (2, 2): 0.3, (3, 1): 0.8999999999999999, (3, 2): 0.6}
+    table = make_table([0, 1, 2, 3], [1, 2], s, e)
+    plan = _same_as_reference(table, search.SearchBudget("energy_cap", 2.5284667736021755))
+    assert plan.choice == {0: 1, 1: 1, 2: 2, 3: 2}
+    assert (plan.s_sum, plan.e_sum, plan.feasible) == (0.5, 2.4, True)
+
+
+def test_search_equals_brute_force_fuzz():
+    """Seeded fuzz of the search against both references (budget about 5 s).
+
+    Tables of 0-5 layers and 1-4 candidates, half with values on a coarse
+    grid, where rounding turns prefix dominance into ties; caps of 0, a
+    random value and inf under both budget kinds; every result equal to
+    ``_pareto_reference`` bit for bit. Then sizes past 8 layers (9 x 3 and
+    10 x 2) against ``oracles.best_plan_under_cap`` as well.
+    """
+    rng = np.random.default_rng(16)
+    for trial in range(300):
+        table = random_table(rng, int(rng.integers(0, 6)), int(rng.integers(1, 5)))
+        if trial % 2:
+            for key in table.s:
+                table.s[key] = float(rng.integers(0, 4)) * 0.1
+                table.e[key] = float(rng.integers(1, 4)) * 0.3
+        for kind in ("energy_cap", "sensitivity_cap"):
+            for cap in (0.0, float(rng.uniform(0.0, 2.0 * len(table.layers))), np.inf):
+                _same_as_reference(table, search.SearchBudget(kind, cap))
+    for n_layers, n_cands in ((9, 3), (10, 2)):
+        for seed in range(2):
+            table = monotone_table(np.random.default_rng(seed), n_layers, n_cands)
+            for kind, cap in (("energy_cap", median_uniform_sum(table, table.e)),
+                              ("sensitivity_cap", median_uniform_sum(table, table.s))):
+                plan = _same_as_reference(table, search.SearchBudget(kind, cap))
+                (choice, s_sum, e_sum), feasible = oracles.best_plan_under_cap(
+                    table.layers, table.candidates, table.s, table.e, kind, cap
+                )
+                assert (plan.choice, plan.s_sum, plan.e_sum, plan.feasible) == (
+                    choice, s_sum, e_sum, feasible
+                )
