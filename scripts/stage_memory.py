@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Wall time and peak memory of each CLI stage, each stage in a fresh process.
+
+Writes the run config of workload W at seed S (``perfbench/workloads.py``
+of this repository, so two checkouts run the same config) into a temporary
+run directory, then runs the eight stages in order, each as ``python -m
+spikecal STAGE --config ...`` with CHECKOUT's ``src/`` on the path and one
+BLAS thread. For every stage it prints the wall time and the child's peak
+resident set size (``ru_maxrss`` from ``os.wait4``), so a stage's memory is
+its own and not the highest of the stages before it, as in a one-process
+run. Exits 1, naming the stage and its last stderr line, if a stage fails.
+
+    python3 scripts/stage_memory.py /path/to/checkout --workload demo-mlp --seed 7
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from workloads import WORKLOADS, make_config  # noqa: E402
+
+STAGES = ("train", "convert", "search-phi", "search-rho", "fit-exit", "eval", "ablate", "report")
+
+
+class StageFailed(Exception):
+    """A stage exited non-zero; the message names it."""
+
+
+def run_stage(tree: str, stage: str, config: str) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MiB of one ``python -m spikecal`` stage."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spikecal", stage, "--config", config],
+            env=env, stdout=subprocess.DEVNULL, stderr=err,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            tail = err.read().decode(errors="replace").strip().splitlines()[-1:] or ["no stderr"]
+            raise StageFailed(f"stage {stage} exited {proc.returncode} ({tail[0]})")
+    return seconds, usage.ru_maxrss / 1024.0  # Linux reports KiB
+
+
+def run_stages(tree: str, config: dict) -> list[tuple[str, float, float]]:
+    """``(stage, wall_s, maxrss_mb)`` of every stage of ``config`` under ``tree``."""
+    path = os.path.join(config["out_dir"], "config.json")
+    os.makedirs(config["out_dir"], exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh, indent=2)
+    return [(stage, *run_stage(tree, stage, path)) for stage in STAGES]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("checkout", metavar="CHECKOUT", help="checkout holding src/spikecal")
+    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--seed", type=int, default=7)
+    args = ap.parse_args()
+    tree = os.path.abspath(args.checkout)
+    if not os.path.isfile(os.path.join(tree, "src", "spikecal", "cli.py")):
+        ap.error(f"{tree} holds no src/spikecal")
+    with tempfile.TemporaryDirectory(prefix="stage_memory-") as work:
+        try:
+            rows = run_stages(tree, make_config(args.workload, args.seed, work))
+        except StageFailed as err:
+            print(f"{args.workload}, seed {args.seed}: {err}")
+            return 1
+    print(f"{args.workload}, seed {args.seed}, one BLAS thread, one process per stage")
+    print(f"{'stage':<12}{'wall_s':>8}{'maxrss_mb':>11}")
+    for stage, seconds, mb in rows:
+        print(f"{stage:<12}{seconds:>8.3f}{mb:>11.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -196,34 +196,55 @@ def calibrate_biases(
     return corrected
 
 
-@dataclass
-class LayerErrorBreakdown:
-    """Rate-vs-activation gap for one layer, split by cause.
+def _error_parts(x: np.ndarray, rate: np.ndarray, cfg: LayerSnnConfig,
+                 timesteps: int) -> dict[str, np.ndarray]:
+    """The gap between ``rate`` and the analog activations ``x``, split by cause.
 
     total = clipping + quantization + unevenness, elementwise:
       clipping      clip(x, 0, cap) - x          (capacity ceiling)
       quantization  clip_floor(x) - clip(x, 0, cap)   (rate granularity)
       unevenness    measured rate - clip_floor(x)     (arrival timing)
     """
+    clipped = np.clip(x, 0.0, cfg.threshold * cfg.phi)
+    floored = clip_floor(x, timesteps, cfg.threshold, cfg.phi)
+    return {
+        "total": rate - x,
+        "clipping": clipped - x,
+        "quantization": floored - clipped,
+        "unevenness": rate - floored,
+    }
+
+
+@dataclass
+class LayerErrorBreakdown:
+    """One layer's conversion error (``_error_parts``), kept as summaries.
+
+    For each part: the mean and the max of its absolute values and the sum
+    of its squares, over every calibration sample and neuron.
+    """
 
     layer: int
-    total: np.ndarray
-    clipping: np.ndarray
-    quantization: np.ndarray
-    unevenness: np.ndarray
+    means: dict[str, float]
+    maxima: dict[str, float]
+    squares: dict[str, float]
+
+    @classmethod
+    def of(cls, layer: int, parts: dict[str, np.ndarray]) -> LayerErrorBreakdown:
+        return cls(
+            layer=layer,
+            means={k: float(np.mean(np.abs(a))) for k, a in parts.items()},
+            maxima={k: float(np.max(np.abs(a))) for k, a in parts.items()},
+            squares={k: float(np.sum(a**2)) for k, a in parts.items()},
+        )
 
     def mean_abs(self, which: str = "total") -> float:
-        return float(np.mean(np.abs(getattr(self, which))))
+        return self.means[which]
 
     def max_abs(self, which: str = "total") -> float:
-        return float(np.max(np.abs(getattr(self, which))))
+        return self.maxima[which]
 
     def squared_shares(self) -> dict[str, float]:
-        parts = {
-            "clipping": float(np.sum(self.clipping**2)),
-            "quantization": float(np.sum(self.quantization**2)),
-            "unevenness": float(np.sum(self.unevenness**2)),
-        }
+        parts = {k: self.squares[k] for k in ("clipping", "quantization", "unevenness")}
         denom = sum(parts.values())
         if denom == 0.0:
             return {k: 0.0 for k in parts}
@@ -250,7 +271,9 @@ def measure_unevenness(
 
     Rates come from one full simulation (all spiking layers live), so later
     layers see real upstream spike traffic, while the reference activations
-    are the cached analog taps.
+    are the cached analog taps. Each layer's error arrays are reduced to
+    their summaries as soon as they are formed, so at most one layer's are
+    held at a time.
     """
     cache.check_model(model)
     # only the trains are read, so the run's final membranes go at once (peak memory)
@@ -259,21 +282,9 @@ def measure_unevenness(
     ).trains
     out = []
     for pos, idx in enumerate(spiking_layer_indices(model)):
-        cfg = configs[pos]
         x = np.asarray(cache.taps[idx], dtype=np.float64)
         rate = trains[idx].rate()
-        cap = cfg.threshold * cfg.phi
-        clipped = np.clip(x, 0.0, cap)
-        floored = clip_floor(x, timesteps, cfg.threshold, cfg.phi)
-        out.append(
-            LayerErrorBreakdown(
-                layer=idx,
-                total=rate - x,
-                clipping=clipped - x,
-                quantization=floored - clipped,
-                unevenness=rate - floored,
-            )
-        )
+        out.append(LayerErrorBreakdown.of(idx, _error_parts(x, rate, configs[pos], timesteps)))
     return ConversionMetrics(layers=out)
 
 

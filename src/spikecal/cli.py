@@ -439,6 +439,18 @@ def _fit_policy(cfg: RunConfig, model, configs, cache, t_max: int) -> early_exit
     )
 
 
+def _load_policy(cfg: RunConfig, path: str, stage: str) -> early_exit.ExitPolicy:
+    """The exit policy at ``path``, which must gate the config's ``t_max`` steps."""
+    with _stage(stage):
+        policy = early_exit.load_policy(path)
+    if policy.t_max != cfg.t_max:
+        raise UserError(
+            f"[{stage}] {path} is a policy for t_max {policy.t_max}, but the config's "
+            f"t_max is {cfg.t_max}: was it fitted for another run?"
+        )
+    return policy
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -580,8 +592,9 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
         model = store.load_model(art.calibrated)
         configs, used = _best_configs(art, model)
         images, labels = _model_inputs(cfg, model, "eval")
-    with _stage("eval-adaptive"):
-        policy = early_exit.load_policy(art.policy) if os.path.exists(art.policy) else None
+    policy = None
+    if os.path.exists(art.policy):
+        policy = _load_policy(cfg, art.policy, "eval-adaptive")
     rows = []
     with _stage("eval-fixed"):
         # one run answers the fixed horizon and the exit gate alike
@@ -677,6 +690,7 @@ def cmd_report(cfg: RunConfig) -> int:
         configs, _ = _best_configs(art, model)
         images, labels = _model_inputs(cfg, model, "eval")
         spiking = engine.spiking_layer_indices(model)
+        policy = _load_policy(cfg, art.policy, "report-setup")
         plans = {}
         for kind, path in (("phi", art.plan_phi), ("rho", art.plan_rho)):
             plan = plans[kind] = search.load_plan(path)
@@ -705,7 +719,6 @@ def cmd_report(cfg: RunConfig) -> int:
                 rows.append(f"{kind},{s!r},{e!r}")
         store.write_atomic(art.frontier, ["kind,s_sum,e_sum", *rows])
     with _stage("exit-histogram"):
-        policy = early_exit.load_policy(art.policy)
         exits = early_exit.load_exit_steps(art.exit_trace, policy.t_max)
         if len(exits) != len(labels):
             raise UserError(

@@ -473,7 +473,8 @@ def load_idx(images_path, labels_path) -> DatasetHandle:
     """
     (count, rows, cols), raw = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", 3)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, rows, cols)
-    images = (images.astype(np.float32) / 255.0).copy()
+    images = images.astype(np.float32)
+    images /= 255.0
     (lcount,), lraw = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", 1)
     labels = np.frombuffer(lraw, dtype=np.uint8).astype(np.int64)
     if count != lcount:
@@ -493,7 +494,9 @@ def load_csv(path, image_shape, scale: float = 1.0 / 255.0) -> DatasetHandle:
         row = int(inexact[0])
         raise HeaderError(f"{path}: row {row + 1}: label {float(labels[row])!r} is not an integer")
     labels = labels.astype(np.int64)
-    pixels = (table[:, 1:] * scale).astype(np.float32)
+    pixels = table[:, 1:]
+    pixels *= scale  # in place: the table is this function's own
+    pixels = pixels.astype(np.float32)
     expected = int(np.prod(image_shape))
     if pixels.shape[1] != expected:
         raise HeaderError(
@@ -502,6 +505,10 @@ def load_csv(path, image_shape, scale: float = 1.0 / 255.0) -> DatasetHandle:
         )
     images = pixels.reshape(len(labels), *image_shape)
     return DatasetHandle(images=images, labels=labels)
+
+
+# float64 values of noise in one block of ``make_synthetic``'s draws (512 KiB)
+_BLOCK_VALUES = 1 << 16
 
 
 def _balanced_labels(n: int, classes: int, rng: np.random.Generator) -> np.ndarray:
@@ -546,8 +553,17 @@ def make_synthetic(
             if gaps.min() >= 0.8 * separation:
                 break
         labels = _balanced_labels(n, classes, rng)
-        points = centers[labels] + rng.standard_normal((n, d))
-        images = points.astype(np.float32).reshape(n, *shape)
+        # the noise is drawn a block of rows at a time: a Generator's normal
+        # stream does not depend on how its draws are split, so the bytes equal
+        # one (n, d) draw's, without three float64 arrays of the full size
+        rows = max(1, _BLOCK_VALUES // d)
+        images, block = np.empty((n, d), dtype=np.float32), np.empty((min(rows, n), d))
+        for start in range(0, n, rows):
+            part = block[: min(rows, n - start)]
+            rng.standard_normal(out=part)
+            np.add(centers[labels[start : start + len(part)]], part, out=part)
+            images[start : start + len(part)] = part
+        images = images.reshape(n, *shape)
     elif kind == "rings":
         labels = _balanced_labels(n, classes, rng)
         radii = 1.0 + labels.astype(np.float64)

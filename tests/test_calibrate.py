@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,19 +281,87 @@ def test_bias_correction_cancels_injected_offset(trained_mlp, calibration):
 # error decomposition
 
 
+def _rates(model, configs, cache, timesteps):
+    """Each spiking layer's rate on the cached inputs, as ``measure_unevenness`` reads it."""
+    run = engine.run_snn(model, configs, cache.inputs, timesteps, record_trains=True)
+    return {idx: train.rate() for idx, train in run.trains.items()}
+
+
 def test_error_decomposition_identity(trained_mlp, calibration):
-    """total == clipping + quantization + unevenness, elementwise."""
+    """total == clipping + quantization + unevenness, elementwise, on the
+    arrays ``measure_unevenness`` forms (``_error_parts``) before it reduces them."""
     fits = calibrate.fit_all_thresholds(trained_mlp, calibration, timesteps=8)
     configs = calibrate.configs_from_fits(fits)
-    metrics = calibrate.measure_unevenness(
-        trained_mlp, configs, calibration, timesteps=8
-    )
-    for layer in metrics.layers:
+    rates = _rates(trained_mlp, configs, calibration, 8)
+    for pos, idx in enumerate(engine.spiking_layer_indices(trained_mlp)):
+        x = np.asarray(calibration.taps[idx], dtype=np.float64)
+        layer = calibrate._error_parts(x, rates[idx], configs[pos], 8)
         np.testing.assert_allclose(
-            layer.total,
-            layer.clipping + layer.quantization + layer.unevenness,
+            layer["total"],
+            layer["clipping"] + layer["quantization"] + layer["unevenness"],
             atol=1e-9,
         )
+
+
+def _array_breakdown(model, configs, cache, timesteps):
+    """The conversion error as full arrays, per spiking layer: the reference
+    formulation the summaries of ``measure_unevenness`` must reproduce."""
+    rates = _rates(model, configs, cache, timesteps)
+    out = []
+    for pos, idx in enumerate(engine.spiking_layer_indices(model)):
+        cfg = configs[pos]
+        x = np.asarray(cache.taps[idx], dtype=np.float64)
+        rate = rates[idx]
+        cap = cfg.threshold * cfg.phi
+        clipped = np.clip(x, 0.0, cap)
+        floored = clip_floor(x, timesteps, cfg.threshold, cfg.phi)
+        out.append((idx, {
+            "total": rate - x,
+            "clipping": clipped - x,
+            "quantization": floored - clipped,
+            "unevenness": rate - floored,
+        }))
+    return out
+
+
+@pytest.mark.parametrize("arch, seed, timesteps", [
+    ("mlp", 1, 4), ("mlp", 2, 8), ("cnn", 3, 4), ("cnn", 4, 16),
+])
+def test_error_summaries_equal_the_array_reference(random_net, arch, seed, timesteps):
+    """Every mean, max and squared share equals the full-array formula's, bit for bit."""
+    model, cache, configs = random_net(arch, seed, n=24)
+    metrics = calibrate.measure_unevenness(model, configs, cache, timesteps)
+    reference = _array_breakdown(model, configs, cache, timesteps)
+    assert [b.layer for b in metrics.layers] == [idx for idx, _ in reference]
+    for got, (_, parts) in zip(metrics.layers, reference):
+        for which, arr in parts.items():
+            assert got.mean_abs(which) == float(np.mean(np.abs(arr))), which
+            assert got.max_abs(which) == float(np.max(np.abs(arr))), which
+        squares = {k: float(np.sum(parts[k] ** 2))
+                   for k in ("clipping", "quantization", "unevenness")}
+        denom = sum(squares.values())
+        assert got.squared_shares() == {k: (v / denom if denom else 0.0)
+                                        for k, v in squares.items()}
+
+
+def test_error_summaries_hold_less_than_one_layers_arrays():
+    """What ``measure_unevenness`` returns stays below one layer's four
+    float64 error arrays (4 * N * width * 8 bytes), however many layers."""
+    layers, width, n = 8, 128, 512
+    model = nn.build_mlp(64, [width] * layers, 10, seed=0)
+    images = np.random.default_rng(0).standard_normal((n, 64)).astype(np.float32)
+    data = store.DatasetHandle(images=images, labels=np.zeros(n, dtype=np.int64))
+    cache = store.build_calibration_cache(model, data, n, seed=0)
+    configs = calibrate.configs_from_fits(calibrate.fit_all_thresholds(model, cache, 8))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        metrics = calibrate.measure_unevenness(model, configs, cache, 8)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(metrics.layers) == layers
+    assert held < 4 * n * width * 8, held
 
 
 def test_unevenness_vanishes_at_long_horizon(trained_mlp, calibration):

@@ -445,6 +445,21 @@ def test_report_rejects_plan_from_another_run(finished_run, tmp_path, capsys, pl
     assert re.search(message, err) and "plan_phi.txt" in err and "model_calibrated.snnc" in err, err
 
 
+@pytest.mark.parametrize("stage", ["eval", "report"])
+def test_policy_for_another_t_max_is_rejected(finished_run, tmp_path, capsys, stage):
+    """A policy fitted for t_max 16, copied into a t_max 8 run, gates nothing."""
+    config, art = _copy_run(finished_run, tmp_path, t_max=16)
+    assert cli.main(["fit-exit", "--config", config]) == 0
+    config = str(write_config(tmp_path, out_dir=art.out_dir)[0])  # back to t_max 8
+    before = open(art.eval_report).read()
+    capsys.readouterr()
+    assert cli.main([stage, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exit_policy.txt is a policy for t_max 16, but the " \
+        "config's t_max is 8" in err, err
+    assert open(art.eval_report).read() == before
+
+
 def test_ablate_with_silent_baseline_writes_nan_deltas(finished_run, tmp_path, capsys):
     # the membrane starts so low that no layer reaches its threshold in T steps
     config, art = _copy_run(finished_run, tmp_path, membrane_init=-1e6)

@@ -1,0 +1,50 @@
+"""``scripts/stage_memory.py`` on the smoke-test size of the deep-search workload."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+
+import pytest
+
+_ROOT = os.path.join(os.path.dirname(__file__), "..")
+_PATH = os.path.join(_ROOT, "scripts", "stage_memory.py")
+_SPEC = importlib.util.spec_from_file_location("stage_memory", _PATH)
+stage_memory = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(stage_memory)
+
+sys.path.insert(0, os.path.join(_ROOT, "perfbench"))
+from workloads import TINY, make_config  # noqa: E402
+
+
+def _tiny_config(out_dir, **overrides):
+    return make_config("deep-search", 7, str(out_dir), {**TINY["deep-search"], **overrides})
+
+
+def test_every_stage_gets_a_time_and_its_own_peak(tmp_path):
+    rows = stage_memory.run_stages(_ROOT, _tiny_config(tmp_path / "run"))
+    assert [stage for stage, _, _ in rows] == list(stage_memory.STAGES)
+    for stage, seconds, mb in rows:
+        assert seconds > 0 and mb > 1.0, (stage, seconds, mb)
+    assert os.path.exists(tmp_path / "run" / "report" / "exit_histogram.csv")
+
+
+def test_a_failed_stage_is_named(tmp_path):
+    config = _tiny_config(tmp_path / "run", train={"epochs": 8, "lr": -1.0})
+    with pytest.raises(stage_memory.StageFailed, match=r"^stage train exited 1 \(error: "):
+        stage_memory.run_stages(_ROOT, config)
+
+
+def test_script_exits_1_naming_the_stage(tmp_path):
+    """A checkout whose ``python -m spikecal`` fails: the first stage is named."""
+    package = tmp_path / "src" / "spikecal"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("")
+    (package / "__main__.py").write_text("import sys\nsys.exit('error: broken')\n")
+    proc = subprocess.run(
+        [sys.executable, _PATH, str(tmp_path), "--workload", "deep-search"],
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == "deep-search, seed 7: stage train exited 1 (error: broken)\n"

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,26 @@ def test_idx_round_trip_crafted_bytes(tmp_path):
     np.testing.assert_array_equal(handle.labels, [1, 0])
 
 
+def test_loaders_scale_every_pixel_value_as_one_expression_would(tmp_path):
+    """Pixels 0..255 come out as ``(p.astype(float32) / 255.0)`` (IDX) and
+    ``(p * scale).astype(float32)`` (CSV), bit for bit, in writable arrays."""
+    pixels = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+    (tmp_path / "img").write_bytes(
+        struct.pack(">IIII", store.IDX_IMAGE_MAGIC, 4, 8, 8) + pixels.tobytes()
+    )
+    (tmp_path / "lbl").write_bytes(struct.pack(">II", store.IDX_LABEL_MAGIC, 4) + bytes(4))
+    idx = store.load_idx(tmp_path / "img", tmp_path / "lbl")
+    want = pixels.astype(np.float32) / 255.0
+    assert idx.images.tobytes() == want.tobytes() and idx.images.flags.writeable
+    table = np.hstack([np.zeros((4, 1)), pixels.reshape(4, 64).astype(np.float64)])
+    path = tmp_path / "d.csv"
+    path.write_text("".join(",".join(str(int(v)) for v in row) + "\n" for row in table))
+    for scale in (1.0 / 255.0, 0.3):
+        csv = store.load_csv(path, (1, 8, 8), scale=scale)
+        want = (table[:, 1:] * scale).astype(np.float32)
+        assert csv.images.tobytes() == want.tobytes() and csv.images.flags.writeable
+
+
 def test_idx_magic_mismatch(tmp_path):
     bad = struct.pack(">IIII", 123, 1, 2, 2) + bytes(4)
     (tmp_path / "img").write_bytes(bad)
@@ -225,6 +246,53 @@ def test_structure_seed_pins_geometry():
         assert np.linalg.norm(mu_train - mu_eval) < 1.5
     # different noise draws, though
     assert not np.array_equal(train_split.images[:10], eval_split.images[:10])
+
+
+def _one_shot_blobs(n, seed, classes, dim, separation=8.0, structure_seed=None):
+    """``make_synthetic("blobs", ...)`` with all the noise drawn in one call:
+    the reference the block-wise draw must reproduce byte for byte."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(dim) if isinstance(dim, tuple) else (dim,)
+    d = int(np.prod(shape))
+    center_rng = np.random.default_rng(seed if structure_seed is None else structure_seed)
+    for _ in range(64):
+        dirs = center_rng.standard_normal((classes, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        centers = dirs * (separation / np.sqrt(2.0))
+        gaps = np.linalg.norm(centers[:, None] - centers[None, :], axis=2)
+        gaps[np.diag_indices(classes)] = np.inf
+        if gaps.min() >= 0.8 * separation:
+            break
+    labels = (np.arange(n, dtype=np.int64) % classes)[rng.permutation(n)]
+    points = centers[labels] + rng.standard_normal((n, d))
+    return points.astype(np.float32).reshape(n, *shape), labels
+
+
+@pytest.mark.parametrize("seed", [7, 29])
+@pytest.mark.parametrize("classes", [2, 10])
+@pytest.mark.parametrize("dim", [64, 784, (1, 16, 16)])
+def test_blockwise_blobs_equal_one_draw(dim, classes, seed):
+    """Around each block edge and at the benchmark's 2000 rows, the blobs
+    drawn a block of rows at a time are the one-draw reference's bytes."""
+    block = max(1, store._BLOCK_VALUES // int(np.prod(dim)))
+    for n in sorted({1, block - 1, block, block + 1, 2000} - {0}):
+        got = store.make_synthetic("blobs", n, seed, classes=classes, dim=dim, structure_seed=3)
+        images, labels = _one_shot_blobs(n, seed, classes, dim, structure_seed=3)
+        assert got.images.dtype == images.dtype and got.images.shape == images.shape, n
+        assert got.images.tobytes() == images.tobytes(), n
+        assert got.labels.tobytes() == labels.tobytes(), n
+
+
+def test_blobs_peak_memory_stays_near_the_result():
+    """The 2000 x 784 split peaks below twice its float32 result, not at the
+    three full-size float64 arrays of a one-shot draw."""
+    tracemalloc.start()
+    try:
+        data = store.make_synthetic("blobs", 2000, seed=7, classes=10, dim=784)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * data.images.nbytes, (peak, data.images.nbytes)
 
 
 def test_synthetic_blobs_image_shape():
