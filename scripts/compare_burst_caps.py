@@ -48,7 +48,7 @@ def main() -> int:
     cache = store.build_calibration_cache(ann, dataset, 256, seed=5)
     fits = calibrate.fit_all_thresholds(ann, cache, args.timesteps)
     configs = calibrate.configs_from_fits(fits)
-    snn = calibrate.calibrate_biases(ann, configs, cache, args.timesteps)
+    snn, _ = calibrate.calibrate_biases(ann, configs, cache, args.timesteps)
     energy = search.EnergyModel()
 
     def measure(cfgs):

@@ -8,25 +8,27 @@ With a well-chosen threshold the converted net's per-layer firing rate tracks
 this curve to within one quantum, so thresholds are fitted by minimizing the
 mean squared gap between ``clip_floor`` and the cached analog activations on
 a geometric candidate grid. Bias calibration then removes per-channel mean
-offsets layer by layer, and ``measure_unevenness`` splits what is left into
-clipping, quantization, and timing (unevenness) components.
+offsets layer by layer, in one walk over the calibration set whose final
+trains ``measure_unevenness`` reduces: it splits what is left into clipping,
+quantization, and timing (unevenness) components without simulating again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import store
 from .engine import (
     DEFAULT_MEMBRANE_INIT,
+    ConfigMismatchError,
     LayerSnnConfig,
+    SpikeTrain,
     _as_batch,
     _check_run,
     _currents,
     _run_layer,
-    run_snn,
     spiking_layer_indices,
 )
 from .nn import ModelGraph
@@ -167,20 +169,24 @@ def calibrate_biases(
     timesteps: int,
     *,
     membrane_init: float = DEFAULT_MEMBRANE_INIT,
-) -> ModelGraph:
-    """Return a copy of ``model`` with per-channel mean rate offsets folded
-    into the biases feeding each spiking layer.
+) -> tuple[ModelGraph, dict[int, SpikeTrain]]:
+    """A copy of ``model`` with per-channel mean rate offsets folded into the
+    biases feeding each spiking layer, and each spiking layer's train on the
+    calibration inputs under those biases, keyed by graph layer index.
 
     Works input to output so each correction sees the layers before it
     already corrected. One walk over the layers: each spiking layer is
     simulated from the corrected train of the layer before it, once to
     measure its rates and once more, after its feeder's bias is corrected,
-    to give the train the next layer starts from.
+    to give its final train. That train feeds the next layer and is
+    returned: the trains equal, bit for bit, what ``run_snn(corrected,
+    configs, cache.inputs, timesteps, record_trains=True)`` records, so
+    ``measure_unevenness`` reads them without another simulation.
     """
     cache.check_model(model)
     _check_run(model, configs, timesteps)
     corrected = model.clone()
-    source, start = _as_batch(corrected, cache.inputs), 0
+    source, start, trains = _as_batch(corrected, cache.inputs), 0, {}
     for pos, idx in enumerate(spiking_layer_indices(corrected)):
         segment = corrected.layers[start:idx]
         currents = _currents(segment, source, timesteps)
@@ -192,8 +198,8 @@ def calibrate_biases(
         feeder.bias = (feeder.bias.astype(np.float64) + correction).astype(np.float32)
         currents = _currents(segment, source, timesteps)
         source, _ = _run_layer(currents, configs[pos], timesteps, membrane_init)
-        start = idx + 1
-    return corrected
+        trains[idx], start = source, idx + 1
+    return corrected, trains
 
 
 def _error_parts(x: np.ndarray, rate: np.ndarray, cfg: LayerSnnConfig,
@@ -230,12 +236,14 @@ class LayerErrorBreakdown:
 
     @classmethod
     def of(cls, layer: int, parts: dict[str, np.ndarray]) -> LayerErrorBreakdown:
-        return cls(
-            layer=layer,
-            means={k: float(np.mean(np.abs(a))) for k, a in parts.items()},
-            maxima={k: float(np.max(np.abs(a))) for k, a in parts.items()},
-            squares={k: float(np.sum(a**2)) for k, a in parts.items()},
-        )
+        means, maxima, squares = {}, {}, {}
+        for k, a in parts.items():
+            magnitude = np.abs(a)
+            means[k] = float(np.mean(magnitude))
+            maxima[k] = float(np.max(magnitude))
+            # |a|**2 is a**2 bit for bit, so the buffer is squared in place
+            squares[k] = float(np.sum(np.square(magnitude, out=magnitude)))
+        return cls(layer=layer, means=means, maxima=maxima, squares=squares)
 
     def mean_abs(self, which: str = "total") -> float:
         return self.means[which]
@@ -260,31 +268,35 @@ class ConversionMetrics:
 
 
 def measure_unevenness(
-    model: ModelGraph,
+    taps: dict[int, np.ndarray],
+    trains: dict[int, SpikeTrain],
     configs: list[LayerSnnConfig],
-    cache: CalibrationCache,
     timesteps: int,
-    *,
-    membrane_init: float = DEFAULT_MEMBRANE_INIT,
 ) -> ConversionMetrics:
-    """Three-way conversion error decomposition on the calibration subset.
+    """Three-way conversion error decomposition of each spiking layer.
 
-    Rates come from one full simulation (all spiking layers live), so later
-    layers see real upstream spike traffic, while the reference activations
-    are the cached analog taps. Each layer's error arrays are reduced to
+    ``trains`` are the spiking layers' ``timesteps``-step trains keyed by
+    graph layer index, as ``calibrate_biases`` returns them or
+    ``run_snn(..., record_trains=True).trains`` records them; ``configs``
+    are theirs, in layer order, and ``taps`` the analog activations of the
+    same inputs (``CalibrationCache.taps``). Rates come from trains of a
+    whole-net walk, so later layers see real upstream spike traffic.
+    Nothing is simulated here. Each layer's error arrays are reduced to
     their summaries as soon as they are formed, so at most one layer's are
     held at a time.
     """
-    cache.check_model(model)
-    # only the trains are read, so the run's final membranes go at once (peak memory)
-    trains = run_snn(
-        model, configs, cache.inputs, timesteps, membrane_init=membrane_init, record_trains=True
-    ).trains
+    if len(trains) != len(configs):
+        raise ConfigMismatchError(f"{len(trains)} trains for {len(configs)} configs")
     out = []
-    for pos, idx in enumerate(spiking_layer_indices(model)):
-        x = np.asarray(cache.taps[idx], dtype=np.float64)
-        rate = trains[idx].rate()
-        out.append(LayerErrorBreakdown.of(idx, _error_parts(x, rate, configs[pos], timesteps)))
+    for cfg, idx in zip(configs, sorted(trains)):
+        train = trains[idx]
+        if train.threshold != cfg.threshold or len(train.counts) != timesteps:
+            raise ConfigMismatchError(
+                f"layer {idx}: train of {len(train.counts)} steps at threshold "
+                f"{train.threshold!r}, expected {timesteps} at {cfg.threshold!r}"
+            )
+        x = np.asarray(taps[idx], dtype=np.float64)
+        out.append(LayerErrorBreakdown.of(idx, _error_parts(x, train.rate(), cfg, timesteps)))
     return ConversionMetrics(layers=out)
 
 

@@ -497,16 +497,14 @@ def cmd_convert(cfg: RunConfig) -> int:
         fits = calibrate.fit_all_thresholds(model, cache, cfg.timesteps, phi=1, grid=grid)
         configs = calibrate.configs_from_fits(fits)
     with _stage("calibrate-biases"):
-        calibrated = calibrate.calibrate_biases(
+        calibrated, trains = calibrate.calibrate_biases(
             model, configs, cache, cfg.timesteps, membrane_init=cfg.membrane_init
         )
         store.save_model(calibrated, art.calibrated)
         spiking = engine.spiking_layer_indices(calibrated)
         engine.save_configs(configs, spiking, art.configs_base)
     with _stage("measure-errors"):
-        metrics = calibrate.measure_unevenness(
-            calibrated, configs, cache, cfg.timesteps, membrane_init=cfg.membrane_init
-        )
+        metrics = calibrate.measure_unevenness(cache.taps, trains, configs, cfg.timesteps)
         calibrate.write_calibration_report(art.calibration_report, fits, metrics)
     print(f"calibrated model -> {art.calibrated}")
     for fit in fits:

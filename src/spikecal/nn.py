@@ -251,6 +251,17 @@ def _col2im(dcols, x_shape, kernel, stride, padding):
     return dxp
 
 
+def _conv2d(layer: LayerSpec, x: Tensor) -> tuple[Tensor, Tensor]:
+    """A conv layer's output on ``x``, and the ``_im2col`` columns of ``x``
+    it was computed from, which the backward pass reuses."""
+    cols, (ho, wo) = _im2col(x, layer.kernel, layer.stride, layer.padding)
+    w2 = layer.weight.reshape(layer.out_channels, -1)
+    y = np.einsum("oc,ncl->nol", w2, cols, optimize=True)
+    y = y.reshape(x.shape[0], layer.out_channels, ho, wo)
+    y += layer.bias.reshape(1, -1, 1, 1)
+    return y, cols
+
+
 def apply_layer(
     layer: LayerSpec, x: Tensor, operands: tuple[Tensor, Tensor] | None = None
 ) -> Tensor:
@@ -268,12 +279,7 @@ def apply_layer(
         y += b
         return y
     if kind == "conv2d":
-        cols, (ho, wo) = _im2col(x, layer.kernel, layer.stride, layer.padding)
-        w2 = layer.weight.reshape(layer.out_channels, -1)
-        y = np.einsum("oc,ncl->nol", w2, cols, optimize=True)
-        y = y.reshape(x.shape[0], layer.out_channels, ho, wo)
-        y += layer.bias.reshape(1, -1, 1, 1)
-        return y
+        return _conv2d(layer, x)[0]
     if kind == "avgpool2d":
         kh, kw = layer.kernel
         sh, sw = layer.stride

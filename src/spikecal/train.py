@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import ModelGraph, Tensor, _col2im, _im2col, apply_layer, softmax
+from .nn import ModelGraph, Tensor, _col2im, _conv2d, apply_layer, softmax
 
 
 class TrainingDivergedError(RuntimeError):
@@ -26,16 +26,21 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> float:
 
 
 def _forward_cached(model: ModelGraph, x: Tensor):
-    """Logits plus each layer's input, which is all the backward pass needs."""
-    inputs = []
-    for layer in model.layers:
+    """Logits, each layer's input, and each conv layer's input unfolded into
+    columns (keyed by layer index): all the backward pass needs."""
+    inputs, columns = [], {}
+    for i, layer in enumerate(model.layers):
         inputs.append(x)
-        x = apply_layer(layer, x)
-    return x, inputs
+        if layer.kind == "conv2d":
+            x, columns[i] = _conv2d(layer, x)
+        else:
+            x = apply_layer(layer, x)
+    return x, inputs, columns
 
 
-def _backward(model: ModelGraph, inputs, dlogits: Tensor):
-    """``{layer index: (dW, db)}`` for every parameterized layer, and nothing else.
+def _backward(model: ModelGraph, inputs, columns, dlogits: Tensor):
+    """``{layer index: (dW, db)}`` for every parameterized layer, and nothing else,
+    from ``_forward_cached``'s ``inputs`` and ``columns``.
 
     The reverse loop stops at the first parameterized layer: its ``(dW, db)``
     is formed, its input gradient is not, since no layer below reads it.
@@ -52,9 +57,8 @@ def _backward(model: ModelGraph, inputs, dlogits: Tensor):
             if i > first:
                 dy = dy @ layer.weight
         elif layer.kind == "conv2d":
-            cols, (ho, wo) = _im2col(x, layer.kernel, layer.stride, layer.padding)
-            dflat = dy.reshape(x.shape[0], layer.out_channels, ho * wo)
-            dw = np.einsum("nol,ncl->oc", dflat, cols, optimize=True)
+            dflat = dy.reshape(x.shape[0], layer.out_channels, -1)
+            dw = np.einsum("nol,ncl->oc", dflat, columns[i], optimize=True)
             grads[i] = (dw.reshape(layer.weight.shape), dy.sum(axis=(0, 2, 3)))
             if i > first:
                 w2 = layer.weight.reshape(layer.out_channels, -1)
@@ -112,7 +116,7 @@ def train_reference(
             for start in range(0, n, batch_size):
                 pick = order[start : start + batch_size]
                 xb, yb = images[pick], labels[pick]
-                logits, inputs = _forward_cached(trained, xb)
+                logits, inputs, columns = _forward_cached(trained, xb)
                 loss = cross_entropy(logits, yb)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
@@ -123,7 +127,7 @@ def train_reference(
                 probs = softmax(logits, axis=1)
                 probs[np.arange(len(yb)), yb] -= 1.0
                 dlogits = (probs / len(yb)).astype(np.float32)
-                grads = _backward(trained, inputs, dlogits)
+                grads = _backward(trained, inputs, columns, dlogits)
                 # in place on the fresh gradients: the same float32 values as
                 # ``param -= lr * grad``, without two temporaries per parameter
                 for idx, (dw, db) in grads.items():

@@ -67,7 +67,7 @@ def pipeline():
     cache = store.build_calibration_cache(ann, dataset, 256, seed=5)
     fits = calibrate.fit_all_thresholds(ann, cache, TIMESTEPS)
     base_configs = calibrate.configs_from_fits(fits)
-    snn = calibrate.calibrate_biases(ann, base_configs, cache, TIMESTEPS)
+    snn, _ = calibrate.calibrate_biases(ann, base_configs, cache, TIMESTEPS)
     energy_model = search.EnergyModel()
 
     # burst budget: the measured energy of running every layer at phi=2
@@ -306,12 +306,14 @@ def test_criterion_6_burst_search_pays_off(pipeline):
         accuracy_ok = plan_acc >= base_acc and pipeline["phi_plan"].feasible
 
         # output gap (rate minus source activation) at the longer horizon
-        m_base = calibrate.measure_unevenness(
-            pipeline["snn"], pipeline["base_configs"], pipeline["cache"], T_MAX
-        )
-        m_plan = calibrate.measure_unevenness(
-            pipeline["snn"], pipeline["phi_configs"], pipeline["cache"], T_MAX
-        )
+        snn, cache = pipeline["snn"], pipeline["cache"]
+
+        def measure(configs):
+            run = engine.run_snn(snn, configs, cache.inputs, T_MAX, record_trains=True)
+            return calibrate.measure_unevenness(cache.taps, run.trains, configs, T_MAX)
+
+        m_base = measure(pipeline["base_configs"])
+        m_plan = measure(pipeline["phi_configs"])
         gap_base = float(np.mean([b.mean_abs("total") for b in m_base.layers]))
         gap_plan = float(np.mean([b.mean_abs("total") for b in m_plan.layers]))
         reduction = 1.0 - gap_plan / gap_base

@@ -197,7 +197,7 @@ def test_bias_calibration_reduces_rate_mismatch(trained_mlp, calibration):
         return float(np.mean(gaps))
 
     before = mean_gap(trained_mlp)
-    adjusted = calibrate.calibrate_biases(trained_mlp, configs, calibration, timesteps=8)
+    adjusted, _ = calibrate.calibrate_biases(trained_mlp, configs, calibration, timesteps=8)
     after = mean_gap(adjusted)
     assert after <= before + 1e-9
 
@@ -221,7 +221,7 @@ def _calibrate_reference(model, configs, cache, timesteps):
 def test_bias_calibration_equals_full_run_loop(random_net, arch, timesteps):
     for seed in range(3):
         model, cache, configs = random_net(arch, 10 * timesteps + seed)
-        fast = calibrate.calibrate_biases(model, configs, cache, timesteps)
+        fast, _ = calibrate.calibrate_biases(model, configs, cache, timesteps)
         slow = _calibrate_reference(model, configs, cache, timesteps)
         for a, b in zip(fast.layers, slow.layers):
             if a.bias is not None:
@@ -236,8 +236,8 @@ def test_bias_calibration_is_contractive(trained_mlp, calibration):
     """
     fits = calibrate.fit_all_thresholds(trained_mlp, calibration, timesteps=8)
     configs = calibrate.configs_from_fits(fits)
-    once = calibrate.calibrate_biases(trained_mlp, configs, calibration, timesteps=8)
-    twice = calibrate.calibrate_biases(once, configs, calibration, timesteps=8)
+    once, _ = calibrate.calibrate_biases(trained_mlp, configs, calibration, timesteps=8)
+    twice, _ = calibrate.calibrate_biases(once, configs, calibration, timesteps=8)
 
     def delta(a, b):
         return max(
@@ -254,7 +254,7 @@ def test_bias_calibration_is_contractive(trained_mlp, calibration):
 def test_bias_calibration_touches_only_biases(trained_mlp, calibration):
     fits = calibrate.fit_all_thresholds(trained_mlp, calibration, timesteps=8)
     configs = calibrate.configs_from_fits(fits)
-    adjusted = calibrate.calibrate_biases(trained_mlp, configs, calibration, timesteps=8)
+    adjusted, _ = calibrate.calibrate_biases(trained_mlp, configs, calibration, timesteps=8)
     for a, b in zip(trained_mlp.layers, adjusted.layers):
         if a.parameterized:
             np.testing.assert_array_equal(a.weight, b.weight)
@@ -266,15 +266,49 @@ def test_bias_correction_cancels_injected_offset(trained_mlp, calibration):
     """An artificial constant offset on a feeding layer is pulled back out."""
     fits = calibrate.fit_all_thresholds(trained_mlp, calibration, timesteps=8)
     configs = calibrate.configs_from_fits(fits)
-    clean = calibrate.calibrate_biases(trained_mlp, configs, calibration, timesteps=8)
+    clean, _ = calibrate.calibrate_biases(trained_mlp, configs, calibration, timesteps=8)
 
     poisoned = trained_mlp.clone()
     poisoned.layers[0].bias[:] += np.float32(0.8)
-    fixed = calibrate.calibrate_biases(poisoned, configs, calibration, timesteps=8)
+    fixed, _ = calibrate.calibrate_biases(poisoned, configs, calibration, timesteps=8)
     # the corrected bias lands near the clean calibration, not near the poison
     gap_clean = float(np.abs(fixed.layers[0].bias - clean.layers[0].bias).mean())
     gap_poison = float(np.abs(fixed.layers[0].bias - poisoned.layers[0].bias).mean())
     assert gap_clean < gap_poison
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+@pytest.mark.parametrize("timesteps", [1, 4, 9])
+@pytest.mark.parametrize("membrane_init", [0.0, 0.5, 0.9])
+def test_calibration_trains_equal_a_fresh_run(random_net, arch, timesteps, membrane_init):
+    """The trains ``calibrate_biases`` hands over are what a whole-net run of
+    the calibrated model records, bit for bit, and so is the error breakdown
+    made from them."""
+    for seed in range(2):
+        model, cache, configs = random_net(arch, 7 * timesteps + seed)
+        calibrated, trains = calibrate.calibrate_biases(
+            model, configs, cache, timesteps, membrane_init=membrane_init
+        )
+        run = engine.run_snn(
+            calibrated, configs, cache.inputs, timesteps,
+            membrane_init=membrane_init, record_trains=True,
+        )
+        assert list(trains) == list(run.trains) == engine.spiking_layer_indices(model)
+        for idx, train in trains.items():
+            fresh = run.trains[idx]
+            assert train.equals(fresh) and train.counts.dtype == fresh.counts.dtype
+            assert train.counts.tobytes() == fresh.counts.tobytes()
+        got = calibrate.measure_unevenness(cache.taps, trains, configs, timesteps)
+        assert got == calibrate.measure_unevenness(cache.taps, run.trains, configs, timesteps)
+
+
+def test_breakdown_rejects_trains_that_do_not_fit_the_configs(trained_mlp, calibration):
+    configs = calibrate.configs_from_fits(calibrate.fit_all_thresholds(trained_mlp, calibration, 8))
+    trains = engine.run_snn(trained_mlp, configs, calibration.inputs, 8, record_trains=True).trains
+    compressed = [engine.LayerSnnConfig(v_th=c.v_th, rho=2) for c in configs]
+    for cfgs, timesteps in ((configs[:1], 8), (compressed, 8), (configs, 4)):
+        with pytest.raises(engine.ConfigMismatchError):
+            calibrate.measure_unevenness(calibration.taps, trains, cfgs, timesteps)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +319,12 @@ def _rates(model, configs, cache, timesteps):
     """Each spiking layer's rate on the cached inputs, as ``measure_unevenness`` reads it."""
     run = engine.run_snn(model, configs, cache.inputs, timesteps, record_trains=True)
     return {idx: train.rate() for idx, train in run.trains.items()}
+
+
+def _measure(model, configs, cache, timesteps):
+    """``measure_unevenness`` on the trains of a fresh whole-net run of ``model``."""
+    run = engine.run_snn(model, configs, cache.inputs, timesteps, record_trains=True)
+    return calibrate.measure_unevenness(cache.taps, run.trains, configs, timesteps)
 
 
 def test_error_decomposition_identity(trained_mlp, calibration):
@@ -330,7 +370,7 @@ def _array_breakdown(model, configs, cache, timesteps):
 def test_error_summaries_equal_the_array_reference(random_net, arch, seed, timesteps):
     """Every mean, max and squared share equals the full-array formula's, bit for bit."""
     model, cache, configs = random_net(arch, seed, n=24)
-    metrics = calibrate.measure_unevenness(model, configs, cache, timesteps)
+    metrics = _measure(model, configs, cache, timesteps)
     reference = _array_breakdown(model, configs, cache, timesteps)
     assert [b.layer for b in metrics.layers] == [idx for idx, _ in reference]
     for got, (_, parts) in zip(metrics.layers, reference):
@@ -353,10 +393,11 @@ def test_error_summaries_hold_less_than_one_layers_arrays():
     data = store.DatasetHandle(images=images, labels=np.zeros(n, dtype=np.int64))
     cache = store.build_calibration_cache(model, data, n, seed=0)
     configs = calibrate.configs_from_fits(calibrate.fit_all_thresholds(model, cache, 8))
+    trains = engine.run_snn(model, configs, cache.inputs, 8, record_trains=True).trains
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        metrics = calibrate.measure_unevenness(model, configs, cache, 8)
+        metrics = calibrate.measure_unevenness(cache.taps, trains, configs, 8)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -369,9 +410,7 @@ def test_unevenness_vanishes_at_long_horizon(trained_mlp, calibration):
     timesteps = 4096
     fits = calibrate.fit_all_thresholds(trained_mlp, calibration, timesteps=timesteps)
     configs = calibrate.configs_from_fits(fits)
-    metrics = calibrate.measure_unevenness(
-        trained_mlp, configs, calibration, timesteps=timesteps
-    )
+    metrics = _measure(trained_mlp, configs, calibration, timesteps)
     first = metrics.layers[0]
     assert first.mean_abs("unevenness") <= 1e-3
 
@@ -379,19 +418,17 @@ def test_unevenness_vanishes_at_long_horizon(trained_mlp, calibration):
 def test_unevenness_shrinks_with_horizon(trained_mlp, calibration):
     fits = calibrate.fit_all_thresholds(trained_mlp, calibration, timesteps=8)
     configs = calibrate.configs_from_fits(fits)
-    short = calibrate.measure_unevenness(trained_mlp, configs, calibration, timesteps=8)
+    short = _measure(trained_mlp, configs, calibration, 8)
     fits_long = calibrate.fit_all_thresholds(trained_mlp, calibration, timesteps=256)
     configs_long = calibrate.configs_from_fits(fits_long)
-    long = calibrate.measure_unevenness(
-        trained_mlp, configs_long, calibration, timesteps=256
-    )
+    long = _measure(trained_mlp, configs_long, calibration, 256)
     assert long.mean_abs_total() < short.mean_abs_total()
 
 
 def test_report_file_lists_layers(tmp_path, trained_mlp, calibration):
     fits = calibrate.fit_all_thresholds(trained_mlp, calibration, timesteps=8)
     configs = calibrate.configs_from_fits(fits)
-    metrics = calibrate.measure_unevenness(trained_mlp, configs, calibration, timesteps=8)
+    metrics = _measure(trained_mlp, configs, calibration, 8)
     path = tmp_path / "report.txt"
     calibrate.write_calibration_report(path, fits, metrics)
     text = path.read_text()

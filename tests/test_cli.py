@@ -622,6 +622,27 @@ def test_flags_and_json_keys_give_equal_configs(tmp_path):
     assert from_flags != cli.load_config(config)
 
 
+def test_convert_simulates_the_calibration_set_once(tmp_path, monkeypatch):
+    """Bias calibration's two passes step each spiking layer 2·T times, and
+    the error breakdown reads their trains: no third run of T steps."""
+    config, _ = write_config(
+        tmp_path, timesteps=3, calib_samples=16,
+        dataset={"kind": "blobs", "n": 40, "eval_n": 20, "dim": [8], "classes": 3},
+        model={"hidden": [6, 5]}, train={"epochs": 1, "lr": 0.05},
+    )
+    assert cli.main(["train", "--config", str(config)]) == 0
+    widths = []
+    step = cli.engine.step_layer
+
+    def counted(state, current, config):
+        widths.append(state.v.shape[1])
+        return step(state, current, config)
+
+    monkeypatch.setattr(cli.engine, "step_layer", counted)
+    assert cli.main(["convert", "--config", str(config)]) == 0
+    assert sorted(widths) == [5] * 6 + [6] * 6
+
+
 def test_compare_burst_caps_script_prints_five_rows():
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "compare_burst_caps.py")
     done = subprocess.run(

@@ -14,7 +14,7 @@ from spikecal import calibrate, early_exit, engine, nn, search, store
 def snn(trained_mlp, calibration):
     fits = calibrate.fit_all_thresholds(trained_mlp, calibration, timesteps=8)
     configs = calibrate.configs_from_fits(fits)
-    model = calibrate.calibrate_biases(trained_mlp, configs, calibration, timesteps=8)
+    model, _ = calibrate.calibrate_biases(trained_mlp, configs, calibration, timesteps=8)
     return model, configs
 
 

@@ -554,8 +554,8 @@ def test_reassigned_parameters_of_a_loaded_model_are_not_served_from_the_cache(
     last = engine.run_snn(loaded, configs, x, 4)  # casts and keeps the operands
     dense = [layer for layer in loaded.layers if layer.kind == "dense"]
     assert all(layer.float64_operands is not None for layer in dense)
-    corrected = calibrate.calibrate_biases(loaded, configs, calibration, 8)
-    want = calibrate.calibrate_biases(trained_mlp, configs, calibration, 8)
+    corrected, _ = calibrate.calibrate_biases(loaded, configs, calibration, 8)
+    want, _ = calibrate.calibrate_biases(trained_mlp, configs, calibration, 8)
     assert store.serialize_model(corrected) == store.serialize_model(want)
     _assert_same_run(
         engine.run_snn(corrected, configs, x, 4), engine.run_snn(want, configs, x, 4)

@@ -325,7 +325,7 @@ def test_plan_file_round_trip(tmp_path, rng):
 def measured(trained_mlp, calibration):
     fits = calibrate.fit_all_thresholds(trained_mlp, calibration, timesteps=8)
     configs = calibrate.configs_from_fits(fits)
-    model = calibrate.calibrate_biases(trained_mlp, configs, calibration, timesteps=8)
+    model, _ = calibrate.calibrate_biases(trained_mlp, configs, calibration, timesteps=8)
     return model, configs
 
 
@@ -388,7 +388,7 @@ def test_early_layers_tolerate_bursts_better_than_the_head(calibration):
     cache = store.build_calibration_cache(trained, images, 64, seed=2)
     fits = calibrate.fit_all_thresholds(trained, cache, timesteps=4)
     configs = calibrate.configs_from_fits(fits)
-    snn = calibrate.calibrate_biases(trained, configs, cache, timesteps=4)
+    snn, _ = calibrate.calibrate_biases(trained, configs, cache, timesteps=4)
     table = search.build_table(
         snn, configs, cache, 4, "phi", candidates=[1, 4], energy=search.EnergyModel()
     )

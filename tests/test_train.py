@@ -52,12 +52,12 @@ def test_gradients_match_finite_differences(rng):
         for layer in model.layers:
             if layer.parameterized:
                 layer.bias[:] = rng.uniform(0.05, 0.3, size=layer.bias.shape)
-        logits, cache = train._forward_cached(model, x)
+        logits, inputs, columns = train._forward_cached(model, x)
         p = nn.softmax(logits)
         dlogits = p.copy()
         dlogits[np.arange(len(labels)), labels] -= 1.0
         dlogits /= len(labels)
-        grads = train._backward(model, cache, dlogits)
+        grads = train._backward(model, inputs, columns, dlogits)
         parameterized = [i for i, layer in enumerate(model.layers) if layer.parameterized]
         assert sorted(grads) == parameterized == list(range(0, 2 * len(hidden) + 1, 2))
         for layer_idx in parameterized:
@@ -71,12 +71,12 @@ def test_conv_gradients_match_finite_differences(rng):
     model = nn.build_cnn((1, 6, 6), [2], 3, seed=3)
     x = rng.standard_normal((4, 1, 6, 6)).astype(np.float32)
     labels = rng.integers(0, 3, size=4)
-    logits, cache = train._forward_cached(model, x)
+    logits, inputs, columns = train._forward_cached(model, x)
     p = nn.softmax(logits)
     dlogits = p.copy()
     dlogits[np.arange(len(labels)), labels] -= 1.0
     dlogits /= len(labels)
-    grads = train._backward(model, cache, dlogits)
+    grads = train._backward(model, inputs, columns, dlogits)
     conv_idx = next(i for i, l in enumerate(model.layers) if l.kind == "conv2d")
     picks, numeric = finite_difference_grads(model, x, labels, conv_idx)
     analytic = grads[conv_idx][0].reshape(-1)[picks]
@@ -177,7 +177,7 @@ def _reference_train(model, dataset, epochs, lr, seed, batch_size):
         order = rng.permutation(len(labels))
         for start in range(0, len(labels), batch_size):
             pick = order[start : start + batch_size]
-            logits, inputs = train._forward_cached(trained, images[pick])
+            logits, inputs, _ = train._forward_cached(trained, images[pick])
             probs = nn.softmax(logits, axis=1)
             probs[np.arange(len(pick)), labels[pick]] -= 1.0
             dlogits = (probs / len(pick)).astype(np.float32)
@@ -224,9 +224,9 @@ def test_backward_gradients_equal_old_formulation(arch, rng):
     model, data = _nets()[arch]
     model = train.train_reference(model, data, epochs=1, lr=0.05, seed=1)
     x = np.asarray(data.images[:9], dtype=np.float32)
-    logits, inputs = train._forward_cached(model, x)
+    logits, inputs, columns = train._forward_cached(model, x)
     dlogits = rng.standard_normal(logits.shape).astype(np.float32)
-    got = train._backward(model, inputs, dlogits)
+    got = train._backward(model, inputs, columns, dlogits)
     want = _reference_backward(model, inputs, dlogits)
     assert list(got) == list(want) == [
         i for i in reversed(range(len(model.layers))) if model.layers[i].parameterized
@@ -234,6 +234,22 @@ def test_backward_gradients_equal_old_formulation(arch, rng):
     for idx in want:
         for g, w in zip(got[idx], want[idx]):
             _bits_equal(g, w)
+
+
+def test_training_unfolds_each_conv_input_once(monkeypatch):
+    """The backward pass reads the columns the forward pass unfolded: one
+    ``_im2col`` per conv layer and batch, none in ``_backward``."""
+    calls = []
+    unfold = nn._im2col
+
+    def counted(x, *args):
+        calls.append(x.shape)
+        return unfold(x, *args)
+
+    monkeypatch.setattr(nn, "_im2col", counted)
+    model, data = _nets()["cnn"]  # two conv layers; 70 inputs are 3 batches of 32
+    train.train_reference(model, data, epochs=2, lr=0.05, seed=6, batch_size=32)
+    assert len(calls) == 2 * 3 * 2
 
 
 def test_first_conv_layer_forms_no_input_gradient(monkeypatch):
