@@ -8,7 +8,6 @@ timesteps. See the ``cli`` module or the README for the end-to-end flow.
 """
 
 from .calibrate import (
-    ConversionMetrics,
     GridSpec,
     ThresholdFit,
     calibrate_biases,

@@ -25,13 +25,12 @@ from .engine import (
     ConfigMismatchError,
     LayerSnnConfig,
     SpikeTrain,
-    _as_batch,
     _check_run,
     _currents,
     _run_layer,
     spiking_layer_indices,
 )
-from .nn import ModelGraph
+from .nn import ModelGraph, _check_batch
 from .store import CalibrationCache
 
 
@@ -135,19 +134,14 @@ def fit_threshold(
 
 
 def fit_all_thresholds(
-    model: ModelGraph,
-    cache: CalibrationCache,
-    timesteps: int,
-    phi: int = 1,
-    grid: GridSpec | None = None,
+    model: ModelGraph, cache: CalibrationCache, timesteps: int, grid: GridSpec | None = None
 ) -> list[ThresholdFit]:
+    """One single-spike (``phi = 1``) threshold fit per spiking layer."""
     cache.check_model(model)
-    fits = []
-    for idx in spiking_layer_indices(model):
-        fits.append(
-            fit_threshold(cache.taps[idx], timesteps, phi=phi, grid=grid, layer=idx)
-        )
-    return fits
+    return [
+        fit_threshold(cache.taps[idx], timesteps, grid=grid, layer=idx)
+        for idx in spiking_layer_indices(model)
+    ]
 
 
 def configs_from_fits(fits: list[ThresholdFit]) -> list[LayerSnnConfig]:
@@ -186,7 +180,8 @@ def calibrate_biases(
     cache.check_model(model)
     _check_run(model, configs, timesteps)
     corrected = model.clone()
-    source, start, trains = _as_batch(corrected, cache.inputs), 0, {}
+    source = _check_batch(corrected, np.asarray(cache.inputs, dtype=np.float64))
+    start, trains = 0, {}
     for pos, idx in enumerate(spiking_layer_indices(corrected)):
         segment = corrected.layers[start:idx]
         currents = _currents(segment, source, timesteps)
@@ -259,21 +254,14 @@ class LayerErrorBreakdown:
         return {k: v / denom for k, v in parts.items()}
 
 
-@dataclass
-class ConversionMetrics:
-    layers: list[LayerErrorBreakdown]
-
-    def mean_abs_total(self) -> float:
-        return float(np.mean([b.mean_abs("total") for b in self.layers]))
-
-
 def measure_unevenness(
     taps: dict[int, np.ndarray],
     trains: dict[int, SpikeTrain],
     configs: list[LayerSnnConfig],
     timesteps: int,
-) -> ConversionMetrics:
-    """Three-way conversion error decomposition of each spiking layer.
+) -> list[LayerErrorBreakdown]:
+    """Three-way conversion error decomposition of each spiking layer, in
+    layer order.
 
     ``trains`` are the spiking layers' ``timesteps``-step trains keyed by
     graph layer index, as ``calibrate_biases`` returns them or
@@ -297,10 +285,12 @@ def measure_unevenness(
             )
         x = np.asarray(taps[idx], dtype=np.float64)
         out.append(LayerErrorBreakdown.of(idx, _error_parts(x, train.rate(), cfg, timesteps)))
-    return ConversionMetrics(layers=out)
+    return out
 
 
-def write_calibration_report(path, fits: list[ThresholdFit], metrics: ConversionMetrics) -> None:
+def write_calibration_report(
+    path, fits: list[ThresholdFit], breakdowns: list[LayerErrorBreakdown]
+) -> None:
     """Human-readable conversion summary: fitted grids and error shares."""
     lines = ["format snnc-calibration-report"]
     for fit in fits:
@@ -309,7 +299,7 @@ def write_calibration_report(path, fits: list[ThresholdFit], metrics: Conversion
         )
         for cand, m in zip(fit.grid, fit.grid_mse):
             lines.append(f"mse layer {fit.layer} candidate {float(cand)!r} value {float(m)!r}")
-    for b in metrics.layers:
+    for b in breakdowns:
         shares = b.squared_shares()
         lines.append(
             f"errors layer {b.layer} "

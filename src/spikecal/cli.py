@@ -494,7 +494,7 @@ def cmd_convert(cfg: RunConfig) -> int:
         store.save_cache(cache, art.cache)
     with _stage("fit-thresholds"):
         grid = calibrate.GridSpec(size=cfg.grid_size)
-        fits = calibrate.fit_all_thresholds(model, cache, cfg.timesteps, phi=1, grid=grid)
+        fits = calibrate.fit_all_thresholds(model, cache, cfg.timesteps, grid=grid)
         configs = calibrate.configs_from_fits(fits)
     with _stage("calibrate-biases"):
         calibrated, trains = calibrate.calibrate_biases(
@@ -504,8 +504,8 @@ def cmd_convert(cfg: RunConfig) -> int:
         spiking = engine.spiking_layer_indices(calibrated)
         engine.save_configs(configs, spiking, art.configs_base)
     with _stage("measure-errors"):
-        metrics = calibrate.measure_unevenness(cache.taps, trains, configs, cfg.timesteps)
-        calibrate.write_calibration_report(art.calibration_report, fits, metrics)
+        breakdowns = calibrate.measure_unevenness(cache.taps, trains, configs, cfg.timesteps)
+        calibrate.write_calibration_report(art.calibration_report, fits, breakdowns)
     print(f"calibrated model -> {art.calibrated}")
     for fit in fits:
         flag = " (degenerate)" if fit.degenerate else ""

@@ -32,13 +32,12 @@ from .engine import (
     LayerSnnConfig,
     RunStats,
     SnnRun,
-    _as_batch,
     _check_run,
     _simulate,
     run_snn,
     stats_at,
 )
-from .nn import ModelGraph, softmax
+from .nn import ModelGraph, _check_batch, softmax
 from .store import CalibrationCache
 
 _EPS = 1e-12
@@ -195,7 +194,7 @@ def infer_adaptive(
     """
     t_max = policy.t_max
     _check_run(model, configs, t_max)
-    x0 = _as_batch(model, batch)
+    x0 = _check_batch(model, np.asarray(batch, dtype=np.float64))
     boundaries = policy.boundaries()
     conf, hit = [], []
     waiting = np.ones(len(x0), dtype=bool)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import store
-from .nn import ModelGraph, apply_layer
+from .nn import ModelGraph, _check_batch, apply_layer
 
 DEFAULT_MEMBRANE_INIT = 0.5
 
@@ -202,18 +202,6 @@ def _check_run(model: ModelGraph, configs: list[LayerSnnConfig], timesteps: int)
         raise ConfigMismatchError(
             f"model has {len(spiking)} spiking layers, got {len(configs)} configs"
         )
-
-
-def _as_batch(model: ModelGraph, batch) -> np.ndarray:
-    """The input batch as float64 with a leading batch axis, shape-checked."""
-    x0 = np.asarray(batch, dtype=np.float64)
-    if x0.ndim == len(model.input_shape):
-        x0 = x0[None]
-    if tuple(x0.shape[1:]) != model.input_shape:
-        raise ConfigMismatchError(
-            f"batch shape {tuple(x0.shape[1:])} does not match model input {model.input_shape}"
-        )
-    return x0
 
 
 def _float64_operands(layer):
@@ -399,8 +387,8 @@ def run_snn(
     """
     _check_run(model, configs, timesteps)
     step_scores, step_spikes, v_last, trains = _simulate(
-        model, configs, 0, _as_batch(model, batch), timesteps, membrane_init,
-        keep_trains=record_trains,
+        model, configs, 0, _check_batch(model, np.asarray(batch, dtype=np.float64)), timesteps,
+        membrane_init, keep_trains=record_trains,
     )
     return SnnRun(
         scores=step_scores[-1],
@@ -437,8 +425,8 @@ def load_configs(path) -> tuple[list[LayerSnnConfig], list[int]]:
     return configs, layers
 
 
-def dump_trace(run: SnnRun, path, input_index: int = 0) -> None:
-    """Write nonzero emissions of one input as CSV rows.
+def dump_trace(run: SnnRun, path) -> None:
+    """Write the nonzero emissions of the run's first input as CSV rows.
 
     Columns: layer, timestep, neuron_index, emitted_amplitude. Requires the
     run to have been made with ``record_trains=True``.
@@ -449,7 +437,7 @@ def dump_trace(run: SnnRun, path, input_index: int = 0) -> None:
     for layer_idx in sorted(run.trains):
         train = run.trains[layer_idx]
         for t in range(len(train.counts)):
-            flat = train.amplitudes(t)[input_index].reshape(-1)
+            flat = train.amplitudes(t)[0].reshape(-1)
             for neuron in np.nonzero(flat)[0]:
                 lines.append(f"{layer_idx},{t + 1},{int(neuron)},{float(flat[neuron])!r}")
     store.write_atomic(path, lines)

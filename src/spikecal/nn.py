@@ -207,14 +207,6 @@ class ModelGraph:
                 f"head emits {last.out_features} scores for {self.class_count} classes"
             )
 
-    def output_shapes(self) -> list[tuple[int, ...]]:
-        shapes = []
-        shape = self.input_shape
-        for layer in self.layers:
-            shape = layer_output_shape(layer, shape)
-            shapes.append(shape)
-        return shapes
-
     def clone(self) -> "ModelGraph":
         return copy.deepcopy(self)
 
@@ -300,6 +292,7 @@ def apply_layer(
 
 
 def _check_batch(model: ModelGraph, batch) -> Tensor:
+    """``batch`` as an array with a leading batch axis, shape-checked."""
     x = np.asarray(batch)
     if x.ndim == len(model.input_shape):
         x = x[None]
@@ -310,8 +303,9 @@ def _check_batch(model: ModelGraph, batch) -> Tensor:
     return x
 
 
-def forward(model: ModelGraph, batch) -> Tensor:
-    """Run the net on a batch, returning raw class scores [N, classes]."""
+def _forward(model: ModelGraph, batch, taps: dict[int, Tensor] | None) -> Tensor:
+    """The net's raw class scores on ``batch``; a copy of each post-relu
+    activation goes into ``taps``, keyed by layer index, unless it is None."""
     x = _check_batch(model, batch)
     shape = model.input_shape
     for i, layer in enumerate(model.layers):
@@ -320,23 +314,20 @@ def forward(model: ModelGraph, batch) -> Tensor:
         except ShapeError as err:
             raise ShapeError(f"layer {i} ({layer.kind}): {err}") from None
         x = apply_layer(layer, x)
+        if taps is not None and layer.kind == "relu":
+            taps[i] = x.copy()
     return x
+
+
+def forward(model: ModelGraph, batch) -> Tensor:
+    """Run the net on a batch, returning raw class scores [N, classes]."""
+    return _forward(model, batch, None)
 
 
 def forward_with_taps(model: ModelGraph, batch) -> tuple[Tensor, dict[int, Tensor]]:
     """Forward pass that also returns post-relu activations keyed by layer index."""
-    x = _check_batch(model, batch)
-    shape = model.input_shape
     taps: dict[int, Tensor] = {}
-    for i, layer in enumerate(model.layers):
-        try:
-            shape = layer_output_shape(layer, shape)
-        except ShapeError as err:
-            raise ShapeError(f"layer {i} ({layer.kind}): {err}") from None
-        x = apply_layer(layer, x)
-        if layer.kind == "relu":
-            taps[i] = x.copy()
-    return x, taps
+    return _forward(model, batch, taps), taps
 
 
 def _he_dense(rng: np.random.Generator, in_f: int, out_f: int) -> LayerSpec:
@@ -344,9 +335,10 @@ def _he_dense(rng: np.random.Generator, in_f: int, out_f: int) -> LayerSpec:
     return dense(in_f, out_f, weight=w.astype(np.float32))
 
 
-def _he_conv(rng: np.random.Generator, c_in: int, c_out: int, k: int, padding: int) -> LayerSpec:
-    w = rng.standard_normal((c_out, c_in, k, k)) * np.sqrt(2.0 / (c_in * k * k))
-    return conv2d(c_in, c_out, k, stride=1, padding=padding, weight=w.astype(np.float32))
+def _he_conv(rng: np.random.Generator, c_in: int, c_out: int) -> LayerSpec:
+    """A 3x3 conv with padding 1, so it keeps the feature map's size."""
+    w = rng.standard_normal((c_out, c_in, 3, 3)) * np.sqrt(2.0 / (c_in * 9))
+    return conv2d(c_in, c_out, 3, stride=1, padding=1, weight=w.astype(np.float32))
 
 
 def build_mlp(input_dim: int, hidden: list[int], classes: int, seed: int = 0) -> ModelGraph:
@@ -367,30 +359,25 @@ def build_mlp(input_dim: int, hidden: list[int], classes: int, seed: int = 0) ->
 
 
 def build_cnn(
-    input_shape: tuple[int, int, int],
-    channels: list[int],
-    classes: int,
-    seed: int = 0,
-    kernel: int = 3,
-    pool: int = 2,
+    input_shape: tuple[int, int, int], channels: list[int], classes: int, seed: int = 0
 ) -> ModelGraph:
-    """Conv/relu/avgpool blocks followed by a dense head."""
+    """Blocks of 3x3 conv, relu and 2x2 average pooling, then a dense head."""
     if not channels or min(channels) < 1:
         raise ValueError(f"channels must list one or more positive widths, got {list(channels)}")
     rng = np.random.default_rng(seed)
     c, h, w = (int(d) for d in input_shape)
     layers: list[LayerSpec] = []
     for ch in channels:
-        layers.append(_he_conv(rng, c, int(ch), kernel, padding=kernel // 2))
+        layers.append(_he_conv(rng, c, int(ch)))
         layers.append(relu())
-        layers.append(avgpool2d(pool))
+        layers.append(avgpool2d(2))
         c = int(ch)
-        h //= pool
-        w //= pool
+        h //= 2
+        w //= 2
     if h < 1 or w < 1:
         raise ValueError(
             f"input shape {tuple(input_shape)} is too small for {len(channels)} "
-            f"pool-{pool} blocks: it pools down to {h}x{w}"
+            f"pool-2 blocks: it pools down to {h}x{w}"
         )
     layers.append(flatten())
     layers.append(_he_dense(rng, c * h * w, int(classes)))

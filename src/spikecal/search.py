@@ -18,15 +18,12 @@ search) or total energy under a sensitivity cap (compression search). It is
 exact at every table size: the layers are merged one at a time, keeping only
 the partial plans that no earlier one dominates (the Pareto dynamic program
 for multiple-choice knapsack), and ties go to the first plan in
-``itertools.product`` order, as enumerating every plan would send them. A
-sweep of the Lagrangian relaxation, which reaches only plans on the lower
-convex hull, stays as the named alternative ``method="sweep"``.
+``itertools.product`` order, as enumerating every plan would send them.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -37,7 +34,6 @@ from .engine import (
     DEFAULT_MEMBRANE_INIT,
     LayerSnnConfig,
     RunStats,
-    _as_batch,
     _currents,
     _run_layer,
     _simulate,
@@ -45,7 +41,7 @@ from .engine import (
     run_snn,
     spiking_layer_indices,
 )
-from .nn import ModelGraph, softmax
+from .nn import ModelGraph, _check_batch, softmax
 from .store import CalibrationCache
 
 
@@ -85,10 +81,13 @@ def energy_of(stats: RunStats, model: EnergyModel = EnergyModel()) -> float:
     return _finite(count / 1e-3 * model.mu, model)
 
 
-def kl_divergence(p, q, eps: float = 1e-12):
-    """KL(p || q) along the last axis, natural log, probabilities floored at eps."""
-    pf = np.maximum(np.asarray(p, dtype=np.float64), eps)
-    qf = np.maximum(np.asarray(q, dtype=np.float64), eps)
+_EPS = 1e-12
+
+
+def kl_divergence(p, q):
+    """KL(p || q) along the last axis, natural log, probabilities floored at 1e-12."""
+    pf = np.maximum(np.asarray(p, dtype=np.float64), _EPS)
+    qf = np.maximum(np.asarray(q, dtype=np.float64), _EPS)
     return np.sum(pf * np.log(pf / qf), axis=-1)
 
 
@@ -205,7 +204,7 @@ def build_table(
     # keep what the trials read; the trunk's v_last and step_spikes go
     base_scores, base_spikes, trains = trunk.scores, trunk.stats.layer_spikes, trunk.trains
     del trunk
-    source, start = _as_batch(model, cache.inputs), 0
+    source, start = _check_batch(model, np.asarray(cache.inputs, dtype=np.float64)), 0
     for pos, layer in enumerate(layers):
         currents = list(_currents(model.layers[start:layer], source, timesteps))
         simulated = [(trains[layer], base_scores)]  # (layer-p train, scores) per group
@@ -280,51 +279,6 @@ def _select_best(s_sums, e_sums, cap, minimize_s) -> tuple[int | None, int]:
     return best, _first_min(constrained, objective, np.ones_like(feasible))
 
 
-def _sweep_lambdas(table: SensitivityTable, minimize_s: bool) -> list[float]:
-    """Log grid plus every per-layer breakpoint, so each supported plan is visited."""
-    lams = {0.0}
-    lams.update(np.logspace(-6.0, 6.0, 61).tolist())
-    crit: list[float] = []
-    for layer in table.layers:
-        for a, b in itertools.combinations(table.candidates, 2):
-            sa, ea = table.s[(layer, a)], table.e[(layer, a)]
-            sb, eb = table.s[(layer, b)], table.e[(layer, b)]
-            num, den = (sa - sb, eb - ea) if minimize_s else (ea - eb, sb - sa)
-            if den != 0.0:
-                lam = num / den
-                if lam > 0.0 and np.isfinite(lam):
-                    crit.append(lam)
-    crit = sorted(set(crit))
-    lams.update(crit)
-    for x, y in zip(crit, crit[1:]):
-        lams.add(0.5 * (x + y))
-    if crit:
-        lams.add(crit[0] * 0.5)
-        lams.add(crit[-1] * 2.0)
-    return sorted(lams)
-
-
-def _sweep_plans(table: SensitivityTable, minimize_s: bool) -> np.ndarray:
-    """Distinct per-layer argmin plans over the multiplier sweep, as index rows."""
-    plans = []
-    seen = set()
-    for lam in _sweep_lambdas(table, minimize_s):
-        row = []
-        for layer in table.layers:
-            best_j, best_key = None, None
-            for j, cand in enumerate(table.candidates):
-                s, e = table.s[(layer, cand)], table.e[(layer, cand)]
-                cost = s + lam * e if minimize_s else e + lam * s
-                key = (cost, e, s)  # ties toward lower energy
-                if best_key is None or key < best_key:
-                    best_key, best_j = key, j
-            row.append(best_j)
-        if tuple(row) not in seen:
-            seen.add(tuple(row))
-            plans.append(row)
-    return np.array(plans, dtype=np.intp).reshape(len(plans), len(table.layers))
-
-
 def _merge_plans(table: SensitivityTable) -> np.ndarray:
     """Index rows, in product order, of every plan a search of all plans could pick.
 
@@ -360,23 +314,18 @@ def _merge_plans(table: SensitivityTable) -> np.ndarray:
     return plans
 
 
-def pareto_search(
-    table: SensitivityTable, budget: SearchBudget, method: str = "auto"
-) -> LayerPlan:
+def pareto_search(table: SensitivityTable, budget: SearchBudget) -> LayerPlan:
     """Choose one candidate per layer under the budget.
 
     ``energy_cap`` minimizes total sensitivity subject to total energy within
     the cap; ``sensitivity_cap`` swaps the roles. An infeasible budget returns
     ``feasible=False`` carrying the cheapest plan available instead of raising.
-    ``auto`` is exact at every size: its plan, sums, feasibility and frontier
-    equal those of scoring every plan, and exact ties go to the first plan in
-    ``itertools.product`` order. ``sweep`` scores only the plans some
-    Lagrange multiplier selects; nothing picks it unless asked by name.
+    The search is exact at every size: its plan, sums, feasibility and
+    frontier equal those of scoring every plan, and exact ties go to the
+    first plan in ``itertools.product`` order.
     """
-    if method not in ("auto", "sweep"):
-        raise ValueError(f"unknown search method {method!r}")
     minimize_s = budget.kind == "energy_cap"
-    plans = _merge_plans(table) if method == "auto" else _sweep_plans(table, minimize_s)
+    plans = _merge_plans(table)
     s_sums, e_sums = _plan_sums(table, plans)
     best, cheapest = _select_best(s_sums, e_sums, budget.cap, minimize_s)
     pick = cheapest if best is None else best
@@ -419,32 +368,6 @@ def table_to_csv(table: SensitivityTable, path) -> None:
                 f"{table.s[(layer, cand)]!r},{table.e[(layer, cand)]!r},{table.sample_count}"
             )
     store.write_atomic(path, lines)
-
-
-def table_from_csv(path) -> SensitivityTable:
-    """Read a table; its rows must cover every (layer, candidate) pair once."""
-    doc = store.read_lines(path, _TABLE_HEADER, sep=",")
-    s: dict[tuple[int, int], float] = {}
-    e: dict[tuple[int, int], float] = {}
-    kind_n = None
-    while doc.peek():
-        layer, cand, kind, s_val, e_val, n = doc.take(int, int, str, float, float, int)
-        if (layer, cand) in s:
-            raise doc.error(f"layer {layer} candidate {cand} appears twice")
-        if kind_n not in (None, (kind, n)):
-            raise doc.error(f"kind and N differ from the first row's {kind_n}")
-        kind_n = (kind, n)
-        s[(layer, cand)], e[(layer, cand)] = s_val, e_val
-    layers = list(dict.fromkeys(layer for layer, _ in s))
-    candidates = list(dict.fromkeys(cand for _, cand in s))
-    if not s or len(s) != len(layers) * len(candidates):
-        raise doc.error("rows do not cover every (layer, candidate) pair")
-    with doc.check():
-        table = SensitivityTable(
-            kind=kind_n[0], layers=layers, candidates=candidates, sample_count=kind_n[1]
-        )
-    table.s, table.e = s, e
-    return table
 
 
 def save_plan(plan: LayerPlan, path) -> None:

@@ -21,7 +21,6 @@ T_MAX = 4
 
 LOADERS = {
     "configs.txt": engine.load_configs,
-    "table.csv": search.table_from_csv,
     "plan.txt": search.load_plan,
     "policy.txt": early_exit.load_policy,
     "exits.csv": lambda path: early_exit.load_exit_steps(path, T_MAX),
@@ -38,7 +37,7 @@ TOKENS = [
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory, trained_mlp, calibration):
     out = tmp_path_factory.mktemp("artifacts")
-    fits = calibrate.fit_all_thresholds(trained_mlp, calibration, T_MAX, phi=1)
+    fits = calibrate.fit_all_thresholds(trained_mlp, calibration, T_MAX)
     configs = calibrate.configs_from_fits(fits)
     table = search.build_table(trained_mlp, configs, calibration, T_MAX, "phi", candidates=[1, 2])
     plan = search.pareto_search(table, search.SearchBudget("energy_cap", np.inf))
@@ -47,7 +46,6 @@ def artifacts(tmp_path_factory, trained_mlp, calibration):
         trained_mlp, configs, policy, calibration.inputs[:20], calibration.labels[:20]
     )
     engine.save_configs(configs, engine.spiking_layer_indices(trained_mlp), out / "configs.txt")
-    search.table_to_csv(table, out / "table.csv")
     search.save_plan(plan, out / "plan.txt")
     early_exit.save_policy(policy, out / "policy.txt")
     early_exit.write_exit_trace(out / "exits.csv", trace)

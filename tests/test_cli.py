@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -344,6 +345,13 @@ def test_bad_energy_setting_is_user_error(finished_run, tmp_path, capsys, energy
         assert err.startswith("error: ") and message in err, (stage, err)
 
 
+def _sensitivity(path, column):
+    """A sensitivity CSV's S or E column keyed by (layer, candidate), in row order."""
+    with open(path, newline="") as f:
+        return {(int(row["layer"]), int(row["candidate"])): float(row[column])
+                for row in csv.DictReader(f)}
+
+
 @pytest.mark.parametrize("stage, flags", [
     ("search-phi", ["--e-target", "1"]),  # a given cap: the budget measures no energy
     ("search-rho", []),
@@ -352,9 +360,9 @@ def test_energy_overflowing_only_in_a_plan_total_is_user_error(finished_run, tmp
                                                               stage, flags):
     # a mu where every layer's E is a float but the dearest plan's sum is not
     _, _, raw = finished_run
-    table = cli.search.table_from_csv(
-        os.path.join(raw["out_dir"], f"sensitivity_{stage[-3:]}.csv"))
-    dearest = [max(table.e[(layer, c)] for c in table.candidates) for layer in table.layers]
+    e = _sensitivity(os.path.join(raw["out_dir"], f"sensitivity_{stage[-3:]}.csv"), "E")
+    layers = dict.fromkeys(layer for layer, _ in e)
+    dearest = [max(v for (at, _), v in e.items() if at == layer) for layer in layers]
     most, total = max(dearest), sum(dearest)
     assert total > 1.01 * most, dearest
     mu = cli.search.EnergyModel().mu * 2 * sys.float_info.max / (most + total)
@@ -414,9 +422,10 @@ def test_auto_compression_cap_without_rho_one_uses_first_candidate(finished_run,
     capsys.readouterr()
     assert cli.main(["search-rho", "--config", config]) == 0
     out = capsys.readouterr().out
-    table = cli.search.table_from_csv(art.sensitivity_rho)
-    assert table.candidates == [4, 2]
-    cap = 2.0 * sum(table.s[(layer, 4)] for layer in table.layers)  # default slack 2.0
+    s = _sensitivity(art.sensitivity_rho, "S")
+    assert list(dict.fromkeys(cand for _, cand in s)) == [4, 2]
+    layers = dict.fromkeys(layer for layer, _ in s)
+    cap = 2.0 * sum(s[(layer, 4)] for layer in layers)  # default slack 2.0
     assert out.splitlines()[-1].endswith(f" cap={cap:.6g}"), out
     assert cli.search.load_plan(art.plan_rho).budget.cap == cap
 

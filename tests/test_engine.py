@@ -182,7 +182,7 @@ def test_run_layer_leaves_shared_currents_unchanged(random_net, arch):
     for seed in range(3):
         model, cache, configs = random_net(arch, seed)
         trunk = engine.run_snn(model, configs, cache.inputs, timesteps, record_trains=True)
-        source, start = engine._as_batch(model, cache.inputs), 0
+        source, start = nn._check_batch(model, np.asarray(cache.inputs, dtype=np.float64)), 0
         for pos, layer in enumerate(engine.spiking_layer_indices(model)):
             feeders = model.layers[start:layer]
             currents = list(engine._currents(feeders, source, timesteps))
@@ -364,7 +364,7 @@ def test_walk_equals_layer_major_run(random_net, arch):
         model, cache, configs = random_net(arch, seed)
         spiking = engine.spiking_layer_indices(model)
         for n in (1, 3, cache.sample_count):
-            x0 = engine._as_batch(model, cache.inputs[:n])
+            x0 = nn._check_batch(model, np.asarray(cache.inputs[:n], dtype=np.float64))
             for last in (0, 3, horizon - 1, None):  # None: stop never says yes
                 seen = []
 
@@ -425,7 +425,7 @@ def test_resumed_run_equals_one_pass(random_net, arch, chunk):
     timesteps = 7
     for seed in range(3):
         model, cache, configs = random_net(arch, seed)
-        x0 = engine._as_batch(model, cache.inputs)
+        x0 = nn._check_batch(model, np.asarray(cache.inputs, dtype=np.float64))
         spiking = engine.spiking_layer_indices(model)
         whole = engine._simulate(model, configs, 0, x0, timesteps, 0.5, keep_trains=True)
         starts = [(0, 0, x0)]
@@ -682,7 +682,7 @@ def test_spike_trains_and_trace_dump(tmp_path, trained_mlp, blob_dataset):
     configs = [engine.LayerSnnConfig(v_th=4.0), engine.LayerSnnConfig(v_th=4.0)]
     run = engine.run_snn(trained_mlp, configs, x, timesteps=5, record_trains=True)
     path = tmp_path / "trace.csv"
-    engine.dump_trace(run, path, input_index=0)
+    engine.dump_trace(run, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "layer,timestep,neuron_index,emitted_amplitude"
     for line in lines[1:]:

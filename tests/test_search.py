@@ -162,42 +162,6 @@ def test_auto_matches_exhaustive_on_many_tables(rng):
                 assert fast.s_sum <= cap + 1e-9
 
 
-def test_sweep_contract_on_many_tables(rng):
-    """Forced multiplier sweep: feasibility-faithful, finds the best plan any
-    multiplier can reach, and never returns a dominated point.
-
-    The sweep cannot promise the true constrained optimum (it may sit off the
-    lower convex hull); that exactness is the auto path's job.
-    """
-    for trial in range(30):
-        n_layers = int(rng.integers(1, 4))
-        n_cands = int(rng.integers(2, 5))
-        table = random_table(rng, n_layers, n_cands)
-        reachable = oracles.sweep_reachable_plans(
-            table.layers, table.candidates, table.s, table.e
-        )
-        e_min = min(p[2] for p in reachable)
-        cap = float(rng.uniform(e_min * 0.9, e_min * 2.5))
-        budget = search.SearchBudget("energy_cap", cap)
-        fast = search.pareto_search(table, budget, method="sweep")
-        _, slow_s_sum, _, slow_feasible, _ = _pareto_reference(table, budget)
-        assert fast.feasible == slow_feasible
-        if not fast.feasible:
-            continue
-        assert fast.s_sum >= slow_s_sum - 1e-9  # cannot beat brute force
-        feasible_reachable = [p for p in reachable if p[2] <= cap + 1e-12]
-        assert feasible_reachable, "sweep claimed feasible but oracle found none"
-        best = min(feasible_reachable, key=lambda p: (p[1], p[2]))
-        assert fast.s_sum == pytest.approx(best[1], abs=1e-9)
-        # no plan whatsoever dominates the sweep's pick
-        for _, s_sum, e_sum in oracles.brute_force_plans(
-            table.layers, table.candidates, table.s, table.e
-        ):
-            assert not (
-                s_sum <= fast.s_sum - 1e-12 and e_sum <= fast.e_sum - 1e-12
-            )
-
-
 def test_exhaustive_matches_loop_oracle(rng):
     for _ in range(20):
         table = random_table(rng, 2, 3)
@@ -221,9 +185,7 @@ def test_auto_method_picks_exhaustive_for_small_problems(rng):
 def test_frontier_is_mutually_nondominated(rng):
     for _ in range(10):
         table = random_table(rng, 3, 4)
-        plan = search.pareto_search(
-            table, search.SearchBudget("energy_cap", 5.0), method="sweep"
-        )
+        plan = search.pareto_search(table, search.SearchBudget("energy_cap", 5.0))
         pts = plan.frontier
         for i, (s1, e1) in enumerate(pts):
             for j, (s2, e2) in enumerate(pts):
@@ -289,18 +251,20 @@ def test_apply_plan_checks_layer_agreement():
 
 
 def test_table_csv_round_trip(tmp_path, rng):
+    """One row per (layer, candidate) in product order; S and E read back exactly."""
     table = random_table(rng, 2, 3)
     path = tmp_path / "table.csv"
     search.table_to_csv(table, path)
-    header = path.read_text().splitlines()[0]
+    header, *rows = path.read_text().splitlines()
     assert header == "layer,candidate,kind,S,E,N"
-    back = search.table_from_csv(path)
-    assert back.kind == table.kind
-    assert back.layers == table.layers
-    assert back.candidates == table.candidates
-    for key in table.s:
-        assert back.s[key] == table.s[key]
-        assert back.e[key] == table.e[key]
+    pairs = list(itertools.product(table.layers, table.candidates))
+    assert len(rows) == len(pairs)
+    for (layer, cand), row in zip(pairs, rows):
+        got_layer, got_cand, kind, s_val, e_val, n = row.split(",")
+        assert (int(got_layer), int(got_cand)) == (layer, cand)
+        assert float(s_val) == table.s[(layer, cand)]
+        assert float(e_val) == table.e[(layer, cand)]
+        assert kind == table.kind and int(n) == table.sample_count
 
 
 def test_plan_file_round_trip(tmp_path, rng):
