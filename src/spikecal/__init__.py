@@ -8,7 +8,6 @@ timesteps. See the ``cli`` module or the README for the end-to-end flow.
 """
 
 from .calibrate import (
-    GridSpec,
     ThresholdFit,
     calibrate_biases,
     clip_floor,

@@ -7,9 +7,12 @@ The quantized stand-in for relu under rate coding is
 With a well-chosen threshold the converted net's per-layer firing rate tracks
 this curve to within one quantum, so thresholds are fitted by minimizing the
 mean squared gap between ``clip_floor`` and the cached analog activations on
-a geometric candidate grid. Bias calibration then removes per-channel mean
-offsets layer by layer, in one walk over the calibration set whose final
-trains ``measure_unevenness`` reduces: it splits what is left into clipping,
+one geometric candidate grid between the 50th and 99.9th activation
+percentiles (the 99.9th is the robust scale of Rueckauer et al., "Conversion
+of Continuous-Valued Deep Networks to Efficient Event-Driven Networks",
+2017). Bias calibration then removes per-channel mean offsets layer by
+layer, in one walk over the calibration set whose final trains
+``measure_unevenness`` reduces: it splits what is left into clipping,
 quantization, and timing (unevenness) components without simulating again.
 """
 
@@ -58,15 +61,6 @@ def _clip_floor_into(out, scaled, timesteps, v_th, phi):
     return np.multiply(v_th / timesteps, out, out=out)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Geometric threshold candidate grid anchored on activation percentiles."""
-
-    size: int = 64
-    low_percentile: float = 50.0
-    high_percentile: float = 99.9
-
-
 @dataclass
 class ThresholdFit:
     layer: int
@@ -77,48 +71,29 @@ class ThresholdFit:
     degenerate: bool = False
 
 
-_FALLBACK_GRID = (1e-3, 1.0)
-
-
-def _candidate_grid(activations: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, bool]:
-    hi = float(np.percentile(activations, spec.high_percentile))
-    if hi <= 0.0:
-        return np.geomspace(*_FALLBACK_GRID, spec.size), True
-    lo = float(np.percentile(activations, spec.low_percentile))
-    lo = max(lo, hi * 1e-3)
-    return np.geomspace(lo, hi, spec.size), False
-
-
 def fit_threshold(
-    activations,
-    timesteps: int,
-    phi: int = 1,
-    grid: GridSpec | np.ndarray | list | None = None,
-    layer: int = -1,
+    activations, timesteps: int, grid_size: int = 64, layer: int = -1
 ) -> ThresholdFit:
-    """Pick the grid candidate minimizing MSE(clip_floor(a), a).
+    """Pick the grid candidate minimizing MSE(clip_floor(a), a) at ``phi = 1``.
 
-    Ties go to the smallest candidate. All-zero activations cannot anchor a
-    percentile grid; the fit then falls back to the smallest candidate and is
-    flagged ``degenerate``.
+    The grid is ``grid_size`` geometric steps between the 50th and 99.9th
+    percentiles of the activations (the 50th raised to a thousandth of the
+    99.9th if below it); ties go to the smallest candidate. A 99.9th
+    percentile of zero or less cannot anchor it: the fit then scores the
+    fallback grid from 1e-3 to 1 and is flagged ``degenerate``.
     """
     a = np.asarray(activations, dtype=np.float64).reshape(-1)
     if a.size == 0:
         raise ValueError("cannot fit a threshold to zero activations")
-    degenerate = False
-    if grid is None or isinstance(grid, GridSpec):
-        candidates, degenerate = _candidate_grid(a, grid or GridSpec())
-    else:
-        candidates = np.unique(np.asarray(grid, dtype=np.float64))
-        if candidates.size == 0 or candidates[0] <= 0:
-            raise ValueError("explicit grid must hold positive candidates")
-        if float(a.max()) <= 0.0:
-            degenerate = True
+    hi = float(np.percentile(a, 99.9))
+    degenerate = hi <= 0.0
+    lo, hi = (1e-3, 1.0) if degenerate else (max(float(np.percentile(a, 50.0)), hi * 1e-3), hi)
+    candidates = np.geomspace(lo, hi, grid_size)
     mse = np.empty(len(candidates), dtype=np.float64)
     scaled, err = a * timesteps, np.empty_like(a)
     for i, cand in enumerate(candidates):
-        # err = clip_floor(a, timesteps, cand, phi) - a, squared, in one buffer
-        _clip_floor_into(err, scaled, timesteps, float(cand), phi)
+        # err = clip_floor(a, timesteps, cand) - a, squared, in one buffer
+        _clip_floor_into(err, scaled, timesteps, float(cand), 1)
         np.subtract(err, a, out=err)
         np.multiply(err, err, out=err)
         mse[i] = float(np.mean(err))
@@ -134,12 +109,12 @@ def fit_threshold(
 
 
 def fit_all_thresholds(
-    model: ModelGraph, cache: CalibrationCache, timesteps: int, grid: GridSpec | None = None
+    model: ModelGraph, cache: CalibrationCache, timesteps: int, grid_size: int = 64
 ) -> list[ThresholdFit]:
     """One single-spike (``phi = 1``) threshold fit per spiking layer."""
     cache.check_model(model)
     return [
-        fit_threshold(cache.taps[idx], timesteps, grid=grid, layer=idx)
+        fit_threshold(cache.taps[idx], timesteps, grid_size, layer=idx)
         for idx in spiking_layer_indices(model)
     ]
 

@@ -493,8 +493,7 @@ def cmd_convert(cfg: RunConfig) -> int:
         cache = store.build_calibration_cache(model, dataset, samples, cfg.seed)
         store.save_cache(cache, art.cache)
     with _stage("fit-thresholds"):
-        grid = calibrate.GridSpec(size=cfg.grid_size)
-        fits = calibrate.fit_all_thresholds(model, cache, cfg.timesteps, grid=grid)
+        fits = calibrate.fit_all_thresholds(model, cache, cfg.timesteps, cfg.grid_size)
         configs = calibrate.configs_from_fits(fits)
     with _stage("calibrate-biases"):
         calibrated, trains = calibrate.calibrate_biases(

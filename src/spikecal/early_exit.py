@@ -22,6 +22,7 @@ last input exits, so an exit saves wall-clock time as well as spikes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,18 +228,29 @@ def save_policy(policy: ExitPolicy, path) -> None:
 
 
 def load_policy(path) -> ExitPolicy:
-    """Read a policy; every key is required and ``mean_entropy`` runs t = 1..t_max."""
+    """Read a policy; every key is required and ``mean_entropy`` runs t = 1..t_max.
+
+    Every value is finite, as ``fit_exit_policy`` makes them, and each mean
+    entropy is not negative.
+    """
     doc = store.read_lines(path, "format snnc-exit-policy")
-    (alpha_base,) = doc.take("alpha_base", float)
-    (beta,) = doc.take("beta", float)
-    (delta,) = doc.take("delta", float)
+
+    def finite(*pattern, low=-math.inf):
+        """The float ending the next line, which must be finite and at least ``low``."""
+        (value,) = doc.take(*pattern, float)
+        if not (math.isfinite(value) and value >= low):
+            rule = "finite and not negative" if low == 0 else "finite"
+            raise doc.error(f"{pattern[0]} must be {rule}, got {value!r}")
+        return value
+
+    alpha_base, beta, delta = finite("alpha_base"), finite("beta"), finite("delta")
     if not delta > 0:
         raise doc.error(f"delta must be positive, got {delta!r}")
     (t_max,) = doc.take("t_max", int)
     if t_max < 1:
         raise doc.error("t_max must be at least 1")
     doc.take("confidence_kind", "entropy")
-    entries = [doc.take("mean_entropy", "t", str(t), "value", float)[0] for t in range(1, t_max + 1)]
+    entries = [finite("mean_entropy", "t", str(t), "value", low=0.0) for t in range(1, t_max + 1)]
     doc.end()
     return ExitPolicy(
         alpha_base=alpha_base,

@@ -334,7 +334,7 @@ def _simulate(
                     counts.append(np.empty((timesteps, *x.shape), np.min_scalar_type(config.phi)))
             states[pos], x = step_layer(states[pos], x, config)
             # whole counts add up exactly in a product with ones, 2-3x faster than np.add.reduce
-            np.dot(states[pos].k.reshape(n, -1), units[pos], out=step_spikes[t, pos])
+            np.dot(states[pos].k.reshape(n, len(units[pos])), units[pos], out=step_spikes[t, pos])
             if keep_trains:
                 counts[pos][t] = states[pos].k
         for layer, op in zip(*feeds[-1]):

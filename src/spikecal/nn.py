@@ -9,6 +9,7 @@ classifier head, so converted runs can read the head as an accumulator.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,7 +286,7 @@ def apply_layer(
         acc /= kh * kw
         return acc
     if kind == "flatten":
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
     if kind == "relu":
         return np.maximum(x, 0)
     raise ValueError(f"unknown layer kind {kind!r}")

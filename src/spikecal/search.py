@@ -17,8 +17,9 @@ per layer; the search minimizes total sensitivity under an energy cap (burst
 search) or total energy under a sensitivity cap (compression search). It is
 exact at every table size: the layers are merged one at a time, keeping only
 the partial plans that no earlier one dominates (the Pareto dynamic program
-for multiple-choice knapsack), and ties go to the first plan in
-``itertools.product`` order, as enumerating every plan would send them.
+for multiple-choice knapsack), and the plan is read off the Pareto frontier
+the last merge leaves. Ties go to the first plan in ``itertools.product``
+order, as enumerating every plan would send them.
 """
 
 from __future__ import annotations
@@ -231,70 +232,27 @@ def build_table(
     return table
 
 
-def _pareto_filter(s_sums: np.ndarray, e_sums: np.ndarray) -> list[tuple[float, float]]:
-    """Mutually nondominated (S, E) points (minimizing both), sorted by S.
-
-    In (S, E) order a point is kept when its E is below every E before it;
-    a repeated point never is, so each survives once.
-    """
-    order = np.lexsort((e_sums, s_sums))
-    s, e = s_sums[order], e_sums[order]
-    lowest_before = np.minimum.accumulate(np.concatenate(([np.inf], e[:-1])))
-    keep = e < lowest_before
-    return [(float(a), float(b)) for a, b in zip(s[keep], e[keep])]
-
-
-def _plan_sums(table: SensitivityTable, plans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Total S and E of each plan (a row of candidate indices, one per layer).
-
-    Added up layer by layer in table order, the same additions as a Python
-    ``sum`` over one plan's layers.
-    """
-    s_sums = np.zeros(len(plans))
-    e_sums = np.zeros(len(plans))
-    for j, layer in enumerate(table.layers):
-        s_sums += np.array([table.s[(layer, c)] for c in table.candidates])[plans[:, j]]
-        e_sums += np.array([table.e[(layer, c)] for c in table.candidates])[plans[:, j]]
-    return s_sums, e_sums
-
-
-def _first_min(primary: np.ndarray, secondary: np.ndarray, mask: np.ndarray) -> int:
-    """First row under ``mask`` with the least (primary, secondary) pair."""
-    mask = mask & (primary == primary[mask].min())
-    mask &= secondary == secondary[mask].min()
-    return int(np.argmax(mask))
-
-
-def _select_best(s_sums, e_sums, cap, minimize_s) -> tuple[int | None, int]:
-    """Rows of the best feasible plan (None if none is) and of the cheapest plan.
-
-    The best plan has the least objective among those within the cap, ties
-    going to the lesser constrained sum; the cheapest has the least
-    constrained sum, ties going to the lesser objective. Exact ties go to the
-    first row.
-    """
-    objective, constrained = (s_sums, e_sums) if minimize_s else (e_sums, s_sums)
-    feasible = constrained <= cap
-    best = _first_min(objective, constrained, feasible) if feasible.any() else None
-    return best, _first_min(constrained, objective, np.ones_like(feasible))
-
-
-def _merge_plans(table: SensitivityTable) -> np.ndarray:
-    """Index rows, in product order, of every plan a search of all plans could pick.
+def _merge_plans(table: SensitivityTable):
+    """Every plan a search of all plans could pick, and the Pareto frontier.
 
     Merges the layers one at a time, from one empty plan (Nemhauser & Ullmann,
     "Discrete Dynamic Programming and Capital Allocation", 1969). Each kept
     row is extended by every candidate, old row major, and a new row is kept
     unless an earlier one has S and E no greater: a staircase of the rows so
     far (S ascending, E descending) answers that by bisection. Sums are added
-    in table-layer order, as ``_plan_sums`` adds them, and rounding is
-    monotone, so every plan is weakly dominated by a kept plan no later in
-    product order. The best plan, the cheapest, their first-row tie-breaks
-    and the frontier therefore all survive.
+    in table-layer order, as a Python ``sum`` over one plan's layers adds
+    them, and rounding is monotone, so every plan is weakly dominated by a
+    kept plan no later in product order. The last staircase is therefore the
+    frontier: the distinct nondominated (S, E) points, each reached by
+    exactly one kept row, the first plan in product order to reach it.
+
+    Returns the kept rows (candidate indices, one column per layer, in
+    product order), their S and E sums, and the frontier's (S, E) points.
     """
     n = len(table.candidates)
     plans = np.zeros((1, 0), dtype=np.intp)
     s_sums, e_sums = np.zeros(1), np.zeros(1)
+    stair_s, stair_neg_e = [0.0], [-0.0]  # the empty plan's, when there are no layers
     for layer in table.layers:
         s_rows = (s_sums[:, None] + [table.s[(layer, c)] for c in table.candidates]).ravel()
         e_rows = (e_sums[:, None] + [table.e[(layer, c)] for c in table.candidates]).ravel()
@@ -311,7 +269,7 @@ def _merge_plans(table: SensitivityTable) -> np.ndarray:
         kept = np.array(kept, dtype=np.intp)
         plans = np.column_stack((plans[kept // n], kept % n))
         s_sums, e_sums = s_rows[kept], e_rows[kept]
-    return plans
+    return plans, s_sums, e_sums, [(s, -neg_e) for s, neg_e in zip(stair_s, stair_neg_e)]
 
 
 def pareto_search(table: SensitivityTable, budget: SearchBudget) -> LayerPlan:
@@ -320,24 +278,32 @@ def pareto_search(table: SensitivityTable, budget: SearchBudget) -> LayerPlan:
     ``energy_cap`` minimizes total sensitivity subject to total energy within
     the cap; ``sensitivity_cap`` swaps the roles. An infeasible budget returns
     ``feasible=False`` carrying the cheapest plan available instead of raising.
-    The search is exact at every size: its plan, sums, feasibility and
-    frontier equal those of scoring every plan, and exact ties go to the
-    first plan in ``itertools.product`` order.
+    The pick is read off the frontier ``_merge_plans`` leaves: E falls along
+    it, so under an energy cap the feasible points are a suffix and the
+    first of them is best, while under a sensitivity cap they are a prefix
+    and the last is best; the cheapest point is the last (energy) or the
+    first (sensitivity). The search is exact at every size: its plan, sums,
+    feasibility and frontier equal those of scoring every plan, and exact
+    ties go to the first plan in ``itertools.product`` order.
     """
-    minimize_s = budget.kind == "energy_cap"
-    plans = _merge_plans(table)
-    s_sums, e_sums = _plan_sums(table, plans)
-    best, cheapest = _select_best(s_sums, e_sums, budget.cap, minimize_s)
-    pick = cheapest if best is None else best
+    plans, s_sums, e_sums, frontier = _merge_plans(table)
+    if budget.kind == "energy_cap":  # the points with E <= cap, a suffix
+        i = bisect.bisect_left(frontier, -budget.cap, key=lambda point: -point[1])
+        feasible, pick = i < len(frontier), min(i, len(frontier) - 1)
+    else:  # the points with S <= cap, a prefix
+        i = bisect.bisect_right(frontier, budget.cap, key=lambda point: point[0])
+        feasible, pick = i > 0, max(i - 1, 0)
+    s, e = frontier[pick]
+    row = plans[np.flatnonzero((s_sums == s) & (e_sums == e))[0]]
     return LayerPlan(
         kind=table.kind,
         layers=list(table.layers),
-        choice={layer: table.candidates[j] for layer, j in zip(table.layers, plans[pick])},
-        s_sum=float(s_sums[pick]),
-        e_sum=float(e_sums[pick]),
-        feasible=best is not None,
+        choice={layer: table.candidates[j] for layer, j in zip(table.layers, row)},
+        s_sum=s,
+        e_sum=e,
+        feasible=feasible,
         budget=budget,
-        frontier=_pareto_filter(s_sums, e_sums),
+        frontier=frontier,
     )
 
 

@@ -73,7 +73,7 @@ def test_clip_floor_validates_arguments():
 
 def test_fit_threshold_prefers_true_scale(rng):
     acts = rng.uniform(0, 1.0, size=4000).astype(np.float32)
-    fit = calibrate.fit_threshold(acts, timesteps=32, phi=1)
+    fit = calibrate.fit_threshold(acts, timesteps=32)
     # activations fill [0, 1): best clip level sits near the top of the range
     assert 0.8 <= fit.v_th <= 1.05
     assert not fit.degenerate
@@ -81,19 +81,20 @@ def test_fit_threshold_prefers_true_scale(rng):
 
 def test_fit_threshold_explicit_grid_finds_global_min(rng):
     acts = rng.uniform(0, 2.0, size=2000)
-    grid = np.linspace(0.05, 4.0, 200)
-    fit = calibrate.fit_threshold(acts, timesteps=16, phi=1, grid=grid)
+    fit = calibrate.fit_threshold(acts, timesteps=16, grid_size=200)
+    assert len(fit.grid) == 200
     mses = [
-        float(np.mean((clip_floor(acts, 16, g, 1) - acts) ** 2)) for g in grid
+        float(np.mean((clip_floor(acts, 16, g, 1) - acts) ** 2)) for g in fit.grid
     ]
     assert fit.mse == pytest.approx(min(mses), rel=1e-9)
-    assert fit.v_th == pytest.approx(grid[int(np.argmin(mses))])
+    assert fit.v_th == pytest.approx(fit.grid[int(np.argmin(mses))])
 
 
 def test_fit_threshold_tie_takes_smallest():
-    acts = np.zeros(64)  # every candidate scores 0; pick the smallest
-    fit = calibrate.fit_threshold(acts, timesteps=8, phi=1, grid=[2.0, 1.0, 3.0])
-    assert fit.v_th == 1.0
+    acts = np.zeros(64)  # every fallback candidate scores 0; pick the smallest
+    fit = calibrate.fit_threshold(acts, timesteps=8, grid_size=3)
+    assert fit.degenerate and not fit.grid_mse.any()
+    assert fit.v_th == fit.grid[0] == fit.grid.min()
 
 
 def test_fit_threshold_degenerate_all_zero():
@@ -102,32 +103,23 @@ def test_fit_threshold_degenerate_all_zero():
     assert fit.v_th > 0
 
 
-def test_fit_threshold_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        calibrate.fit_threshold(np.ones(10), timesteps=8, grid=[0.0, 1.0])
-
-
 @st.composite
 def _fit_cases(draw):
     """Taps with exact zeros, negatives and values on multiples of c / T,
-    or all zero; and a percentile grid or an explicit one holding c."""
-    timesteps, phi = draw(st.integers(1, 64)), draw(st.sampled_from([1, 3]))
+    or all zero; and a grid size."""
+    timesteps = draw(st.integers(1, 64))
     c = draw(st.floats(0.05, 4.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 300))
     taps = rng.standard_normal(n) * c
     taps[rng.random(n) < 0.2] = 0.0
     on_grid = rng.random(n) < 0.3
-    taps[on_grid] = rng.integers(-2, timesteps * phi + 3, on_grid.sum()) * (c / timesteps)
+    taps[on_grid] = rng.integers(-2, timesteps + 3, on_grid.sum()) * (c / timesteps)
     if draw(st.booleans()):
         taps = taps.astype(np.float32)  # as the calibration cache keeps them
     if draw(st.integers(0, 4)) == 0:
         taps = np.zeros_like(taps)
-    grid = draw(st.one_of(
-        st.builds(calibrate.GridSpec, size=st.integers(1, 24)),
-        st.lists(st.floats(0.01, 5.0), min_size=0, max_size=8).map(lambda g: [*g, c]),
-    ))
-    return taps, timesteps, phi, grid
+    return taps, timesteps, draw(st.integers(1, 24))
 
 
 @settings(max_examples=150, deadline=None)
@@ -135,25 +127,24 @@ def _fit_cases(draw):
 def test_fit_threshold_equals_per_candidate_formula(case):
     """The one-buffer fit scores every candidate as ``clip_floor(a) - a``,
     squared and averaged, bit for bit; ``clip_floor`` is the old expression."""
-    taps, timesteps, phi, grid = case
-    fit = calibrate.fit_threshold(taps, timesteps, phi=phi, grid=grid)
+    taps, timesteps, grid_size = case
+    fit = calibrate.fit_threshold(taps, timesteps, grid_size)
     a = np.asarray(taps, dtype=np.float64)
+    hi = float(np.percentile(a, 99.9))
+    lo, hi = (1e-3, 1.0) if hi <= 0.0 else (max(float(np.percentile(a, 50.0)), hi * 1e-3), hi)
+    np.testing.assert_array_equal(fit.grid, np.geomspace(lo, hi, grid_size))
     mse = np.empty(len(fit.grid))
     for i, cand in enumerate(fit.grid):
-        floored = clip_floor(a, timesteps, float(cand), phi)
+        floored = clip_floor(a, timesteps, float(cand), 1)
         q = np.floor(a * timesteps / cand)
-        old = (cand / timesteps) * np.clip(q, 0.0, float(timesteps) * phi)
+        old = (cand / timesteps) * np.clip(q, 0.0, float(timesteps))
         assert floored.dtype == old.dtype and floored.tobytes() == old.tobytes()
         err = floored - a
         mse[i] = float(np.mean(err * err))
     assert fit.grid_mse.dtype == mse.dtype and fit.grid_mse.tobytes() == mse.tobytes()
     best = int(np.argmin(mse))
     assert fit.v_th == float(fit.grid[best]) and fit.mse == float(mse[best])
-    if isinstance(grid, calibrate.GridSpec):
-        assert fit.degenerate == (float(np.percentile(a, grid.high_percentile)) <= 0.0)
-    else:
-        np.testing.assert_array_equal(fit.grid, np.unique(grid))
-        assert fit.degenerate == (float(a.max()) <= 0.0)
+    assert fit.degenerate == (float(np.percentile(a, 99.9)) <= 0.0)
 
 
 def test_clip_floor_keeps_scalar_results_scalar():

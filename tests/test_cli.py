@@ -123,6 +123,16 @@ def _drop_beta(text):
     return "".join(line for line in text.splitlines(True) if not line.startswith("beta "))
 
 
+def _set_last(key, value):
+    """An edit putting ``value`` last on the first line that starts with ``key``."""
+    def edit(text):
+        lines = text.splitlines(True)
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{key} "))
+        lines[i] = f"{lines[i].rsplit(' ', 1)[0]} {value}\n"
+        return "".join(lines)
+    return edit
+
+
 # case -> (stage, artifact, edit, pattern the error message must match)
 DAMAGE = {
     "truncated-configs": ("eval", "snn_configs_full.txt", lambda t: t[:-12],
@@ -134,6 +144,15 @@ DAMAGE = {
     "short-configs": ("search-rho", "snn_configs_phi.txt", _drop_last, r"snn_configs_phi\.txt"),
     "short-policy": ("eval", "exit_policy.txt", _drop_last, r"exit_policy\.txt:\d+: "),
     "policy-without-beta": ("eval", "exit_policy.txt", _drop_beta, r"exit_policy\.txt:3: "),
+    # fit-exit writes finite floats only (1e999 reads as inf), and no negative entropy
+    **{f"policy-{key}-{value}": ("eval", "exit_policy.txt", _set_last(key, value),
+                                 rf"exit_policy\.txt:{line}: {key} must be finite.*, got -?inf$")
+       for key, line in (("alpha_base", 2), ("beta", 3), ("delta", 4), ("mean_entropy", 7))
+       for value in ("inf", "-inf", "1e999")},
+    "policy-negative-entropy": (
+        "eval", "exit_policy.txt", _set_last("mean_entropy", "-0.5"),
+        r"exit_policy\.txt:7: mean_entropy must be finite and not negative, got -0\.5$",
+    ),
     "truncated-plan": ("report", "plan_rho.txt", lambda t: t[:-9], r"plan_rho\.txt:\d+: "),
     "short-exit-trace": ("report", "exit_trace.csv", _drop_last, r"exit_trace\.csv"),
 }

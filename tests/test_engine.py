@@ -462,6 +462,33 @@ def test_stats_at_stops_each_input_at_its_step(random_net, arch):
         assert stats.total_spikes == sum(stats.layer_spikes.values())
 
 
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_zero_row_batch_runs_to_empty_results(random_net, arch):
+    """A batch of no inputs goes through every path: empty outputs, taps,
+    traces and trains of the right shapes, and no spikes."""
+    model, cache, configs = random_net(arch, 0)
+    empty = np.zeros((0, *model.input_shape))
+    classes, spiking = model.class_count, engine.spiking_layer_indices(model)
+    assert nn.forward(model, empty).shape == (0, classes)
+    scores, taps = nn.forward_with_taps(model, empty)
+    assert scores.shape == (0, classes) and sorted(taps) == spiking
+    assert all(len(tap) == 0 for tap in taps.values())
+    policy = early_exit.ExitPolicy(0.7, 0.2, 1.0, 4, np.ones(4))
+    for record in (False, True):
+        run = engine.run_snn(model, configs, empty, 4, record_trains=record)
+        assert run.scores.shape == (0, classes) and run.step_scores.shape == (4, 0, classes)
+        assert run.step_spikes.shape == (4, len(spiking), 0)
+        assert run.stats.total_spikes == 0 and set(run.stats.layer_spikes.values()) == {0}
+        if record:
+            assert sorted(run.trains) == spiking
+            assert all(t.counts.shape[:2] == (4, 0) for t in run.trains.values())
+        for trace in (early_exit.apply_gate(model, run, policy),
+                      early_exit.infer_adaptive(model, configs, policy, empty)):
+            assert trace.exit_t.shape == trace.confidence.shape == trace.predicted.shape == (0,)
+            assert trace.scores.shape == (0, classes) and trace.spikes_per_input.shape == (0,)
+            assert trace.stats.total_spikes == 0
+
+
 def _sparse_train(rng, n, shape, timesteps, phi=3, threshold=0.37):
     """A spike-like train: a fifth of the neurons fire 1..phi quanta, the rest are silent."""
     size = (timesteps, n, *shape)

@@ -594,3 +594,40 @@ def test_search_equals_brute_force_fuzz():
                 assert (plan.choice, plan.s_sum, plan.e_sum, plan.feasible) == (
                     choice, s_sum, e_sum, feasible
                 )
+
+
+def test_search_at_the_cap_boundaries():
+    """A cap equal to a frontier point's E (energy cap) or S (sensitivity
+    cap) admits that point, and it is the pick; caps of 0 and inf too. Every
+    result equals ``_pareto_reference`` bit for bit and, on tables off the
+    coarse grid, ``oracles.best_plan_under_cap``."""
+    rng = np.random.default_rng(20)
+    for trial in range(40):
+        table = random_table(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        if trial % 2:
+            for key in table.s:
+                table.s[key] = float(rng.integers(0, 4)) * 0.1
+                table.e[key] = float(rng.integers(0, 4)) * 0.3
+        frontier = _pareto_reference(table, search.SearchBudget("energy_cap", np.inf))[4]
+        for kind, axis in (("energy_cap", 1), ("sensitivity_cap", 0)):
+            for cap in (0.0, np.inf):
+                _same_as_reference(table, search.SearchBudget(kind, cap))
+            for point in frontier:
+                plan = _same_as_reference(table, search.SearchBudget(kind, point[axis]))
+                assert plan.feasible and (plan.s_sum, plan.e_sum) == point
+                if trial % 2 == 0:
+                    (choice, s_sum, e_sum), feasible = oracles.best_plan_under_cap(
+                        table.layers, table.candidates, table.s, table.e, kind, point[axis]
+                    )
+                    assert (plan.choice, plan.s_sum, plan.e_sum, plan.feasible) == (
+                        choice, s_sum, e_sum, feasible
+                    )
+
+
+@pytest.mark.parametrize("kind", ["energy_cap", "sensitivity_cap"])
+@pytest.mark.parametrize("cap", [0.0, 1.0, np.inf])
+def test_search_over_no_layers_is_the_empty_plan(kind, cap):
+    table = make_table([], [1, 2], {}, {})
+    plan = _same_as_reference(table, search.SearchBudget(kind, cap))
+    assert plan.choice == {} and plan.feasible
+    assert plan.frontier == [(0.0, 0.0)]
