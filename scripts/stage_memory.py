@@ -8,12 +8,23 @@ spikecal STAGE --config ...`` with CHECKOUT's ``src/`` on the path and one
 BLAS thread. For every stage it prints the wall time and the child's peak
 resident set size (``ru_maxrss`` from ``os.wait4``), so a stage's memory is
 its own and not the highest of the stages before it, as in a one-process
-run. Exits 1, naming the stage and its last stderr line, if a stage fails.
+run. Then it runs the stage again in a second child under ``tracemalloc``,
+started once ``spikecal.cli`` is imported, and prints that child's traced
+peak (``traced_mb``): Python objects and numpy arrays the stage allocates.
+maxrss moves from run to run with how the heap reuses freed pages. Every
+child runs with ``PYTHONHASHSEED=0`` and, on Linux, with address-space
+randomization off for itself alone (``setarch -R``'s personality flag), so
+sets and dicts keyed by object ids order alike and the traced peak repeats
+to the byte: a memory change can be given as a count. The first child's
+wall time is not traced. A rerun stage writes the same bytes, as every
+stage does. Exits 1, naming the stage and its last stderr line, if a stage
+fails.
 
     python3 scripts/stage_memory.py /path/to/checkout --workload demo-mlp --seed 7
 """
 
 import argparse
+import ctypes
 import json
 import os
 import subprocess
@@ -28,20 +39,49 @@ from workloads import WORKLOADS, make_config  # noqa: E402
 
 STAGES = ("train", "convert", "search-phi", "search-rho", "fit-exit", "eval", "ablate", "report")
 
+# ``python -c`` program of the traced child: argv is [peak file, stage, flags...]
+_TRACED = """\
+import sys, tracemalloc
+from spikecal import cli
+tracemalloc.start()
+code = cli.main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(tracemalloc.get_traced_memory()[1]))
+sys.exit(code)
+"""
+
 
 class StageFailed(Exception):
     """A stage exited non-zero; the message names it."""
 
 
-def run_stage(tree: str, stage: str, config: str) -> tuple[float, float]:
-    """Wall seconds and peak RSS in MiB of one ``python -m spikecal`` stage."""
+_ADDR_NO_RANDOMIZE = 0x0040000  # linux/personality.h
+
+
+def _fixed_layout():
+    """Turn address-space randomization off for the calling process and what
+    it execs (``setarch -R``), where the C library has ``personality``."""
+    personality = getattr(ctypes.CDLL(None), "personality", None)
+    if personality is not None:
+        personality(_ADDR_NO_RANDOMIZE)
+
+
+def _run_child(tree: str, stage: str, args: list[str]):
+    """Run ``python *args`` under ``tree``'s ``src/`` with one BLAS thread, a
+    fixed hash seed and a fixed memory layout.
+
+    Returns its wall seconds and ``os.wait4`` resource usage; raises
+    StageFailed, naming ``stage``, if it exits non-zero.
+    """
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.update(
+        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", PYTHONHASHSEED="0"
+    )
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         proc = subprocess.Popen(
-            [sys.executable, "-m", "spikecal", stage, "--config", config],
-            env=env, stdout=subprocess.DEVNULL, stderr=err,
+            [sys.executable, *args], env=env, stdout=subprocess.DEVNULL, stderr=err,
+            preexec_fn=_fixed_layout,
         )
         _, status, usage = os.wait4(proc.pid, 0)
         seconds = time.perf_counter() - start
@@ -50,16 +90,37 @@ def run_stage(tree: str, stage: str, config: str) -> tuple[float, float]:
             err.seek(0)
             tail = err.read().decode(errors="replace").strip().splitlines()[-1:] or ["no stderr"]
             raise StageFailed(f"stage {stage} exited {proc.returncode} ({tail[0]})")
+    return seconds, usage
+
+
+def run_stage(tree: str, stage: str, config: str) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MiB of one ``python -m spikecal`` stage."""
+    seconds, usage = _run_child(tree, stage, ["-m", "spikecal", stage, "--config", config])
     return seconds, usage.ru_maxrss / 1024.0  # Linux reports KiB
 
 
-def run_stages(tree: str, config: dict) -> list[tuple[str, float, float]]:
-    """``(stage, wall_s, maxrss_mb)`` of every stage of ``config`` under ``tree``."""
+def traced_peak(tree: str, stage: str, config: str) -> int:
+    """Bytes at the ``tracemalloc`` peak of one run of ``stage``, traced
+    from just after ``spikecal.cli`` is imported to the stage's end."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "peak")
+        _run_child(tree, stage, ["-c", _TRACED, path, stage, "--config", config])
+        with open(path, encoding="utf-8") as fh:
+            return int(fh.read())
+
+
+def run_stages(tree: str, config: dict) -> list[tuple[str, float, float, float]]:
+    """``(stage, wall_s, maxrss_mb, traced_mb)`` of every stage of ``config``
+    under ``tree``; each stage runs untraced, then traced, before the next."""
     path = os.path.join(config["out_dir"], "config.json")
     os.makedirs(config["out_dir"], exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2)
-    return [(stage, *run_stage(tree, stage, path)) for stage in STAGES]
+    rows = []
+    for stage in STAGES:
+        seconds, maxrss = run_stage(tree, stage, path)
+        rows.append((stage, seconds, maxrss, traced_peak(tree, stage, path) / 2**20))
+    return rows
 
 
 def main() -> int:
@@ -78,9 +139,9 @@ def main() -> int:
             print(f"{args.workload}, seed {args.seed}: {err}")
             return 1
     print(f"{args.workload}, seed {args.seed}, one BLAS thread, one process per stage")
-    print(f"{'stage':<12}{'wall_s':>8}{'maxrss_mb':>11}")
-    for stage, seconds, mb in rows:
-        print(f"{stage:<12}{seconds:>8.3f}{mb:>11.1f}")
+    print(f"{'stage':<12}{'wall_s':>8}{'maxrss_mb':>11}{'traced_mb':>11}")
+    for stage, seconds, mb, traced in rows:
+        print(f"{stage:<12}{seconds:>8.3f}{mb:>11.1f}{traced:>11.3f}")
     return 0
 
 

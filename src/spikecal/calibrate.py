@@ -28,6 +28,7 @@ from .engine import (
     ConfigMismatchError,
     LayerSnnConfig,
     SpikeTrain,
+    _V_TH_MIN,
     _check_run,
     _currents,
     _run_layer,
@@ -78,17 +79,24 @@ def fit_threshold(
 
     The grid is ``grid_size`` geometric steps between the 50th and 99.9th
     percentiles of the activations (the 50th raised to a thousandth of the
-    99.9th if below it); ties go to the smallest candidate. A 99.9th
-    percentile of zero or less cannot anchor it: the fit then scores the
-    fallback grid from 1e-3 to 1 and is flagged ``degenerate``.
+    99.9th if below it, and to the smallest threshold a config takes,
+    ``engine._V_TH_MIN``); ties go to the smallest candidate. A 99.9th
+    percentile below that smallest threshold, zero included, cannot anchor
+    it: the fit then scores the fallback grid from 1e-3 to 1 and is flagged
+    ``degenerate``.
     """
     a = np.asarray(activations, dtype=np.float64).reshape(-1)
     if a.size == 0:
         raise ValueError("cannot fit a threshold to zero activations")
     hi = float(np.percentile(a, 99.9))
-    degenerate = hi <= 0.0
-    lo, hi = (1e-3, 1.0) if degenerate else (max(float(np.percentile(a, 50.0)), hi * 1e-3), hi)
+    degenerate = hi < _V_TH_MIN
+    if degenerate:
+        lo, hi = 1e-3, 1.0
+    else:
+        lo = max(float(np.percentile(a, 50.0)), hi * 1e-3, _V_TH_MIN)
     candidates = np.geomspace(lo, hi, grid_size)
+    # geomspace may round a step just below a lo of _V_TH_MIN
+    np.maximum(candidates, _V_TH_MIN, out=candidates)
     mse = np.empty(len(candidates), dtype=np.float64)
     scaled, err = a * timesteps, np.empty_like(a)
     for i, cand in enumerate(candidates):

@@ -34,6 +34,9 @@ from . import store
 from .nn import ModelGraph, _check_batch, apply_layer
 
 DEFAULT_MEMBRANE_INIT = 0.5
+# the smallest v_th a config takes, the smallest normal float32: a membrane
+# divided by anything smaller can overflow float64
+_V_TH_MIN = float(np.finfo(np.float32).tiny)
 
 
 class ConfigMismatchError(ValueError):
@@ -49,8 +52,11 @@ class LayerSnnConfig:
     phi: int = 1
 
     def __post_init__(self):
-        if not (0 < self.v_th < np.inf):
-            raise ValueError(f"v_th must be positive and finite, got {self.v_th}")
+        if not (_V_TH_MIN <= self.v_th < np.inf):
+            raise ValueError(
+                f"v_th must be finite and at least {_V_TH_MIN!r} (the smallest normal float32), "
+                f"got {self.v_th!r}"
+            )
         if not isinstance(self.rho, (int, np.integer)) or self.rho < 1:
             raise ValueError(f"rho must be an integer >= 1, got {self.rho!r}")
         if not isinstance(self.phi, (int, np.integer)) or self.phi < 1:
@@ -72,7 +78,9 @@ class NeuronState:
     A state with ``k`` is one ``step_layer`` or ``initial_state`` returned:
     it owns ``v`` and ``k``, and the next step writes into them in place. A
     state without ``k`` (one a caller built) is never written; stepping it
-    allocates a new pair.
+    allocates a new pair. Inside ``_simulate`` the spiking layers' ``k`` are
+    views of one buffer, so a layer's ``k`` holds its last step's counts
+    only until the next layer steps.
     """
 
     v: np.ndarray
@@ -314,13 +322,19 @@ def _simulate(
 
     Each layer's emitted amplitudes feed the next layer directly; they are
     ``counts[t] * threshold`` bit for bit, so a run resumed from a recorded
-    train equals one pass. Returns ``(step_scores, step_spikes, v_last,
+    train equals one pass. Every spiking layer's ``k`` is a view of one
+    quanta buffer, as wide as the widest layer: a step's ``k`` is used up
+    (by the emissions, the unit-spike count and the train copy) before the
+    next layer writes its own. Returns ``(step_scores, step_spikes, v_last,
     trains)`` of the steps run and the spiking layers from ``start`` on;
-    ``trains`` is None unless ``keep_trains``, and only then are counts kept.
+    ``step_spikes`` is int64 [T, L, N], and ``trains`` is None unless
+    ``keep_trains``, and only then are counts kept.
     """
     feeds, spiking, source = _prepare(model, configs, start, source)
     n = source.counts.shape[1] if isinstance(source, SpikeTrain) else len(source)
-    step_spikes = np.zeros((timesteps, len(spiking), n))  # integer sums, exact in float64
+    step_spikes = np.empty((timesteps, len(spiking), n), np.int64)
+    count = np.empty((len(spiking), n))  # a step's unit spikes: whole numbers, exact in float64
+    quanta = np.empty(0)  # every layer's k is a view of this one buffer
     states, units, counts = [], [], []
     for t in range(timesteps):
         x = source.amplitudes(t) if isinstance(source, SpikeTrain) else source
@@ -328,15 +342,21 @@ def _simulate(
             for layer, op in zip(layers, ops):
                 x = apply_layer(layer, x, op)
             if t == 0:
-                states.append(initial_state(config, x.shape, membrane_init))
+                if quanta.size < x.size:
+                    quanta = np.empty(x.size)
+                    for state in states:  # the layers before let go of the smaller buffer
+                        state.k = quanta[: state.k.size].reshape(state.k.shape)
+                v = np.full(x.shape, membrane_init * config.threshold, np.float64)
+                states.append(NeuronState(v, quanta[: x.size].reshape(x.shape)))
                 units.append(np.ones(x.shape[1:]).ravel())
                 if keep_trains:
                     counts.append(np.empty((timesteps, *x.shape), np.min_scalar_type(config.phi)))
             states[pos], x = step_layer(states[pos], x, config)
             # whole counts add up exactly in a product with ones, 2-3x faster than np.add.reduce
-            np.dot(states[pos].k.reshape(n, len(units[pos])), units[pos], out=step_spikes[t, pos])
+            np.dot(states[pos].k.reshape(n, len(units[pos])), units[pos], out=count[pos])
             if keep_trains:
                 counts[pos][t] = states[pos].k
+        step_spikes[t] = count
         for layer, op in zip(*feeds[-1]):
             x = apply_layer(layer, x, op)
         if t == 0:
@@ -349,8 +369,7 @@ def _simulate(
     steps = t + 1
     v_last = {i: state.v for (i, _), state in zip(spiking, states)}
     trains = {i: SpikeTrain(c[:steps], cfg.threshold) for (i, cfg), c in zip(spiking, counts)}
-    step_spikes = step_spikes[:steps].astype(np.int64)
-    return step_scores[:steps], step_spikes, v_last, (trains if keep_trains else None)
+    return step_scores[:steps], step_spikes[:steps], v_last, (trains if keep_trains else None)
 
 
 def stats_at(model: ModelGraph, step_spikes: np.ndarray, last) -> RunStats:

@@ -34,18 +34,20 @@ def rng():
     return np.random.default_rng(0)
 
 
-def _random_net(arch: str, seed: int, n: int = 6):
+def _random_net(arch: str, seed: int, n: int = 6, widths=None):
     """A small untrained MLP or CNN, a calibration cache of ``n`` inputs, and
-    fitted thresholds with random burst caps and compression ratios."""
+    fitted thresholds with random burst caps and compression ratios.
+    ``widths``, when given, are the hidden widths or channels to use in place
+    of random ones."""
     rng = np.random.default_rng(seed)
     if arch == "mlp":
         dim = int(rng.integers(3, 9))
         hidden = [int(w) for w in rng.integers(2, 7, size=int(rng.integers(1, 4)))]
-        model = nn.build_mlp(dim, hidden, 3, seed=seed)
+        model = nn.build_mlp(dim, widths or hidden, 3, seed=seed)
         shape = (dim,)
     else:
         channels = [int(c) for c in rng.integers(1, 4, size=int(rng.integers(1, 3)))]
-        model = nn.build_cnn((1, 6, 6), channels, 3, seed=seed)
+        model = nn.build_cnn((1, 6, 6), widths or channels, 3, seed=seed)
         shape = (1, 6, 6)
     images = rng.standard_normal((n, *shape)).astype(np.float32)
     data = store.DatasetHandle(images=images, labels=rng.integers(0, 3, size=n))
@@ -61,7 +63,7 @@ def _random_net(arch: str, seed: int, n: int = 6):
 
 @pytest.fixture()
 def random_net():
-    """``random_net(arch, seed)`` -> (model, calibration cache, configs)."""
+    """``random_net(arch, seed[, n, widths])`` -> (model, calibration cache, configs)."""
     return _random_net
 
 

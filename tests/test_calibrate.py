@@ -130,8 +130,8 @@ def test_fit_threshold_equals_per_candidate_formula(case):
     taps, timesteps, grid_size = case
     fit = calibrate.fit_threshold(taps, timesteps, grid_size)
     a = np.asarray(taps, dtype=np.float64)
-    hi = float(np.percentile(a, 99.9))
-    lo, hi = (1e-3, 1.0) if hi <= 0.0 else (max(float(np.percentile(a, 50.0)), hi * 1e-3), hi)
+    hi, tiny = float(np.percentile(a, 99.9)), float(np.finfo(np.float32).tiny)
+    lo, hi = (1e-3, 1.0) if hi < tiny else (max(float(np.percentile(a, 50.0)), hi * 1e-3), hi)
     np.testing.assert_array_equal(fit.grid, np.geomspace(lo, hi, grid_size))
     mse = np.empty(len(fit.grid))
     for i, cand in enumerate(fit.grid):
@@ -144,7 +144,27 @@ def test_fit_threshold_equals_per_candidate_formula(case):
     assert fit.grid_mse.dtype == mse.dtype and fit.grid_mse.tobytes() == mse.tobytes()
     best = int(np.argmin(mse))
     assert fit.v_th == float(fit.grid[best]) and fit.mse == float(mse[best])
-    assert fit.degenerate == (float(np.percentile(a, 99.9)) <= 0.0)
+    assert fit.degenerate == (float(np.percentile(a, 99.9)) < tiny)
+
+
+@pytest.mark.parametrize("scale", [1e-45, 1e-40, 1.1754942e-38, 1.1754943508222875e-38,
+                                   1.1754944e-38, 3e-38, 1e-36])
+@pytest.mark.parametrize("spread", [False, True])
+def test_fit_threshold_stays_at_or_above_the_smallest_config_threshold(scale, spread):
+    """Taps near the smallest normal float32, the least v_th a config takes:
+    a 99.9th percentile below it falls back to the degenerate grid, and no
+    grid point of any other fit lies below it, though ``np.geomspace``
+    between two close bounds rounds some steps down."""
+    tiny = float(np.finfo(np.float32).tiny)
+    taps = np.full(300, scale)
+    if spread:
+        taps *= np.random.default_rng(0).random(300)
+    fit = calibrate.fit_threshold(taps, timesteps=8)
+    assert fit.degenerate == (float(np.percentile(taps, 99.9)) < tiny)
+    if fit.degenerate:
+        np.testing.assert_array_equal(fit.grid, np.geomspace(1e-3, 1.0, 64))
+    assert fit.grid.min() >= tiny
+    assert engine.LayerSnnConfig(v_th=fit.v_th).v_th == fit.v_th
 
 
 def test_clip_floor_keeps_scalar_results_scalar():

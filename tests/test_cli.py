@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from spikecal import cli, store
@@ -119,6 +120,14 @@ def _overflow_threshold(text):
     return "".join(lines)
 
 
+def _tiny_threshold(text):
+    """Line 2's v_th at the smallest subnormal float64: positive and finite,
+    but a membrane divided by it overflows."""
+    lines = text.splitlines(True)
+    lines[1] = re.sub(r"v_th \S+", "v_th 5e-324", lines[1])
+    return "".join(lines)
+
+
 def _drop_beta(text):
     return "".join(line for line in text.splitlines(True) if not line.startswith("beta "))
 
@@ -141,6 +150,9 @@ DAMAGE = {
     "swapped-configs": ("eval", "snn_configs_full.txt", _swap_last_two, r"snn_configs_full\.txt"),
     "overflowing-threshold": ("eval", "snn_configs_full.txt", _overflow_threshold,
                               r"snn_configs_full\.txt:2: .*not finite"),
+    "tiny-threshold": ("eval", "snn_configs_full.txt", _tiny_threshold,
+                       r"snn_configs_full\.txt:2: v_th must be finite and at least "
+                       r"1\.1754943508222875e-38 .*got 5e-324$"),
     "short-configs": ("search-rho", "snn_configs_phi.txt", _drop_last, r"snn_configs_phi\.txt"),
     "short-policy": ("eval", "exit_policy.txt", _drop_last, r"exit_policy\.txt:\d+: "),
     "policy-without-beta": ("eval", "exit_policy.txt", _drop_beta, r"exit_policy\.txt:3: "),
@@ -167,9 +179,40 @@ def test_damaged_artifact_is_user_error(finished_run, tmp_path, capsys, case):
     (out / name).write_text(edit((out / name).read_text()))
     config, _ = write_config(tmp_path, out_dir=str(out))
     capsys.readouterr()
-    assert cli.main([stage, "--config", str(config)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a warning is no diagnosis
+        assert cli.main([stage, "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and re.search(pattern, err), err
+
+
+def test_near_silent_layers_convert_and_eval(finished_run, tmp_path, capsys):
+    """A model whose spiking layers see activations of about 1e-40, below
+    the smallest threshold a config takes: every fit falls back to its
+    degenerate grid, and convert and eval exit 0 without a warning."""
+    _, _, raw = finished_run
+    model = store.load_model(cli.Artifacts(raw["out_dir"]).model).clone()
+    for layer in model.layers[:-1]:
+        if layer.parameterized:  # every tap of a hidden layer scales by 1e-40
+            layer.bias = (layer.bias * np.float32(1e-40)).astype(np.float32)
+    model.layers[0].weight = (model.layers[0].weight * np.float32(1e-40)).astype(np.float32)
+    out = tmp_path / "silent"
+    out.mkdir()
+    art = cli.Artifacts(str(out))
+    store.save_model(model, art.model)
+    config, _ = write_config(tmp_path, out_dir=str(out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for stage in ("convert", "eval"):
+            assert cli.main([stage, "--config", str(config)]) == 0, stage
+    assert capsys.readouterr().err == ""
+    taps = store.load_cache(art.cache).taps
+    configs, _ = cli.engine.load_configs(art.configs_base)
+    for (idx, tap), cfg in zip(sorted(taps.items()), configs):
+        assert 0 < float(np.max(tap)) < 1e-38, idx
+        assert cfg.v_th == 1e-3, idx  # the fallback grid's best for all-but-zero taps
+    report = open(art.calibration_report).read()
+    assert report.count("degenerate true") == len(configs) == 2
 
 
 def test_missing_artifacts_listed_by_name(tmp_path):

@@ -415,6 +415,93 @@ def test_run_without_trains_holds_less_than_every_count():
     assert peak < layers * timesteps * n * width, peak
 
 
+def test_run_holds_one_quanta_buffer_and_an_integer_record():
+    """The same run's peak stays within what it must hold: the L membranes,
+    one quanta buffer shared by every layer, the score and int64 spike
+    records, the float64 dense operands cast for the run, and an allowance
+    of four [N, width] float64 arrays for a step's input, product and
+    emissions and the first layer's constant product. A quanta array per
+    layer and a float64 spike record besides the int64 one would not fit."""
+    layers, width, n, timesteps, classes = 8, 128, 512, 32, 10
+    model = nn.build_mlp(64, [width] * layers, classes, seed=0)
+    x = np.random.default_rng(0).standard_normal((n, 64))
+    configs = [engine.LayerSnnConfig(v_th=1.0, phi=4)] * layers
+    row = n * width * 8
+    operands = sum(8 * (ly.weight.size + ly.bias.size) for ly in model.layers if ly.parameterized)
+    records = timesteps * n * (classes + layers) * 8
+    bound = layers * row + row + records + operands + 4 * row
+    tracemalloc.start()
+    try:
+        engine.run_snn(model, configs, x, timesteps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
+@pytest.mark.parametrize("arch, widths", [
+    ("mlp", [6, 2, 9]),  # shrinks, then grows past the first
+    ("mlp", [2, 7]),
+    ("cnn", [3, 1]),  # 108 neurons, then 9
+    ("cnn", [1, 6]),  # 36, then 54
+])
+def test_shared_quanta_buffer_equals_the_reference_sweep(random_net, arch, widths):
+    """Spiking layers of shrinking and growing widths share one quanta
+    buffer: a run from the input, with and without trains, a run resumed
+    from each recorded train and a run that ``stop`` ends mid-horizon all
+    equal the time-major reference bit for bit, with an int64 spike record."""
+    horizon = 6
+    for seed in range(2):
+        model, cache, configs = random_net(arch, seed, widths=widths)
+        x0 = nn._check_batch(model, np.asarray(cache.inputs, dtype=np.float64))
+        spiking = engine.spiking_layer_indices(model)
+        n = len(x0)
+
+        def reference(steps):
+            _, scores, trains, states = _time_major_run(model, configs, x0, steps)
+            spikes = np.stack([
+                [np.rint(a / cfg.threshold).reshape(n, -1).sum(axis=1).astype(np.int64)
+                 for a in trains[i]] for i, cfg in zip(spiking, configs)
+            ], axis=1)
+            return scores, spikes, {i: s.v for i, s in states.items()}, trains
+
+        def check(got, want, pos, steps, keep):
+            scores, spikes, v_last, trains = got
+            ref_scores, ref_spikes, ref_v, ref_trains = want
+            assert spikes.dtype == np.int64 and spikes.shape == (steps, len(spiking) - pos, n)
+            assert scores.dtype == ref_scores.dtype and scores.shape == ref_scores.shape
+            assert scores.tobytes() == ref_scores.tobytes()
+            assert spikes.tobytes() == np.ascontiguousarray(ref_spikes[:, pos:]).tobytes()
+            assert list(v_last) == spiking[pos:]
+            for i, v in v_last.items():
+                assert v.tobytes() == ref_v[i].tobytes(), i
+            if not keep:
+                assert trains is None
+                return
+            assert list(trains) == spiking[pos:]
+            for i, train in trains.items():
+                assert len(train.counts) == steps, i
+                for t, amplitudes in enumerate(ref_trains[i]):
+                    assert train.amplitudes(t).tobytes() == amplitudes.tobytes(), (i, t)
+
+        want = reference(horizon)
+        for keep in (True, False):
+            whole = engine._simulate(model, configs, 0, x0, horizon, 0.5, keep_trains=keep)
+            check(whole, want, 0, horizon, keep)
+        recorded = engine._simulate(model, configs, 0, x0, horizon, 0.5, keep_trains=True)[3]
+        for pos, i in enumerate(spiking):
+            resumed = engine._simulate(
+                model, configs, i + 1, recorded[i], horizon, 0.5, keep_trains=True
+            )
+            check(resumed, want, pos + 1, horizon, True)
+        for last in (0, 2):
+            stopped = engine._simulate(
+                model, configs, 0, x0, horizon, 0.5, keep_trains=True,
+                stop=lambda t, _, last=last: t == last,
+            )
+            check(stopped, reference(last + 1), 0, last + 1, True)
+
+
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_resumed_run_equals_one_pass(random_net, arch, chunk):
@@ -677,6 +764,15 @@ def test_config_validation():
         engine.LayerSnnConfig(v_th=1.0, phi=0)
     with pytest.raises(ValueError):
         engine.LayerSnnConfig(v_th=1.0, rho=1.5)
+
+
+def test_config_rejects_a_threshold_below_the_smallest_normal_float32():
+    """A membrane divided by a subnormal threshold can overflow float64."""
+    tiny = float(np.finfo(np.float32).tiny)
+    for v_th in (5e-324, 1e-40, np.nextafter(tiny, 0.0)):
+        with pytest.raises(ValueError, match="at least 1.1754943508222875e-38"):
+            engine.LayerSnnConfig(v_th=float(v_th))
+    assert engine.LayerSnnConfig(v_th=tiny).threshold == tiny
 
 
 def test_config_with_overflowing_threshold_rejected():

@@ -22,11 +22,28 @@ def _tiny_config(out_dir, **overrides):
 
 
 def test_every_stage_gets_a_time_and_its_own_peak(tmp_path):
-    rows = stage_memory.run_stages(_ROOT, _tiny_config(tmp_path / "run"))
-    assert [stage for stage, _, _ in rows] == list(stage_memory.STAGES)
-    for stage, seconds, mb in rows:
-        assert seconds > 0 and mb > 1.0, (stage, seconds, mb)
+    """Each stage gets a wall time, a maxrss and a traced peak; the traced
+    peak of a stage run again on the same inputs is the same, to the byte."""
+    config = _tiny_config(tmp_path / "run")
+    rows = stage_memory.run_stages(_ROOT, config)
+    assert [stage for stage, _, _, _ in rows] == list(stage_memory.STAGES)
+    for stage, seconds, mb, traced in rows:
+        assert seconds > 0 and mb > 1.0 and 0 < traced < mb, (stage, seconds, mb, traced)
     assert os.path.exists(tmp_path / "run" / "report" / "exit_histogram.csv")
+    path = os.path.join(config["out_dir"], "config.json")
+    eval_row = rows[stage_memory.STAGES.index("eval")]
+    assert stage_memory.traced_peak(_ROOT, "eval", path) == eval_row[3] * 2**20
+
+
+def test_a_failed_traced_run_is_named(tmp_path):
+    """A checkout whose package imports but has no ``cli.main``: the traced
+    child fails and its stage is named."""
+    package = tmp_path / "src" / "spikecal"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("")
+    with pytest.raises(stage_memory.StageFailed, match=r"^stage eval exited 1 \(AttributeError: "):
+        stage_memory.traced_peak(str(tmp_path), "eval", str(tmp_path / "config.json"))
 
 
 def test_a_failed_stage_is_named(tmp_path):
