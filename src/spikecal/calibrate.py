@@ -161,8 +161,8 @@ def calibrate_biases(
     ``measure_unevenness`` reads them without another simulation.
     """
     cache.check_model(model)
-    _check_run(model, configs, timesteps)
     corrected = model.clone()
+    _check_run(corrected, configs, timesteps)  # on the writable copy: keeps no plan on model
     source = _check_batch(corrected, np.asarray(cache.inputs, dtype=np.float64))
     start, trains = 0, {}
     for pos, idx in enumerate(spiking_layer_indices(corrected)):

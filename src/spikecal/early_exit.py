@@ -34,9 +34,11 @@ from .engine import (
     RunStats,
     SnnRun,
     _check_run,
+    _counted,
+    _fanouts,
     _simulate,
+    _stats,
     run_snn,
-    stats_at,
 )
 from .nn import ModelGraph, _check_batch, softmax
 from .store import CalibrationCache
@@ -57,19 +59,31 @@ def entropy(p) -> np.ndarray | float:
 
 def confidence(scores, class_count: int):
     """Exit confidence in [0, 1] from raw scores: 1 - H(softmax)/ln(classes)."""
+    c = _confidence(np.asarray(scores, dtype=np.float64), _log_classes(class_count))
+    return float(c) if c.ndim == 0 else c
+
+
+def _log_classes(class_count: int):
+    """``np.log(class_count)``, the entropy of a uniform guess, which
+    ``confidence`` divides by; one class has none."""
     if class_count < 2:
         raise ValueError(f"confidence needs >= 2 classes, got {class_count}")
-    # softmax, entropy and np.clip, operation for operation, calling the
-    # ufuncs without their wrappers: the serve path gates after every step
-    s = np.asarray(scores, dtype=np.float64)
+    return np.log(class_count)
+
+
+def _confidence(s: np.ndarray, log_classes) -> np.ndarray:
+    """``confidence`` of float64 scores, given ``np.log(class_count)``.
+
+    softmax, entropy and np.clip, operation for operation, calling the
+    ufuncs without their wrappers: the serve path gates after every step.
+    """
     e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
     p = e / np.add.reduce(e, axis=-1, keepdims=True)
     np.maximum(p, _EPS, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
     h = -np.add.reduce(p * np.log(p), axis=-1)
     # 0.0 goes first so that a -0.0 stays -0.0, as np.clip leaves it
-    c = np.minimum(np.maximum(0.0, 1.0 - h / np.log(class_count)), 1.0)
-    return float(c) if np.ndim(c) == 0 else c
+    return np.minimum(np.maximum(0.0, 1.0 - h / log_classes), 1.0)
 
 
 @dataclass
@@ -84,7 +98,10 @@ class ExitPolicy:
 
     def boundaries(self) -> np.ndarray:
         ebar = np.asarray(self.mean_entropy, dtype=np.float64)
-        return self.alpha_base + self.beta * np.exp(-(ebar - ebar.min()) / self.delta)
+        # exp(-q) is 0.0 for every q past 746, so capping the gap at 746
+        # deltas changes no boundary, and a tiny delta cannot overflow q
+        gap = np.minimum(ebar - ebar.min(), 746.0 * self.delta)
+        return self.alpha_base + self.beta * np.exp(-gap / self.delta)
 
 
 def fit_exit_policy(
@@ -149,28 +166,37 @@ def apply_gate(model: ModelGraph, run: SnnRun, policy: ExitPolicy, labels=None) 
     step_scores = run.step_scores[:t_max]  # [T, N, Y]
     conf = confidence(step_scores, model.class_count)  # [T, N]
     hit = conf >= policy.boundaries()[:, None]
-    return _trace(model, step_scores, run.step_spikes[:t_max], conf, hit, labels)
+    return _trace(_fanouts(model), step_scores, run.step_spikes[:t_max], conf, hit, labels)
 
 
-def _trace(model, step_scores, step_spikes, conf, hit, labels) -> ExitTrace:
+def _trace(fanout, step_scores, step_spikes, conf, hit, labels) -> ExitTrace:
     """The exit trace read from a run's first steps, their confidences and
-    where those clear the boundary (``hit``).
+    where those clear the boundary (``hit``); ``fanout`` is each spiking
+    layer's ``layer_fanout`` (see ``engine._stats``).
 
     Input n exits at its first hit. An input without one exits at the last
-    step given, which must then be step ``t_max``.
+    step given, which must then be step ``t_max``. ``labels``, when given,
+    hold one label per input.
     """
+    n = step_scores.shape[1]
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (n,):
+            raise ValueError(
+                f"{n} inputs but labels of shape {labels.shape}: need one label per input"
+            )
     exit_idx = np.where(hit.any(axis=0), hit.argmax(axis=0), len(hit) - 1)
-    picker = (exit_idx, np.arange(step_scores.shape[1]))
+    picker = (exit_idx, np.arange(n))
     scores = step_scores[picker]
-    spikes = np.cumsum(step_spikes.sum(axis=1), axis=0)[picker]  # [N]
+    counted = _counted(step_spikes, exit_idx)
     return ExitTrace(
         exit_t=(exit_idx + 1).astype(np.int64),
         confidence=conf[picker],
-        predicted=np.argmax(scores, axis=1).astype(np.int64),
+        predicted=scores.argmax(axis=1).astype(np.int64),
         scores=scores,
-        spikes_per_input=spikes.astype(np.int64),
-        stats=stats_at(model, step_spikes, exit_idx),
-        labels=None if labels is None else np.asarray(labels, dtype=np.int64),
+        spikes_per_input=counted.sum(axis=(0, 1)),
+        stats=_stats(fanout, counted),
+        labels=labels,
     )
 
 
@@ -194,20 +220,23 @@ def infer_adaptive(
     ``run_snn`` in every field, bit for bit.
     """
     t_max = policy.t_max
-    _check_run(model, configs, t_max)
+    plan = _check_run(model, configs, t_max)
     x0 = _check_batch(model, np.asarray(batch, dtype=np.float64))
+    log_classes = _log_classes(model.class_count)
     boundaries = policy.boundaries()
-    conf, hit = [], []
+    conf = np.empty((t_max, len(x0)))
+    hit = np.empty((t_max, len(x0)), dtype=bool)
     waiting = np.ones(len(x0), dtype=bool)
 
     def gate(t, scores):
-        conf.append(confidence(scores, model.class_count))  # [N]
-        hit.append(conf[-1] >= boundaries[t])
-        waiting[hit[-1]] = False
-        return not waiting.any()
+        conf[t] = _confidence(scores, log_classes)
+        np.greater_equal(conf[t], boundaries[t], out=hit[t])
+        waiting[hit[t]] = False
+        return not np.count_nonzero(waiting)
 
-    step_scores, step_spikes = _simulate(model, configs, 0, x0, t_max, membrane_init, stop=gate)[:2]
-    return _trace(model, step_scores, step_spikes, np.stack(conf), np.stack(hit), labels)
+    step_scores, step_spikes = _simulate(plan, 0, x0, t_max, membrane_init, stop=gate)[:2]
+    steps = len(step_scores)
+    return _trace(plan.fanout, step_scores, step_spikes, conf[:steps], hit[:steps], labels)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ how.
 
 from __future__ import annotations
 
+import bisect
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +80,7 @@ class NeuronState:
     A state with ``k`` is one ``step_layer`` or ``initial_state`` returned:
     it owns ``v`` and ``k``, and the next step writes into them in place. A
     state without ``k`` (one a caller built) is never written; stepping it
-    allocates a new pair. Inside ``_simulate`` the spiking layers' ``k`` are
-    views of one buffer, so a layer's ``k`` holds its last step's counts
-    only until the next layer steps.
+    allocates a new pair.
     """
 
     v: np.ndarray
@@ -161,6 +161,24 @@ def layer_fanout(model: ModelGraph, layer_index: int) -> float:
     return 1.0
 
 
+def _fire(v: np.ndarray, current: np.ndarray, k: np.ndarray, threshold: float,
+          phi: float) -> np.ndarray:
+    """The neuron update, in place on float64 arrays of one shape: ``v``
+    takes ``current`` in, ``k`` gets the quanta fired and ``v`` keeps the
+    remainder. Returns the emitted amplitudes, a fresh array; ``current`` is
+    never written."""
+    np.add(v, current, out=v)
+    np.divide(v, threshold, out=k)
+    np.floor(k, out=k)
+    # clip(k, 0, phi) without np.clip's wrapper; 0.0 goes first so a -0.0
+    # quotient stays -0.0, as np.clip leaves it
+    np.maximum(0.0, k, out=k)
+    np.minimum(k, phi, out=k)
+    emitted = k * threshold
+    np.subtract(v, emitted, out=v)
+    return emitted
+
+
 def step_layer(
     state: NeuronState, input_current: np.ndarray, config: LayerSnnConfig
 ) -> tuple[NeuronState, np.ndarray]:
@@ -177,21 +195,9 @@ def step_layer(
         raise ConfigMismatchError(
             f"input current shape {current.shape} does not match state {state.v.shape}"
         )
-    thr = config.threshold
     if state.k is None:
-        state = NeuronState(v=state.v + current, k=np.empty(current.shape))
-    else:
-        np.add(state.v, current, out=state.v)
-    v, k = state.v, state.k
-    np.divide(v, thr, out=k)
-    np.floor(k, out=k)
-    # clip(k, 0, phi) without np.clip's wrapper; 0.0 goes first so a -0.0
-    # quotient stays -0.0, as np.clip leaves it
-    np.maximum(0.0, k, out=k)
-    np.minimum(k, float(config.phi), out=k)
-    emitted = k * thr
-    np.subtract(v, emitted, out=v)
-    return state, emitted
+        state = NeuronState(v=state.v.astype(np.float64), k=np.empty(current.shape))
+    return state, _fire(state.v, current, state.k, config.threshold, float(config.phi))
 
 
 def initial_state(config: LayerSnnConfig, shape, membrane_init: float) -> NeuronState:
@@ -199,17 +205,6 @@ def initial_state(config: LayerSnnConfig, shape, membrane_init: float) -> Neuron
     step writes into: ``v`` filled, ``k`` allocated but not yet set."""
     v = np.full(shape, membrane_init * config.threshold, np.float64)
     return NeuronState(v=v, k=np.empty(shape))
-
-
-def _check_run(model: ModelGraph, configs: list[LayerSnnConfig], timesteps: int) -> None:
-    """Reject a horizon under one step, or configs that miss spiking layers."""
-    if timesteps < 1:
-        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
-    spiking = spiking_layer_indices(model)
-    if len(configs) != len(spiking):
-        raise ConfigMismatchError(
-            f"model has {len(spiking)} spiking layers, got {len(configs)} configs"
-        )
 
 
 def _float64_operands(layer):
@@ -234,6 +229,86 @@ def _float64_operands(layer):
         kept = (w, b, np.ascontiguousarray(w.T, dtype=np.float64), b.astype(np.float64))
         layer.float64_operands = kept if frozen else None
     return kept[2:]
+
+
+@dataclass(frozen=True)
+class _RunPlan:
+    """What every run of one model with one config list reads.
+
+    ``spiking[p]`` is the p-th spiking layer's ``(graph index, config,
+    threshold, float(phi))`` and ``fanout`` maps its graph index to
+    ``layer_fanout``. ``feeds[p]`` pairs each layer before it, from graph
+    index ``begins[p]`` on, with that layer's float64 dense operands
+    (``_float64_operands``); ``feeds[-1]`` is the head's. ``configs``,
+    ``layers`` and ``params`` (each parameterized layer with its weight and
+    bias) are what it was built from.
+    """
+
+    configs: tuple
+    layers: tuple
+    params: tuple
+    spiking: tuple
+    feeds: tuple
+    begins: tuple
+    fanout: dict
+
+    def serves(self, model: ModelGraph, configs) -> bool:
+        """Whether a run of ``model`` with ``configs`` may read this plan: the
+        very same config objects, layers and arrays, all still read-only."""
+        return (
+            len(configs) == len(self.configs)
+            and all(map(operator.is_, configs, self.configs))
+            and len(model.layers) == len(self.layers)
+            and all(map(operator.is_, model.layers, self.layers))
+            and all(
+                layer.weight is w and layer.bias is b
+                and not (w.flags.writeable or b.flags.writeable)
+                for layer, w, b in self.params
+            )
+        )
+
+
+def _prepare(model: ModelGraph, configs: list[LayerSnnConfig]) -> _RunPlan:
+    """The run plan of ``model`` with ``configs``, which must line up with
+    its spiking layers.
+
+    A plan built while every weight and bias is read-only, as
+    ``store.load_model`` leaves them, is kept on the model
+    (``ModelGraph._run_plan``) and serves every later run while
+    ``_RunPlan.serves`` holds, so a served model derives it once, not once
+    per request. Any other model, such as a ``clone()`` being calibrated,
+    gets a plan built for the run and keeps none.
+    """
+    kept = model._run_plan
+    if kept is not None and kept.serves(model, configs):
+        return kept
+    indices = spiking_layer_indices(model)
+    if len(configs) != len(indices):
+        raise ConfigMismatchError(
+            f"model has {len(indices)} spiking layers, got {len(configs)} configs"
+        )
+    operands = [(layer, _float64_operands(layer)) for layer in model.layers]
+    begins = (0, *(i + 1 for i in indices))
+    plan = _RunPlan(
+        configs=tuple(configs),
+        layers=tuple(model.layers),
+        params=tuple((ly, ly.weight, ly.bias) for ly in model.layers if ly.parameterized),
+        spiking=tuple((i, c, c.threshold, float(c.phi)) for i, c in zip(indices, configs)),
+        feeds=tuple(tuple(operands[b:e]) for b, e in zip(begins, (*indices, len(model.layers)))),
+        begins=begins,
+        fanout=_fanouts(model),
+    )
+    frozen = not any(w.flags.writeable or b.flags.writeable for _, w, b in plan.params)
+    model._run_plan = plan if frozen else None
+    return plan
+
+
+def _check_run(model: ModelGraph, configs: list[LayerSnnConfig], timesteps: int) -> _RunPlan:
+    """Reject a horizon under one step, or configs that miss spiking layers;
+    returns the run plan (``_prepare``)."""
+    if timesteps < 1:
+        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
+    return _prepare(model, configs)
 
 
 def _currents(layers, source: np.ndarray | SpikeTrain, timesteps: int):
@@ -279,34 +354,8 @@ def _run_layer(
     return SpikeTrain(counts, config.threshold), state
 
 
-def _prepare(model: ModelGraph, configs: list[LayerSnnConfig], start: int, source):
-    """``(feeds, spiking, source)`` for a run of ``model.layers[start:]``.
-
-    ``spiking`` pairs each spiking layer from ``start`` on with its config;
-    ``feeds`` holds the layers before each, then the head's, with their
-    float64 dense operands (``_float64_operands``). ``source`` enters layer
-    ``start``: the train of the spiking layer before it, or the constant
-    input batch, which goes through the first feeders here, once.
-    """
-    position = {idx: p for p, idx in enumerate(spiking_layer_indices(model))}
-    feeds, spiking, begin = [], [], start
-    for i in range(start, len(model.layers)):
-        if model.layers[i].kind == "relu":
-            feeds.append(model.layers[begin:i])
-            spiking.append((i, configs[position[i]]))
-            begin = i + 1
-    feeds.append(model.layers[begin:])  # the head's
-    feeds = [(layers, [_float64_operands(layer) for layer in layers]) for layers in feeds]
-    if not isinstance(source, SpikeTrain):
-        for layer, ops in zip(*feeds[0]):
-            source = apply_layer(layer, source, ops)
-        feeds[0] = ([], [])
-    return feeds, spiking, source
-
-
 def _simulate(
-    model: ModelGraph,
-    configs: list[LayerSnnConfig],
+    plan: _RunPlan,
     start: int,
     source,
     timesteps: int,
@@ -315,10 +364,13 @@ def _simulate(
     keep_trains: bool = False,
     stop=None,
 ):
-    """Run ``model.layers[start:]`` fed ``source`` (see ``_prepare``) for up
-    to ``timesteps`` steps, every layer from ``start`` to the head at each
-    step. After step ``t`` (from 0), ``stop(t, scores)``, when given, sees
-    its cumulative scores [N, classes] and ends the run by returning true.
+    """Run the layers of ``plan``'s model from graph index ``start`` to the
+    head, fed ``source``, for up to ``timesteps`` steps, every one of them at
+    each step. ``source`` enters layer ``start``: the train of the spiking
+    layer before it, or the constant input batch, which goes through the
+    layers before the first spiking layer once. After step ``t`` (from 0),
+    ``stop(t, scores)``, when given, sees its cumulative scores
+    [N, classes] and ends the run by returning true.
 
     Each layer's emitted amplitudes feed the next layer directly; they are
     ``counts[t] * threshold`` bit for bit, so a run resumed from a recorded
@@ -330,34 +382,43 @@ def _simulate(
     ``step_spikes`` is int64 [T, L, N], and ``trains`` is None unless
     ``keep_trains``, and only then are counts kept.
     """
-    feeds, spiking, source = _prepare(model, configs, start, source)
-    n = source.counts.shape[1] if isinstance(source, SpikeTrain) else len(source)
+    first = bisect.bisect_right(plan.begins, start) - 1  # the spiking layers before start
+    spiking = plan.spiking[first:]
+    feeds = [plan.feeds[first][start - plan.begins[first]:], *plan.feeds[first + 1:]]
+    from_train = isinstance(source, SpikeTrain)
+    if not from_train:
+        for layer, op in feeds[0]:
+            source = apply_layer(layer, source, op)
+        feeds[0] = ()
+    n = source.counts.shape[1] if from_train else len(source)
     step_spikes = np.empty((timesteps, len(spiking), n), np.int64)
     count = np.empty((len(spiking), n))  # a step's unit spikes: whole numbers, exact in float64
     quanta = np.empty(0)  # every layer's k is a view of this one buffer
-    states, units, counts = [], [], []
+    # per spiking layer: membranes, k, k as [N, width], ones [width], counts
+    vs, ks, rows, units, counts = [], [], [], [], []
     for t in range(timesteps):
-        x = source.amplitudes(t) if isinstance(source, SpikeTrain) else source
-        for pos, ((layers, ops), (_, config)) in enumerate(zip(feeds, spiking)):
-            for layer, op in zip(layers, ops):
+        x = source.amplitudes(t) if from_train else source
+        for pos, (feed, (_, config, threshold, phi)) in enumerate(zip(feeds, spiking)):
+            for layer, op in feed:
                 x = apply_layer(layer, x, op)
             if t == 0:
                 if quanta.size < x.size:
-                    quanta = np.empty(x.size)
-                    for state in states:  # the layers before let go of the smaller buffer
-                        state.k = quanta[: state.k.size].reshape(state.k.shape)
-                v = np.full(x.shape, membrane_init * config.threshold, np.float64)
-                states.append(NeuronState(v, quanta[: x.size].reshape(x.shape)))
+                    quanta = np.empty(x.size)  # the layers before let go of the smaller buffer
+                    ks = [quanta[: k.size].reshape(k.shape) for k in ks]
+                    rows = [quanta[: r.size].reshape(r.shape) for r in rows]
+                vs.append(np.full(x.shape, membrane_init * threshold, np.float64))
+                ks.append(quanta[: x.size].reshape(x.shape))
                 units.append(np.ones(x.shape[1:]).ravel())
+                rows.append(quanta[: x.size].reshape(n, len(units[-1])))
                 if keep_trains:
                     counts.append(np.empty((timesteps, *x.shape), np.min_scalar_type(config.phi)))
-            states[pos], x = step_layer(states[pos], x, config)
+            x = _fire(vs[pos], x, ks[pos], threshold, phi)
             # whole counts add up exactly in a product with ones, 2-3x faster than np.add.reduce
-            np.dot(states[pos].k.reshape(n, len(units[pos])), units[pos], out=count[pos])
+            np.dot(rows[pos], units[pos], out=count[pos])
             if keep_trains:
-                counts[pos][t] = states[pos].k
+                counts[pos][t] = ks[pos]
         step_spikes[t] = count
-        for layer, op in zip(*feeds[-1]):
+        for layer, op in feeds[-1]:
             x = apply_layer(layer, x, op)
         if t == 0:
             acc, step_scores = x, np.empty((timesteps, *x.shape), dtype=x.dtype)
@@ -367,9 +428,31 @@ def _simulate(
         if stop is not None and stop(t, step_scores[t]):
             break
     steps = t + 1
-    v_last = {i: state.v for (i, _), state in zip(spiking, states)}
-    trains = {i: SpikeTrain(c[:steps], cfg.threshold) for (i, cfg), c in zip(spiking, counts)}
+    v_last = {i: v for (i, *_), v in zip(spiking, vs)}
+    trains = {i: SpikeTrain(c[:steps], thr) for (i, _, thr, _), c in zip(spiking, counts)}
     return step_scores[:steps], step_spikes[:steps], v_last, (trains if keep_trains else None)
+
+
+def _counted(step_spikes: np.ndarray, last) -> np.ndarray:
+    """A [T, L, N] unit-spike record with input n's steps after ``last[n]``
+    zeroed; a scalar ``last`` stops every input at the same step."""
+    return step_spikes * (np.arange(len(step_spikes))[:, None, None] <= np.asarray(last))
+
+
+def _stats(fanout: dict[int, float], step_spikes: np.ndarray) -> RunStats:
+    """The spike counts of a [T, L, N] unit-spike record, every entry
+    counted; ``fanout`` maps each spiking layer's graph index, in layer
+    order, to its ``layer_fanout``."""
+    counts = {idx: int(c) for idx, c in zip(fanout, step_spikes.sum(axis=(0, 2)))}
+    return RunStats(
+        total_spikes=sum(counts.values()),
+        layer_spikes=counts,
+        layer_synops={i: c * fanout[i] for i, c in counts.items()},
+    )
+
+
+def _fanouts(model: ModelGraph) -> dict[int, float]:
+    return {i: layer_fanout(model, i) for i in spiking_layer_indices(model)}
 
 
 def stats_at(model: ModelGraph, step_spikes: np.ndarray, last) -> RunStats:
@@ -378,14 +461,7 @@ def stats_at(model: ModelGraph, step_spikes: np.ndarray, last) -> RunStats:
     ``step_spikes`` is a run's [T, L, N] array and steps count from 0; a
     scalar ``last`` stops every input at the same step.
     """
-    counted = np.arange(len(step_spikes))[:, None, None] <= np.asarray(last)  # [T, 1, N or 1]
-    per_layer = (step_spikes * counted).sum(axis=(0, 2))
-    counts = {idx: int(c) for idx, c in zip(spiking_layer_indices(model), per_layer)}
-    return RunStats(
-        total_spikes=sum(counts.values()),
-        layer_spikes=counts,
-        layer_synops={i: c * layer_fanout(model, i) for i, c in counts.items()},
-    )
+    return _stats(_fanouts(model), _counted(step_spikes, last))
 
 
 def run_snn(
@@ -404,14 +480,14 @@ def run_snn(
     after every step are always recorded; they are what the early-exit gate
     and every shorter horizon read.
     """
-    _check_run(model, configs, timesteps)
+    plan = _check_run(model, configs, timesteps)
     step_scores, step_spikes, v_last, trains = _simulate(
-        model, configs, 0, _check_batch(model, np.asarray(batch, dtype=np.float64)), timesteps,
+        plan, 0, _check_batch(model, np.asarray(batch, dtype=np.float64)), timesteps,
         membrane_init, keep_trains=record_trains,
     )
     return SnnRun(
         scores=step_scores[-1],
-        stats=stats_at(model, step_spikes, timesteps - 1),
+        stats=_stats(plan.fanout, step_spikes),
         v_last=v_last,
         step_scores=step_scores,
         step_spikes=step_spikes,

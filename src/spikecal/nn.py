@@ -176,9 +176,16 @@ class ModelGraph:
     layers: list[LayerSpec]
     input_shape: tuple[int, ...]
     class_count: int
+    # what a run with one config list reads, kept by the engine while the
+    # parameters are read-only (``engine._prepare``)
+    _run_plan: object | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.input_shape = tuple(int(d) for d in self.input_shape)
+
+    def __getstate__(self):
+        # a copy (``clone``) starts without the engine's plan
+        return {**self.__dict__, "_run_plan": None}
 
     def validate(self) -> None:
         if not self.layers:

@@ -36,6 +36,7 @@ from .engine import (
     LayerSnnConfig,
     RunStats,
     _currents,
+    _prepare,
     _run_layer,
     _simulate,
     layer_fanout,
@@ -219,7 +220,7 @@ def build_table(
                 scores = next((sc for tr, sc in simulated if tr.equals(train)), None)
                 if scores is None:
                     scores = _simulate(
-                        model, trial, layer + 1, train, timesteps, membrane_init
+                        _prepare(model, trial), layer + 1, train, timesteps, membrane_init
                     )[0][-1]
                     simulated.append((train, scores))
             table.s[(layer, cand)], table.e[(layer, cand)] = _measure(

@@ -186,6 +186,35 @@ def test_damaged_artifact_is_user_error(finished_run, tmp_path, capsys, case):
     assert err.startswith("error: ") and re.search(pattern, err), err
 
 
+@pytest.mark.parametrize("source", ["config", "policy-file"])
+def test_tiny_exit_delta_runs_without_a_warning(finished_run, tmp_path, capsys, source):
+    """An exit delta of 5e-324, from the config or written into the policy
+    file: every boundary off the entropy minimum takes its limit
+    alpha_base, and no stage warns of an overflow."""
+    _, _, raw = finished_run
+    out = tmp_path / "copy"
+    shutil.copytree(raw["out_dir"], out)
+    if source == "config":
+        config, _ = write_config(tmp_path, out_dir=str(out), exit={"delta": 5e-324})
+        stages = ("fit-exit", "eval", "ablate")
+    else:
+        config, _ = write_config(tmp_path, out_dir=str(out))
+        policy = out / "exit_policy.txt"
+        policy.write_text(_set_last("delta", "5e-324")(policy.read_text()))
+        stages = ("eval", "report")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for stage in stages:
+            assert cli.main([stage, "--config", str(config)]) == 0, stage
+    assert capsys.readouterr().err == ""
+    policy = cli.early_exit.load_policy(out / "exit_policy.txt")
+    ebar = policy.mean_entropy
+    assert policy.delta == 5e-324
+    want = np.where(ebar == ebar.min(), policy.alpha_base + policy.beta, policy.alpha_base)
+    assert policy.boundaries().tolist() == want.tolist()
+
+
 def test_near_silent_layers_convert_and_eval(finished_run, tmp_path, capsys):
     """A model whose spiking layers see activations of about 1e-40, below
     the smallest threshold a config takes: every fit falls back to its

@@ -1,5 +1,7 @@
 import collections
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +162,24 @@ def test_zero_beta_is_flat():
     np.testing.assert_allclose(policy.boundaries(), 0.7, atol=1e-15)
 
 
+def test_tiny_delta_boundaries_are_the_formulas_limit():
+    """A delta so small that every positive entropy gap over it would
+    overflow: those steps get 0 for the exp, the formula's limit, without a
+    warning,
+    and the step at the minimum keeps alpha_base + beta. An ordinary delta
+    gives the formula's value bit for bit."""
+    ebar = np.array([2.0, 1.5, 1.0, 1.0 + 2.0**-40])
+    for delta in (5e-324, 1e-310):
+        policy = early_exit.ExitPolicy(0.6, 0.2, delta, 4, ebar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bounds = policy.boundaries()
+        assert bounds.tolist() == [0.6, 0.6, 0.6 + 0.2, 0.6], delta
+    policy = early_exit.ExitPolicy(0.6, 0.2, 0.3, 4, ebar)
+    formula = 0.6 + 0.2 * np.exp(-(ebar - ebar.min()) / 0.3)
+    assert policy.boundaries().tobytes() == formula.tobytes()
+
+
 def test_fit_policy_records_calibration_entropies(snn, calibration):
     model, configs = snn
     policy = early_exit.fit_exit_policy(model, configs, calibration, t_max=6)
@@ -283,16 +303,63 @@ def test_gate_on_longer_run_equals_adaptive_run(random_net, arch):
     assert {(8, 1), (8, 8)} <= exits and len(exits) > 6
 
 
+def test_served_model_keeps_its_plan_while_it_holds(tmp_path, snn, calibration):
+    """A loaded model keeps the run plan of its last config list. Served
+    again with the same configs it reads that plan; another config list, a
+    replaced config or a bias reassigned to a new read-only array gets a new
+    one, and a writable clone keeps none. Every answer equals ``apply_gate``
+    on a fresh ``run_snn`` of a copy that shares no plan, bit for bit."""
+    trained, configs = snn
+    store.save_model(trained, tmp_path / "model.snnc")
+    model = store.load_model(tmp_path / "model.snnc")
+    x, y, t_max = calibration.inputs[:32], calibration.labels[:32], 6
+    conf = early_exit.confidence(engine.run_snn(model, configs, x, t_max).step_scores, 4)
+    policy = _flat_policy(t_max, float(np.median(conf)))
+
+    def served(model, configs):
+        """The trace served from ``model``, and the plan it keeps after."""
+        got = early_exit.infer_adaptive(model, configs, policy, x, y)
+        fresh = model.clone()
+        want = early_exit.apply_gate(fresh, engine.run_snn(fresh, configs, x, t_max), policy, y)
+        for f in dataclasses.fields(want):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            assert g == w if f.name == "stats" else g.tobytes() == w.tobytes(), f.name
+        return got, model._run_plan
+
+    first, plan = served(model, configs)
+    assert len(set(first.exit_t.tolist())) > 2, first.exit_t
+    assert plan is not None and plan.configs == tuple(configs)
+    assert served(model, configs)[1] is plan
+    other = [dataclasses.replace(c, phi=c.phi + 1) for c in configs]
+    for cfgs in (other, [dataclasses.replace(configs[0], rho=2), *configs[1:]], configs):
+        kept = served(model, cfgs)[1]
+        assert kept is not plan and kept.configs == tuple(cfgs)
+        plan = kept
+    assert served(model, other)[0].stats != first.stats
+    plan = served(model, configs)[1]
+    feeder = model.layers[0]
+    bias = feeder.bias + np.float32(0.25)
+    bias.flags.writeable = False
+    feeder.bias = bias
+    trace, kept = served(model, configs)
+    assert kept is not plan and kept.configs == tuple(configs) and trace.stats != first.stats
+    assert served(model, configs)[1] is kept
+    clone = model.clone()
+    for _ in range(2):
+        assert served(clone, configs)[1] is None
+
+
 def _count_steps(monkeypatch):
-    """Record the config of every ``engine.step_layer`` call from now on."""
+    """Record every neuron update (``engine._fire``) from now on, by the
+    identity of the membrane array it steps: one per spiking layer."""
     calls = []
-    step = engine.step_layer
+    fire = engine._fire
 
-    def spy(state, current, config):
-        calls.append(id(config))
-        return step(state, current, config)
+    def spy(v, current, k, threshold, phi):
+        calls.append(id(v))
+        return fire(v, current, k, threshold, phi)
 
-    monkeypatch.setattr(engine, "step_layer", spy)
+    monkeypatch.setattr(engine, "_fire", spy)
     return calls
 
 
@@ -404,6 +471,23 @@ def test_accuracy_reported_when_labels_given(snn, calibration):
     )
     manual = float(np.mean(trace.predicted == calibration.labels))
     assert trace.accuracy == pytest.approx(manual)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_labels_not_one_per_input_are_rejected(snn, calibration, count):
+    """Both gate entry points take labels only as a [N] array: too few, too
+    many or an extra axis is a ValueError naming both sizes, not a trace
+    whose accuracy is read against the wrong labels."""
+    model, configs = snn
+    policy = early_exit.fit_exit_policy(model, configs, calibration, t_max=4)
+    x, y = calibration.inputs[:5], calibration.labels
+    run = engine.run_snn(model, configs, x, 4)
+    for labels, shape in ((y[:count], f"({count},)"), (y[:10], "(10,)"), (y[:5, None], "(5, 1)")):
+        pattern = rf"^5 inputs but labels of shape {re.escape(shape)}"
+        with pytest.raises(ValueError, match=pattern):
+            early_exit.apply_gate(model, run, policy, labels)
+        with pytest.raises(ValueError, match=pattern):
+            early_exit.infer_adaptive(model, configs, policy, x, labels)
 
 
 def test_policy_file_round_trip(tmp_path, snn, calibration):

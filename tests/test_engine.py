@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -363,6 +364,7 @@ def test_walk_equals_layer_major_run(random_net, arch):
     for seed in range(3):
         model, cache, configs = random_net(arch, seed)
         spiking = engine.spiking_layer_indices(model)
+        plan = engine._prepare(model, configs)
         for n in (1, 3, cache.sample_count):
             x0 = nn._check_batch(model, np.asarray(cache.inputs[:n], dtype=np.float64))
             for last in (0, 3, horizon - 1, None):  # None: stop never says yes
@@ -374,11 +376,11 @@ def test_walk_equals_layer_major_run(random_net, arch):
                     return t == last
 
                 step_scores, step_spikes, v_last, trains = engine._simulate(
-                    model, configs, 0, x0, horizon, 0.5, keep_trains=True, stop=stop
+                    plan, 0, x0, horizon, 0.5, keep_trains=True, stop=stop
                 )
                 steps = horizon if last is None else last + 1
                 want_scores, want_spikes, want_v, want_trains = engine._simulate(
-                    model, configs, 0, x0, steps, 0.5, keep_trains=True
+                    plan, 0, x0, steps, 0.5, keep_trains=True
                 )
                 _, ref_scores, ref_trains, ref_states = _time_major_run(model, configs, x0, steps)
                 ref_spikes = np.stack([
@@ -449,13 +451,22 @@ def test_shared_quanta_buffer_equals_the_reference_sweep(random_net, arch, width
     """Spiking layers of shrinking and growing widths share one quanta
     buffer: a run from the input, with and without trains, a run resumed
     from each recorded train and a run that ``stop`` ends mid-horizon all
-    equal the time-major reference bit for bit, with an int64 spike record."""
+    equal the time-major reference bit for bit, with an int64 spike record,
+    for one input and for a batch. A read-only model, as ``store.load_model``
+    leaves it, keeps its run plan: every run after its first reads the kept
+    plan, and the whole sweep runs twice on it."""
     horizon = 6
-    for seed in range(2):
+    for seed, n, frozen in itertools.product(range(2), (1, 6), (False, True)):
         model, cache, configs = random_net(arch, seed, widths=widths)
-        x0 = nn._check_batch(model, np.asarray(cache.inputs, dtype=np.float64))
+        if frozen:
+            for layer in model.layers:
+                if layer.parameterized:
+                    layer.weight.flags.writeable = layer.bias.flags.writeable = False
+        x0 = nn._check_batch(model, np.asarray(cache.inputs[:n], dtype=np.float64))
         spiking = engine.spiking_layer_indices(model)
-        n = len(x0)
+
+        def simulate(*args, **kwargs):
+            return engine._simulate(engine._prepare(model, configs), *args, **kwargs)
 
         def reference(steps):
             _, scores, trains, states = _time_major_run(model, configs, x0, steps)
@@ -485,21 +496,40 @@ def test_shared_quanta_buffer_equals_the_reference_sweep(random_net, arch, width
                     assert train.amplitudes(t).tobytes() == amplitudes.tobytes(), (i, t)
 
         want = reference(horizon)
-        for keep in (True, False):
-            whole = engine._simulate(model, configs, 0, x0, horizon, 0.5, keep_trains=keep)
-            check(whole, want, 0, horizon, keep)
-        recorded = engine._simulate(model, configs, 0, x0, horizon, 0.5, keep_trains=True)[3]
-        for pos, i in enumerate(spiking):
-            resumed = engine._simulate(
-                model, configs, i + 1, recorded[i], horizon, 0.5, keep_trains=True
-            )
-            check(resumed, want, pos + 1, horizon, True)
-        for last in (0, 2):
-            stopped = engine._simulate(
-                model, configs, 0, x0, horizon, 0.5, keep_trains=True,
-                stop=lambda t, _, last=last: t == last,
-            )
-            check(stopped, reference(last + 1), 0, last + 1, True)
+        plan = engine._prepare(model, configs)
+        for _ in range(2 if frozen else 1):
+            for keep in (True, False):
+                check(simulate(0, x0, horizon, 0.5, keep_trains=keep), want, 0, horizon, keep)
+            recorded = simulate(0, x0, horizon, 0.5, keep_trains=True)[3]
+            for pos, i in enumerate(spiking):
+                resumed = simulate(i + 1, recorded[i], horizon, 0.5, keep_trains=True)
+                check(resumed, want, pos + 1, horizon, True)
+            for last in (0, 2):
+                stopped = simulate(
+                    0, x0, horizon, 0.5, keep_trains=True, stop=lambda t, _, last=last: t == last
+                )
+                check(stopped, reference(last + 1), 0, last + 1, True)
+        # every run of the read-only model read the plan its first run built
+        assert model._run_plan is (plan if frozen else None)
+
+
+def test_kept_plan_is_dropped_when_a_parameter_turns_writable(random_net):
+    """A read-only model's kept plan is not read once one of its weights is
+    made writable again and written in place: the run equals a fresh
+    copy's, bit for bit, and the model keeps no plan."""
+    model, cache, configs = random_net("mlp", 0)
+    for layer in model.layers:
+        if layer.parameterized:
+            layer.weight.flags.writeable = layer.bias.flags.writeable = False
+    engine.run_snn(model, configs, cache.inputs, 3)
+    assert model._run_plan is not None
+    weight = model.layers[0].weight
+    weight.flags.writeable = True
+    weight *= 2
+    got = engine.run_snn(model, configs, cache.inputs, 3)
+    want = engine.run_snn(model.clone(), configs, cache.inputs, 3)
+    assert got.step_scores.tobytes() == want.step_scores.tobytes()
+    assert model._run_plan is None
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
@@ -514,14 +544,15 @@ def test_resumed_run_equals_one_pass(random_net, arch, chunk):
         model, cache, configs = random_net(arch, seed)
         x0 = nn._check_batch(model, np.asarray(cache.inputs, dtype=np.float64))
         spiking = engine.spiking_layer_indices(model)
-        whole = engine._simulate(model, configs, 0, x0, timesteps, 0.5, keep_trains=True)
+        plan = engine._prepare(model, configs)
+        whole = engine._simulate(plan, 0, x0, timesteps, 0.5, keep_trains=True)
         starts = [(0, 0, x0)]
         starts += [(i + 1, p + 1, whole[3][i]) for p, i in enumerate(spiking)]
         for steps in (chunk, timesteps):
-            prefix = engine._simulate(model, configs, 0, x0, steps, 0.5)
+            prefix = engine._simulate(plan, 0, x0, steps, 0.5)
             for start, pos, source in starts:
                 scores, spikes, v_last, trains = engine._simulate(
-                    model, configs, start, source, steps, 0.5, keep_trains=True
+                    plan, start, source, steps, 0.5, keep_trains=True
                 )
                 assert scores.tobytes() == whole[0][:steps].tobytes(), (start, steps)
                 assert spikes.dtype == whole[1].dtype, (start, steps)

@@ -417,9 +417,9 @@ def downstream_starts(monkeypatch):
     starts = []
     real = search._simulate
 
-    def spy(model, configs, start, *args, **kwargs):
+    def spy(plan, start, *args, **kwargs):
         starts.append(start)
-        return real(model, configs, start, *args, **kwargs)
+        return real(plan, start, *args, **kwargs)
 
     monkeypatch.setattr(search, "_simulate", spy)
     return starts
