@@ -17,16 +17,20 @@ randomization off for itself alone (``setarch -R``'s personality flag), so
 sets and dicts keyed by object ids order alike and the traced peak repeats
 to the byte: a memory change can be given as a count. The first child's
 wall time is not traced. A rerun stage writes the same bytes, as every
-stage does. Exits 1, naming the stage and its last stderr line, if a stage
-fails.
+stage does. With ``--repeat N`` each stage runs N times untraced, each in a
+fresh process that pays start-up as a CLI user does, and the median wall
+time and median maxrss of those runs are printed; the traced peak, which
+repeats to the byte, is still taken once. Exits 1, naming the stage and its
+last stderr line, if a stage fails.
 
-    python3 scripts/stage_memory.py /path/to/checkout --workload demo-mlp --seed 7
+    python3 scripts/stage_memory.py /path/to/checkout --workload demo-mlp --seed 7 --repeat 5
 """
 
 import argparse
 import ctypes
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -109,17 +113,19 @@ def traced_peak(tree: str, stage: str, config: str) -> int:
             return int(fh.read())
 
 
-def run_stages(tree: str, config: dict) -> list[tuple[str, float, float, float]]:
+def run_stages(tree: str, config: dict, repeat: int = 1) -> list[tuple[str, float, float, float]]:
     """``(stage, wall_s, maxrss_mb, traced_mb)`` of every stage of ``config``
-    under ``tree``; each stage runs untraced, then traced, before the next."""
+    under ``tree``; each stage runs ``repeat`` times untraced (wall time and
+    maxrss are the medians), then once traced, before the next."""
     path = os.path.join(config["out_dir"], "config.json")
     os.makedirs(config["out_dir"], exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2)
     rows = []
     for stage in STAGES:
-        seconds, maxrss = run_stage(tree, stage, path)
-        rows.append((stage, seconds, maxrss, traced_peak(tree, stage, path) / 2**20))
+        seconds, maxrss = zip(*(run_stage(tree, stage, path) for _ in range(repeat)))
+        rows.append((stage, statistics.median(seconds), statistics.median(maxrss),
+                     traced_peak(tree, stage, path) / 2**20))
     return rows
 
 
@@ -128,17 +134,22 @@ def main() -> int:
     ap.add_argument("checkout", metavar="CHECKOUT", help="checkout holding src/spikecal")
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--repeat", type=int, default=1, metavar="N",
+                    help="untraced runs of each stage; prints the medians")
     args = ap.parse_args()
+    if args.repeat < 1:
+        ap.error(f"--repeat must be at least 1, got {args.repeat}")
     tree = os.path.abspath(args.checkout)
     if not os.path.isfile(os.path.join(tree, "src", "spikecal", "cli.py")):
         ap.error(f"{tree} holds no src/spikecal")
     with tempfile.TemporaryDirectory(prefix="stage_memory-") as work:
         try:
-            rows = run_stages(tree, make_config(args.workload, args.seed, work))
+            rows = run_stages(tree, make_config(args.workload, args.seed, work), args.repeat)
         except StageFailed as err:
             print(f"{args.workload}, seed {args.seed}: {err}")
             return 1
-    print(f"{args.workload}, seed {args.seed}, one BLAS thread, one process per stage")
+    runs = "" if args.repeat == 1 else f", medians of {args.repeat} runs"
+    print(f"{args.workload}, seed {args.seed}, one BLAS thread, one process per stage{runs}")
     print(f"{'stage':<12}{'wall_s':>8}{'maxrss_mb':>11}{'traced_mb':>11}")
     for stage, seconds, mb, traced in rows:
         print(f"{stage:<12}{seconds:>8.3f}{mb:>11.1f}{traced:>11.3f}")

@@ -15,6 +15,7 @@ from .calibrate import (
     fit_all_thresholds,
     fit_threshold,
     measure_unevenness,
+    walk_thresholds,
 )
 from .early_exit import (
     ExitPolicy,

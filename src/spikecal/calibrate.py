@@ -18,6 +18,8 @@ quantization, and timing (unevenness) components without simulating again.
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,6 @@ from .engine import (
     LayerSnnConfig,
     SpikeTrain,
     _V_TH_MIN,
-    _check_run,
     _currents,
     _run_layer,
     spiking_layer_indices,
@@ -72,6 +73,73 @@ class ThresholdFit:
     degenerate: bool = False
 
 
+@dataclass
+class _PendingFit:
+    """One fit set up for its scoring loop (``_score_grid``): the float64
+    activations ``a``, ``scaled = a * timesteps``, the error buffer ``err``
+    and the candidate ``grid`` with its ``mse`` row, which the loop fills."""
+
+    layer: int
+    degenerate: bool
+    timesteps: int
+    a: np.ndarray
+    scaled: np.ndarray
+    err: np.ndarray
+    grid: np.ndarray
+    mse: np.ndarray
+
+    def fit(self) -> ThresholdFit:
+        """The fit, once ``_score_grid`` has run: each candidate's summed
+        squared gap becomes its mean, as ``np.mean`` divides its sum."""
+        np.divide(self.mse, self.a.size, out=self.mse)
+        best = int(np.argmin(self.mse))  # argmin takes the first (smallest) on ties
+        return ThresholdFit(
+            layer=self.layer,
+            v_th=float(self.grid[best]),
+            grid=self.grid,
+            mse=float(self.mse[best]),
+            grid_mse=self.mse,
+            degenerate=self.degenerate,
+        )
+
+
+def _fit_setup(activations, timesteps: int, grid_size: int, layer: int) -> _PendingFit:
+    """Everything of ``fit_threshold`` before its candidate loop: the
+    percentiles, the grid and every array the loop reads or writes."""
+    a = np.asarray(activations, dtype=np.float64).reshape(-1)
+    if a.size == 0:
+        raise ValueError("cannot fit a threshold to zero activations")
+    # one partition gives both order statistics, each as a call of its own would
+    hi, median = (float(q) for q in np.percentile(a, [99.9, 50.0]))
+    degenerate = hi < _V_TH_MIN
+    if degenerate:
+        lo, hi = 1e-3, 1.0
+    else:
+        lo = max(median, hi * 1e-3, _V_TH_MIN)
+    candidates = np.geomspace(lo, hi, grid_size)
+    # geomspace may round a step just below a lo of _V_TH_MIN
+    np.maximum(candidates, _V_TH_MIN, out=candidates)
+    mse = np.empty(len(candidates), dtype=np.float64)
+    return _PendingFit(int(layer), degenerate, timesteps, a, a * timesteps,
+                       np.empty_like(a), candidates, mse)
+
+
+def _score_grid(fit: _PendingFit) -> None:
+    """The candidate loop of a fit, in place: ``fit.mse[i]`` becomes the sum
+    of ``(clip_floor(a) - a)**2`` at candidate i, the sum ``np.mean`` takes
+    (``_PendingFit.fit`` divides). Every ufunc writes into the buffers
+    ``_fit_setup`` made, so it makes no array beyond numpy's scalars; it
+    makes no BLAS call and calls nothing public, so it may run on the
+    helper thread of ``walk_thresholds`` (README, "Library surface")."""
+    a, scaled, err, mse, timesteps = fit.a, fit.scaled, fit.err, fit.mse, fit.timesteps
+    for i, cand in enumerate(fit.grid):
+        # err = clip_floor(a, timesteps, cand) - a, squared, in one buffer
+        _clip_floor_into(err, scaled, timesteps, float(cand), 1)
+        np.subtract(err, a, out=err)
+        np.multiply(err, err, out=err)
+        mse[i] = np.add.reduce(err, axis=None)
+
+
 def fit_threshold(
     activations, timesteps: int, grid_size: int = 64, layer: int = -1
 ) -> ThresholdFit:
@@ -85,35 +153,9 @@ def fit_threshold(
     it: the fit then scores the fallback grid from 1e-3 to 1 and is flagged
     ``degenerate``.
     """
-    a = np.asarray(activations, dtype=np.float64).reshape(-1)
-    if a.size == 0:
-        raise ValueError("cannot fit a threshold to zero activations")
-    hi = float(np.percentile(a, 99.9))
-    degenerate = hi < _V_TH_MIN
-    if degenerate:
-        lo, hi = 1e-3, 1.0
-    else:
-        lo = max(float(np.percentile(a, 50.0)), hi * 1e-3, _V_TH_MIN)
-    candidates = np.geomspace(lo, hi, grid_size)
-    # geomspace may round a step just below a lo of _V_TH_MIN
-    np.maximum(candidates, _V_TH_MIN, out=candidates)
-    mse = np.empty(len(candidates), dtype=np.float64)
-    scaled, err = a * timesteps, np.empty_like(a)
-    for i, cand in enumerate(candidates):
-        # err = clip_floor(a, timesteps, cand) - a, squared, in one buffer
-        _clip_floor_into(err, scaled, timesteps, float(cand), 1)
-        np.subtract(err, a, out=err)
-        np.multiply(err, err, out=err)
-        mse[i] = float(np.mean(err))
-    best = int(np.argmin(mse))  # argmin takes the first (smallest) on ties
-    return ThresholdFit(
-        layer=int(layer),
-        v_th=float(candidates[best]),
-        grid=candidates,
-        mse=float(mse[best]),
-        grid_mse=mse,
-        degenerate=degenerate,
-    )
+    pending = _fit_setup(activations, timesteps, grid_size, layer)
+    _score_grid(pending)
+    return pending.fit()
 
 
 def fit_all_thresholds(
@@ -125,6 +167,56 @@ def fit_all_thresholds(
         fit_threshold(cache.taps[idx], timesteps, grid_size, layer=idx)
         for idx in spiking_layer_indices(model)
     ]
+
+
+def walk_thresholds(
+    model: ModelGraph, cache: CalibrationCache, timesteps: int, grid_size: int = 64
+) -> Iterator[ThresholdFit]:
+    """``fit_all_thresholds``' fits, one at a time, each next layer's scored
+    on a helper thread while the caller works on the layer just yielded.
+
+    The first layer is fitted on the calling thread. After that, each yield
+    of layer p's fit leaves layer p+1's candidate loop (``_score_grid``)
+    running on one helper thread, set up (``_fit_setup``) beforehand on the
+    calling thread; the next ``next()`` joins it and raises what it raised.
+    ``calibrate_biases`` pulls a config per layer, so layer p+1 is scored
+    while layer p is calibrated. ``close()`` joins a helper still running;
+    a walk not run to its end must be closed.
+    """
+    cache.check_model(model)
+    return _walk(cache.taps, spiking_layer_indices(model), timesteps, grid_size)
+
+
+def _walk(taps, indices: list[int], timesteps: int, grid_size: int):
+    if not indices:
+        return
+    pending = _fit_setup(taps[indices[0]], timesteps, grid_size, indices[0])
+    _score_grid(pending)
+    for nxt in (*indices[1:], None):
+        # drop the scored fit's buffers before the next fit makes its own
+        fit, pending, helper, errors = pending.fit(), None, None, []
+        if nxt is not None:
+            pending = _fit_setup(taps[nxt], timesteps, grid_size, nxt)
+            helper = threading.Thread(target=_score_on_helper, args=(pending, errors),
+                                      name="spikecal-fit")
+            helper.start()
+        try:
+            yield fit
+        finally:
+            if helper is not None:
+                helper.join()
+        if errors:
+            raise errors[0]
+
+
+def _score_on_helper(pending: _PendingFit, errors: list) -> None:
+    """The helper thread's whole work: ``_score_grid``. Any error, whatever
+    its kind, is kept in ``errors`` and re-raised by the walk on the calling
+    thread, so a fit never comes back half scored."""
+    try:
+        _score_grid(pending)
+    except BaseException as err:
+        errors.append(err)
 
 
 def configs_from_fits(fits: list[ThresholdFit]) -> list[LayerSnnConfig]:
@@ -141,7 +233,7 @@ def _channel_axes(tap: np.ndarray) -> tuple[int, ...]:
 
 def calibrate_biases(
     model: ModelGraph,
-    configs: list[LayerSnnConfig],
+    configs: Iterable[LayerSnnConfig],
     cache: CalibrationCache,
     timesteps: int,
     *,
@@ -159,24 +251,44 @@ def calibrate_biases(
     returned: the trains equal, bit for bit, what ``run_snn(corrected,
     configs, cache.inputs, timesteps, record_trains=True)`` records, so
     ``measure_unevenness`` reads them without another simulation.
+
+    ``configs`` is read one layer at a time, as the walk reaches each
+    spiking layer, so an iterator may make each config just in time (as
+    ``convert`` does from ``walk_thresholds``). A sequence of the wrong
+    length is rejected before any work; an iterator when it runs short or
+    holds more configs than the model has spiking layers.
     """
     cache.check_model(model)
+    if timesteps < 1:
+        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
     corrected = model.clone()
-    _check_run(corrected, configs, timesteps)  # on the writable copy: keeps no plan on model
+    indices = spiking_layer_indices(corrected)
+
+    def mismatch(got):
+        return ConfigMismatchError(f"model has {len(indices)} spiking layers, got {got} configs")
+
+    if isinstance(configs, Sequence) and len(configs) != len(indices):
+        raise mismatch(len(configs))
+    configs = iter(configs)
     source = _check_batch(corrected, np.asarray(cache.inputs, dtype=np.float64))
     start, trains = 0, {}
-    for pos, idx in enumerate(spiking_layer_indices(corrected)):
+    for pos, idx in enumerate(indices):
+        config = next(configs, None)
+        if config is None:
+            raise mismatch(pos)
         segment = corrected.layers[start:idx]
         currents = _currents(segment, source, timesteps)
-        rates = _run_layer(currents, configs[pos], timesteps, membrane_init)[0].rate()
+        rates = _run_layer(currents, config, timesteps, membrane_init)[0].rate()
         tap = np.asarray(cache.taps[idx], dtype=np.float64)
         axes = _channel_axes(tap)
         correction = tap.mean(axis=axes) - rates.mean(axis=axes)
         feeder = corrected.layers[idx - 1]
         feeder.bias = (feeder.bias.astype(np.float64) + correction).astype(np.float32)
         currents = _currents(segment, source, timesteps)
-        source, _ = _run_layer(currents, configs[pos], timesteps, membrane_init)
+        source, _ = _run_layer(currents, config, timesteps, membrane_init)
         trains[idx], start = source, idx + 1
+    if next(configs, None) is not None:
+        raise mismatch(f"more than {len(indices)}")
     return corrected, trains
 
 

@@ -198,6 +198,9 @@ _BOUNDS = (
      lambda v: v == "auto" or not isinstance(v, str) and v >= 0, "'auto' or at least 0"),
     (("search.s_target_slack",), lambda v: v >= 0, "at least 0"),
     (("exit.delta",), lambda v: v > 0, "positive"),
+    # alpha_base + beta * exp(...) overflows float64 near its maximum
+    (("exit.alpha_base", "exit.beta"), lambda v: abs(v) <= _F32_MAX,
+     f"at most {_F32_MAX} in magnitude, the largest float32"),
 )
 
 
@@ -493,12 +496,25 @@ def cmd_convert(cfg: RunConfig) -> int:
         cache = store.build_calibration_cache(model, dataset, samples, cfg.seed)
         store.save_cache(cache, art.cache)
     with _stage("fit-thresholds"):
-        fits = calibrate.fit_all_thresholds(model, cache, cfg.timesteps, cfg.grid_size)
-        configs = calibrate.configs_from_fits(fits)
-    with _stage("calibrate-biases"):
+        walk = calibrate.walk_thresholds(model, cache, cfg.timesteps, cfg.grid_size)
+    fits = []
+
+    def fitted():
+        """Each layer's config as bias calibration reaches it; the next
+        layer's fit meanwhile runs on the walk's helper thread."""
+        while True:
+            with _stage("fit-thresholds"):
+                fit = next(walk, None)
+            if fit is None:
+                return
+            fits.append(fit)
+            yield engine.LayerSnnConfig(v_th=fit.v_th)
+
+    with contextlib.closing(walk), _stage("calibrate-biases"):
         calibrated, trains = calibrate.calibrate_biases(
-            model, configs, cache, cfg.timesteps, membrane_init=cfg.membrane_init
+            model, fitted(), cache, cfg.timesteps, membrane_init=cfg.membrane_init
         )
+        configs = calibrate.configs_from_fits(fits)
         store.save_model(calibrated, art.calibrated)
         spiking = engine.spiking_layer_indices(calibrated)
         engine.save_configs(configs, spiking, art.configs_base)

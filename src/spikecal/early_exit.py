@@ -23,7 +23,7 @@ last input exits, so an exit saves wall-clock time as well as spikes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,8 @@ from .nn import ModelGraph, _check_batch, softmax
 from .store import CalibrationCache
 
 _EPS = 1e-12
+# the most alpha_base and beta may be in magnitude: a boundary stays finite
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def entropy(p) -> np.ndarray | float:
@@ -86,22 +88,35 @@ def _confidence(s: np.ndarray, log_classes) -> np.ndarray:
     return np.minimum(np.maximum(0.0, 1.0 - h / log_classes), 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExitPolicy:
-    """Per-step exit boundaries derived from calibration entropy."""
+    """Per-step exit boundaries derived from calibration entropy.
+
+    Frozen: ``mean_entropy`` is kept as a read-only float64 copy, so the
+    boundaries are computed once, here, and ``boundaries()`` returns them
+    (read-only too) to every request.
+    """
 
     alpha_base: float
     beta: float
     delta: float
     t_max: int
     mean_entropy: np.ndarray
+    _boundaries: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def boundaries(self) -> np.ndarray:
-        ebar = np.asarray(self.mean_entropy, dtype=np.float64)
+    def __post_init__(self):
+        ebar = np.array(self.mean_entropy, dtype=np.float64)
+        ebar.flags.writeable = False
         # exp(-q) is 0.0 for every q past 746, so capping the gap at 746
         # deltas changes no boundary, and a tiny delta cannot overflow q
         gap = np.minimum(ebar - ebar.min(), 746.0 * self.delta)
-        return self.alpha_base + self.beta * np.exp(-gap / self.delta)
+        bounds = self.alpha_base + self.beta * np.exp(-gap / self.delta)
+        bounds.flags.writeable = False
+        object.__setattr__(self, "mean_entropy", ebar)
+        object.__setattr__(self, "_boundaries", bounds)
+
+    def boundaries(self) -> np.ndarray:
+        return self._boundaries
 
 
 def fit_exit_policy(
@@ -259,20 +274,26 @@ def save_policy(policy: ExitPolicy, path) -> None:
 def load_policy(path) -> ExitPolicy:
     """Read a policy; every key is required and ``mean_entropy`` runs t = 1..t_max.
 
-    Every value is finite, as ``fit_exit_policy`` makes them, and each mean
-    entropy is not negative.
+    Every value is finite, as ``fit_exit_policy`` makes them, each mean
+    entropy is not negative, and ``alpha_base`` and ``beta`` are at most the
+    largest float32 in magnitude, as the config demands, so a boundary
+    cannot overflow.
     """
     doc = store.read_lines(path, "format snnc-exit-policy")
 
-    def finite(*pattern, low=-math.inf):
-        """The float ending the next line, which must be finite and at least ``low``."""
+    def finite(*pattern, low=-math.inf, bound=math.inf):
+        """The float ending the next line, which must be finite, at least
+        ``low`` and at most ``bound`` in magnitude."""
         (value,) = doc.take(*pattern, float)
-        if not (math.isfinite(value) and value >= low):
+        if not (math.isfinite(value) and value >= low and abs(value) <= bound):
             rule = "finite and not negative" if low == 0 else "finite"
+            if bound < math.inf:
+                rule += f" and at most {bound!r} in magnitude (the largest float32)"
             raise doc.error(f"{pattern[0]} must be {rule}, got {value!r}")
         return value
 
-    alpha_base, beta, delta = finite("alpha_base"), finite("beta"), finite("delta")
+    alpha_base, beta = finite("alpha_base", bound=_F32_MAX), finite("beta", bound=_F32_MAX)
+    delta = finite("delta")
     if not delta > 0:
         raise doc.error(f"delta must be positive, got {delta!r}")
     (t_max,) = doc.take("t_max", int)

@@ -1,3 +1,7 @@
+import inspect
+import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from spikecal import calibrate, engine, nn, store
+from spikecal import calibrate, cli, engine, nn, store
 from spikecal.calibrate import clip_floor
 
 
@@ -191,6 +195,158 @@ def test_fit_threshold_deterministic(rng):
 
 # ---------------------------------------------------------------------------
 # bias calibration
+
+
+def _walked(model, cache, timesteps, grid_size=64):
+    """``convert``'s composition: ``calibrate_biases`` pulling each layer's
+    config from ``walk_thresholds`` as it reaches the layer."""
+    fits = []
+
+    def configs():
+        for fit in calibrate.walk_thresholds(model, cache, timesteps, grid_size):
+            fits.append(fit)
+            yield engine.LayerSnnConfig(v_th=fit.v_th)
+
+    calibrated, trains = calibrate.calibrate_biases(model, configs(), cache, timesteps)
+    return fits, calibrated, trains
+
+
+def _one_layer_net():
+    model = nn.build_mlp(5, [4], 3, seed=3)
+    images = np.random.default_rng(3).standard_normal((20, 5)).astype(np.float32)
+    data = store.DatasetHandle(images=images, labels=np.zeros(20, dtype=np.int64))
+    return model, store.build_calibration_cache(model, data, 20, seed=3)
+
+
+def _zero_tap_net():
+    """An MLP whose first spiking layer sees only zeros: a degenerate fit."""
+    model, cache = _one_layer_net()
+    model = nn.build_mlp(5, [4, 6], 3, seed=4)
+    model.layers[0].weight[:] = 0.0
+    model.layers[0].bias[:] = -1.0
+    images = np.random.default_rng(4).standard_normal((20, 5)).astype(np.float32)
+    data = store.DatasetHandle(images=images, labels=np.zeros(20, dtype=np.int64))
+    return model, store.build_calibration_cache(model, data, 20, seed=4)
+
+
+@pytest.mark.parametrize("net", ["trained-mlp", "cnn", "one-layer", "zero-tap"])
+@pytest.mark.parametrize("timesteps", [1, 8])
+def test_walk_equals_the_serial_composition(request, random_net, net, timesteps):
+    """Fits scored on the walk's helper thread while bias calibration runs,
+    and the biases and trains that follow, equal ``fit_all_thresholds`` +
+    ``configs_from_fits`` + ``calibrate_biases`` bit for bit."""
+    if net == "trained-mlp":
+        model, cache = request.getfixturevalue("trained_mlp"), request.getfixturevalue("calibration")
+    elif net == "cnn":
+        model, cache, _ = random_net("cnn", 5, n=12, widths=[3, 2])
+    else:
+        model, cache = _one_layer_net() if net == "one-layer" else _zero_tap_net()
+    fits, calibrated, trains = _walked(model, cache, timesteps, grid_size=24)
+    serial = calibrate.fit_all_thresholds(model, cache, timesteps, grid_size=24)
+    want, want_trains = calibrate.calibrate_biases(
+        model, calibrate.configs_from_fits(serial), cache, timesteps
+    )
+    assert [f.layer for f in fits] == [f.layer for f in serial] == list(want_trains)
+    for got, fit in zip(fits, serial):
+        assert got.grid.tobytes() == fit.grid.tobytes()
+        assert got.grid_mse.tobytes() == fit.grid_mse.tobytes()
+        assert (got.v_th, got.mse, got.degenerate) == (fit.v_th, fit.mse, fit.degenerate)
+    assert any(f.degenerate for f in fits) == (net == "zero-tap")
+    for a, b in zip(calibrated.layers, want.layers):
+        if a.parameterized:
+            assert a.bias.tobytes() == b.bias.tobytes()
+    assert list(trains) == list(want_trains)
+    for idx, train in trains.items():
+        assert train.counts.tobytes() == want_trains[idx].counts.tobytes()
+        assert train.threshold == want_trains[idx].threshold
+
+
+def test_walk_under_constant_thread_switching_equals_the_serial_fits():
+    """Seven spiking layers walked while the interpreter switches threads
+    every microsecond: the helper's fits, handed over at each join, are
+    still the serial ones bit for bit, and the helper is gone after."""
+    model = nn.build_mlp(6, [9, 7, 8, 5, 6, 4, 7], 3, seed=8)
+    images = np.random.default_rng(8).standard_normal((30, 6)).astype(np.float32)
+    data = store.DatasetHandle(images=images, labels=np.zeros(30, dtype=np.int64))
+    cache = store.build_calibration_cache(model, data, 30, seed=8)
+    serial = calibrate.fit_all_thresholds(model, cache, 4, grid_size=40)
+    threads, interval = threading.enumerate(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fits, _, _ = _walked(model, cache, 4, grid_size=40)
+            assert [f.grid_mse.tobytes() for f in fits] == [f.grid_mse.tobytes() for f in serial]
+            assert [f.v_th for f in fits] == [f.v_th for f in serial]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.enumerate() == threads
+
+
+def test_bias_calibration_checks_configs_given_one_at_a_time(trained_mlp, calibration):
+    """A list of the wrong length is rejected before bias work; an iterator
+    when it runs short or holds one config too many."""
+    configs = calibrate.configs_from_fits(calibrate.fit_all_thresholds(trained_mlp, calibration, 8))
+    pulled = []
+
+    def lazily(items):
+        for item in items:
+            pulled.append(item)
+            yield item
+
+    for given_configs, message in (
+        (configs[:1], "model has 2 spiking layers, got 1 configs"),
+        (lazily(configs[:1]), "model has 2 spiking layers, got 1 configs"),
+        (lazily(configs * 2), "model has 2 spiking layers, got more than 2 configs"),
+    ):
+        with pytest.raises(engine.ConfigMismatchError, match=f"^{message}$"):
+            calibrate.calibrate_biases(trained_mlp, given_configs, calibration, 8)
+    assert len(pulled) == 1 + 3  # the iterators are read up to the mismatch
+
+
+def _public_functions(modules):
+    return {
+        obj: f"{mod.__name__.rpartition('.')[2]}.{attr}"
+        for mod in modules
+        for attr, obj in vars(mod).items()
+        if not attr.startswith("_") and inspect.isfunction(obj) and obj.__module__ == mod.__name__
+    }
+
+
+def test_convert_calls_every_public_function_on_the_main_thread(tmp_path, monkeypatch):
+    """The walk's helper thread runs only the private scoring loop: every
+    public ``calibrate``, ``engine`` and ``nn`` function that ``convert``
+    calls runs on the main thread, and every fit but the first is scored on
+    the helper."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "out_dir": str(tmp_path / "run"), "timesteps": 3, "calib_samples": 16,
+        "dataset": {"kind": "blobs", "n": 40, "eval_n": 20, "dim": [8], "classes": 3},
+        "model": {"hidden": [6, 5, 4]}, "train": {"epochs": 1},
+    }))
+    assert cli.main(["train", "--config", str(config)]) == 0
+    calls = []
+
+    def recorded(fn, name):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {fn: recorded(fn, name) for fn, name in _public_functions((calibrate, engine, nn)).items()}
+    wrappers[calibrate._score_grid] = recorded(calibrate._score_grid, "calibrate._score_grid")
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("spikecal"):
+            for attr, obj in list(vars(module).items()):
+                if inspect.isfunction(obj) and obj in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[obj])
+    assert cli.main(["convert", "--config", str(config)]) == 0
+    main = threading.get_ident()
+    public = {name for name, ident in calls if name != "calibrate._score_grid"}
+    assert {"calibrate.walk_thresholds", "calibrate.calibrate_biases", "nn.apply_layer",
+            "engine.step_layer", "calibrate.measure_unevenness"} <= public
+    assert all(ident == main for name, ident in calls if name != "calibrate._score_grid"), calls
+    scored = [ident for name, ident in calls if name == "calibrate._score_grid"]
+    assert len(scored) == 3 and scored[0] == main and main not in scored[1:]
 
 
 def test_bias_calibration_reduces_rate_mismatch(trained_mlp, calibration):

@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -161,6 +162,13 @@ DAMAGE = {
                                  rf"exit_policy\.txt:{line}: {key} must be finite.*, got -?inf$")
        for key, line in (("alpha_base", 2), ("beta", 3), ("delta", 4), ("mean_entropy", 7))
        for value in ("inf", "-inf", "1e999")},
+    # alpha_base + beta * exp(...) overflows near the float64 maximum
+    **{f"policy-{key}-{value}": ("eval", "exit_policy.txt", _set_last(key, value),
+                                 rf"exit_policy\.txt:{line}: {key} must be finite and at most "
+                                 rf"3\.4028234663852886e\+38 in magnitude \(the largest "
+                                 rf"float32\), got {re.escape(shown)}$")
+       for key, line in (("alpha_base", 2), ("beta", 3))
+       for value, shown in (("1.7e308", "1.7e+308"), ("-1e39", "-1e+39"))},
     "policy-negative-entropy": (
         "eval", "exit_policy.txt", _set_last("mean_entropy", "-0.5"),
         r"exit_policy\.txt:7: mean_entropy must be finite and not negative, got -0\.5$",
@@ -213,6 +221,30 @@ def test_tiny_exit_delta_runs_without_a_warning(finished_run, tmp_path, capsys, 
     assert policy.delta == 5e-324
     want = np.where(ebar == ebar.min(), policy.alpha_base + policy.beta, policy.alpha_base)
     assert policy.boundaries().tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("exit_settings, key", [
+    ({"alpha_base": 1.7e308, "beta": 1.7e308}, "alpha_base"),
+    ({"beta": 1.7e308}, "beta"),
+    ({"alpha_base": -3.5e38}, "alpha_base"),
+])
+def test_exit_gate_values_past_float32_are_rejected(finished_run, tmp_path, capsys,
+                                                    exit_settings, key):
+    """An ``alpha_base`` or ``beta`` beyond the largest float32 in magnitude
+    exits 1 at config load, naming the key, where both near the float64
+    maximum made every boundary overflow to inf with a RuntimeWarning."""
+    _, _, raw = finished_run
+    out = tmp_path / "copy"
+    shutil.copytree(raw["out_dir"], out)
+    config, _ = write_config(tmp_path, out_dir=str(out), exit=exit_settings)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["fit-exit", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    value = exit_settings[key]
+    assert err == (f"error: config key {key!r} in exit must be at most 3.4028234663852886e+38 "
+                   f"in magnitude, the largest float32, got {value!r}\n"), err
 
 
 def test_near_silent_layers_convert_and_eval(finished_run, tmp_path, capsys):
@@ -663,6 +695,74 @@ def test_size_numpy_cannot_index_is_user_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: [calibrate-biases] out of memory (array is too big"), err
     assert "lower the size settings: timesteps, t_max, calib_samples, grid_size" in err, err
+
+
+@pytest.fixture(scope="module")
+def three_layer_run(tmp_path_factory):
+    """A trained 8-6-5 MLP (three spiking layers) and its config, before convert."""
+    tmp_path = tmp_path_factory.mktemp("three-layers")
+    config, raw = write_config(
+        tmp_path, timesteps=4, calib_samples=24,
+        dataset={"kind": "blobs", "n": 60, "eval_n": 30, "dim": [8], "classes": 3},
+        model={"hidden": [8, 6, 5]}, train={"epochs": 2, "lr": 0.05},
+    )
+    assert cli.main(["train", "--config", str(config)]) == 0
+    return config, raw
+
+
+def _convert_failure(three_layer_run, monkeypatch, case):
+    """Set up ``case`` of ``test_convert_labels_its_failures``; returns argv."""
+    config, raw = three_layer_run
+    argv = ["convert", "--config", str(config)]
+    if case == "huge-grid":
+        path = config.parent / "huge-grid.json"
+        path.write_text(json.dumps({**raw, "grid_size": store.INT_MAX}))
+        argv = ["convert", "--config", str(path)]
+    elif case == "huge-timesteps":
+        argv += ["--timesteps", str(store.INT_MAX)]
+    elif case == "later-fit":
+        third = cli.engine.spiking_layer_indices(store.load_model(cli.Artifacts(raw["out_dir"]).model))[2]
+        score = cli.calibrate._score_grid
+
+        def failing(fit):
+            if fit.layer == third:
+                raise MemoryError("Unable to allocate 8.00 EiB for an array")
+            score(fit)
+
+        monkeypatch.setattr(cli.calibrate, "_score_grid", failing)
+    return argv
+
+
+@pytest.mark.parametrize("case, code, start", [
+    ("success", 0, ""),
+    ("huge-grid", 1, "error: [fit-thresholds] out of memory (Unable to allocate 6.94 EiB"),
+    ("huge-timesteps", 1, "error: [calibrate-biases] out of memory (array is too big"),
+    ("later-fit", 1, "error: [fit-thresholds] out of memory (Unable to allocate 8.00 EiB"),
+])
+def test_convert_labels_its_failures(three_layer_run, capsys, monkeypatch, case, code, start):
+    """convert's threshold fits overlap bias calibration, yet a failed fit
+    is still a ``[fit-thresholds]`` error, also one on the third spiking
+    layer after two layers' bias work, and a failed bias walk a
+    ``[calibrate-biases]`` error; no thread outlives the stage."""
+    argv = _convert_failure(three_layer_run, monkeypatch, case)
+    run_layer, passes = cli.calibrate._run_layer, []
+
+    def counted(*args, **kwargs):
+        passes.append(args[1].v_th)
+        return run_layer(*args, **kwargs)
+
+    monkeypatch.setattr(cli.calibrate, "_run_layer", counted)
+    threads = threading.enumerate()
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    assert threading.enumerate() == threads
+    err = capsys.readouterr().err
+    assert err.startswith(start), err
+    if code:
+        assert "lower the size settings: timesteps, t_max, calib_samples, grid_size" in err, err
+    # bias passes begun, two per layer: every layer's, the first layer's first
+    # (which fails), none before the first fit, and two layers' before the third fit
+    assert len(passes) == {"success": 6, "huge-grid": 0, "huge-timesteps": 1, "later-fit": 4}[case]
 
 
 def test_out_of_memory_inside_a_stage_is_user_error(finished_run, tmp_path, capsys, monkeypatch):

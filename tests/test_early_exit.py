@@ -180,6 +180,48 @@ def test_tiny_delta_boundaries_are_the_formulas_limit():
     assert policy.boundaries().tobytes() == formula.tobytes()
 
 
+def test_policy_cannot_change_in_place():
+    """A policy is frozen: no field can be reassigned, its entropies are a
+    read-only copy of what it was given, and the boundaries it computed
+    once are read-only too, so every request reads the same ones."""
+    ebar = np.array([2.0, 1.5, 1.0])
+    policy = early_exit.ExitPolicy(0.6, 0.2, 1.0, 3, ebar)
+    before = policy.boundaries().tobytes()
+    for name, value in (("alpha_base", 0.1), ("beta", 0.0), ("delta", 2.0), ("t_max", 2),
+                        ("mean_entropy", np.zeros(3))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(policy, name, value)
+    for array in (policy.mean_entropy, policy.boundaries()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    ebar[:] = 0.0  # the caller's array is not the policy's
+    assert policy.mean_entropy.tolist() == [2.0, 1.5, 1.0]
+    assert policy.mean_entropy.dtype == np.float64
+    assert policy.boundaries() is policy.boundaries()
+    assert policy.boundaries().tobytes() == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-2.0, 2.0), st.floats(0.0, 1.0),
+    st.one_of(st.floats(1e-3, 10.0), st.sampled_from([5e-324, 1e-310, 1e-300])),
+    st.lists(st.floats(0.0, 3.0), min_size=1, max_size=8),
+)
+def test_boundaries_are_the_formula(alpha_base, beta, delta, ebar):
+    """The boundaries a policy keeps are ``alpha_base + beta * exp(-(Ebar_t -
+    Ebar_min) / delta)`` bit for bit, where the formula, left to overflow
+    under ``np.errstate``, gives what the tiny-delta cap gives without a
+    warning."""
+    ebar = np.asarray(ebar, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        policy = early_exit.ExitPolicy(alpha_base, beta, delta, len(ebar), ebar)
+    with np.errstate(over="ignore"):
+        formula = alpha_base + beta * np.exp(-(ebar - ebar.min()) / delta)
+    assert policy.boundaries().dtype == np.float64
+    assert policy.boundaries().tobytes() == formula.tobytes()
+
+
 def test_fit_policy_records_calibration_entropies(snn, calibration):
     model, configs = snn
     policy = early_exit.fit_exit_policy(model, configs, calibration, t_max=6)

@@ -35,6 +35,42 @@ def test_every_stage_gets_a_time_and_its_own_peak(tmp_path):
     assert stage_memory.traced_peak(_ROOT, "eval", path) == eval_row[3] * 2**20
 
 
+def test_repeat_prints_the_medians(monkeypatch, capsys):
+    """``--repeat 3`` runs each stage three times untraced and once traced,
+    and prints the median wall time and maxrss next to the traced peak; the
+    header says so. Without it each stage runs once and the header has no
+    such note."""
+    for argv, header, wall, rss in (
+        (["--repeat", "3"], ", medians of 3 runs", 2.0, 60.0),
+        ([], "", 3.0, 60.0),
+    ):
+        runs = {stage: iter([(3.0, 60.0), (1.0, 50.0), (2.0, 70.0)])
+                for stage in stage_memory.STAGES}
+        traced = []
+        monkeypatch.setattr(stage_memory, "run_stage",
+                            lambda tree, stage, path, runs=runs: next(runs[stage]))
+        monkeypatch.setattr(stage_memory, "traced_peak",
+                            lambda tree, stage, path, traced=traced: traced.append(stage) or 2**20)
+        monkeypatch.setattr(sys, "argv", ["stage_memory.py", _ROOT, "--workload", "deep-search",
+                                          *argv])
+        assert stage_memory.main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"deep-search, seed 7, one BLAS thread, one process per stage{header}"
+        assert lines[2:] == [f"{stage:<12}{wall:>8.3f}{rss:>11.1f}{1.0:>11.3f}"
+                             for stage in stage_memory.STAGES]
+        assert traced == list(stage_memory.STAGES)
+        left = 0 if argv else 2
+        assert all(len(list(rest)) == left for rest in runs.values())
+
+
+def test_repeat_below_one_is_refused():
+    proc = subprocess.run(
+        [sys.executable, _PATH, _ROOT, "--workload", "deep-search", "--repeat", "0"],
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 2 and "--repeat must be at least 1, got 0" in proc.stderr
+
+
 def test_a_failed_traced_run_is_named(tmp_path):
     """A checkout whose package imports but has no ``cli.main``: the traced
     child fails and its stage is named."""
