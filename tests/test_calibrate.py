@@ -220,7 +220,6 @@ def _one_layer_net():
 
 def _zero_tap_net():
     """An MLP whose first spiking layer sees only zeros: a degenerate fit."""
-    model, cache = _one_layer_net()
     model = nn.build_mlp(5, [4, 6], 3, seed=4)
     model.layers[0].weight[:] = 0.0
     model.layers[0].bias[:] = -1.0
