@@ -20,8 +20,9 @@ score vector. Membranes are carried in float64.
 
 Every run goes through one loop, ``_simulate``: each step runs every layer
 from the input (or from a recorded spike train) to the head, so a run can
-stop after any step. The README's "Simulation order" section says why and
-how.
+stop after any step. The sensitivity table's downstream trial runs on an
+MLP are the one exception (``search._trial``). The README's "Simulation
+order" section says why and how.
 """
 
 from __future__ import annotations
@@ -162,11 +163,13 @@ def layer_fanout(model: ModelGraph, layer_index: int) -> float:
 
 
 def _fire(v: np.ndarray, current: np.ndarray, k: np.ndarray, threshold: float,
-          phi: float) -> np.ndarray:
+          phi: float, emitted: np.ndarray | None = None) -> np.ndarray:
     """The neuron update, in place on float64 arrays of one shape: ``v``
     takes ``current`` in, ``k`` gets the quanta fired and ``v`` keeps the
-    remainder. Returns the emitted amplitudes, a fresh array; ``current`` is
-    never written."""
+    remainder. Returns the emitted amplitudes, written into ``emitted``
+    when given and a fresh array otherwise. ``current`` may be ``k``
+    itself, as it is read before ``k`` is written; otherwise it is never
+    written."""
     np.add(v, current, out=v)
     np.divide(v, threshold, out=k)
     np.floor(k, out=k)
@@ -174,7 +177,7 @@ def _fire(v: np.ndarray, current: np.ndarray, k: np.ndarray, threshold: float,
     # quotient stays -0.0, as np.clip leaves it
     np.maximum(0.0, k, out=k)
     np.minimum(k, phi, out=k)
-    emitted = k * threshold
+    emitted = np.multiply(k, threshold, out=emitted)
     np.subtract(v, emitted, out=v)
     return emitted
 

@@ -25,7 +25,9 @@ order, as enumerating every plan would send them.
 from __future__ import annotations
 
 import bisect
+import collections
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,8 +38,10 @@ from .engine import (
     LayerSnnConfig,
     RunStats,
     _currents,
+    _fire,
     _prepare,
     _run_layer,
+    _RunPlan,
     _simulate,
     layer_fanout,
     run_snn,
@@ -183,9 +187,11 @@ def build_table(
     entering p (or from the constant input) are computed once, and p's
     neuron runs on them for each other candidate. Candidates whose layer-p
     trains are equal (same threshold and count values) share one downstream
-    simulation; a train equal to the trunk's takes the trunk's scores. An
-    empty or repeated candidate set is a ``ValueError``; an E, or a plan's
-    total E, too large for a float is an ``EnergyOverflowError``.
+    run; a train equal to the trunk's takes the trunk's scores. The
+    currents are dropped before the downstream runs start, and those of an
+    MLP run on two lanes (``_run_trials``). An empty or repeated
+    candidate set is a ``ValueError``; an E, or a plan's total E, too large
+    for a float is an ``EnergyOverflowError``.
     """
     if kind not in ("phi", "rho"):
         raise ValueError(f"table kind must be phi or rho, got {kind!r}")
@@ -206,31 +212,187 @@ def build_table(
     # keep what the trials read; the trunk's v_last and step_spikes go
     base_scores, base_spikes, trains = trunk.scores, trunk.stats.layer_spikes, trunk.trains
     del trunk
+    # every layer downstream of a trial runs at baseline: one plan, cast once
+    plan = _prepare(model, configs)
     source, start = _check_batch(model, np.asarray(cache.inputs, dtype=np.float64)), 0
     for pos, layer in enumerate(layers):
         currents = list(_currents(model.layers[start:layer], source, timesteps))
-        simulated = [(trains[layer], base_scores)]  # (layer-p train, scores) per group
+        # the distinct layer-p trains, the trunk's first; (spikes, train index) per candidate
+        distinct, picks = [trains[layer]], []
         for cand in candidates:
             if cand == getattr(configs[pos], kind):
-                scores, spikes = base_scores, base_spikes[layer]
-            else:
-                trial = _with_candidate(configs, pos, kind, cand)
-                train, _ = _run_layer(currents, trial[pos], timesteps, membrane_init)
-                spikes = int(train.counts.sum(dtype=np.int64))
-                scores = next((sc for tr, sc in simulated if tr.equals(train)), None)
-                if scores is None:
-                    scores = _simulate(
-                        _prepare(model, trial), layer + 1, train, timesteps, membrane_init
-                    )[0][-1]
-                    simulated.append((train, scores))
+                picks.append((base_spikes[layer], 0))
+                continue
+            trial = _with_candidate(configs, pos, kind, cand)
+            train, _ = _run_layer(currents, trial[pos], timesteps, membrane_init)
+            i = next((i for i, tr in enumerate(distinct) if tr.equals(train)), len(distinct))
+            if i == len(distinct):
+                distinct.append(train)
+            picks.append((int(train.counts.sum(dtype=np.int64)), i))
+        del currents  # never hold feeder currents beside a downstream run
+        scores = np.empty((len(distinct), *base_scores.shape))
+        scores[0] = base_scores
+        # the size of layer p's train at a step, of each later spiking layer's, of the scores
+        sizes = [trains[i].counts[0].size for i in layers[pos:]] + [base_scores.size]
+        _run_trials(plan, layer + 1, distinct[1:], scores[1:], sizes, membrane_init)
+        for cand, (spikes, i) in zip(candidates, picks):
             table.s[(layer, cand)], table.e[(layer, cand)] = _measure(
-                model, layer, target, scores, spikes, energy, cache.sample_count
+                model, layer, target, scores[i], spikes, energy, cache.sample_count
             )
-        del currents, simulated  # never hold two layers' feeder currents at once
+        del distinct, scores
         source, start = trains[layer], layer + 1
     # a plan's E adds one entry per layer in this order; no sum exceeds this one
     _finite(sum(max(table.e[(layer, c)] for c in candidates) for layer in layers), energy)
     return table
+
+
+@dataclass(frozen=True)
+class _Workspace:
+    """One lane's buffers for ``_trial``, each flat and as large as the
+    largest array it holds: float64 for the membrane, ``k`` (which also
+    takes each product) and the amplitudes (a step's input, then the bias
+    broadcast to the product's shape, then the emissions), and up to two
+    count buffers, each T steps of a spiking layer's counts, that the
+    spiking layers of a run fill in turn."""
+
+    v: np.ndarray
+    k: np.ndarray
+    amp: np.ndarray
+    counts: tuple
+
+    @classmethod
+    def of(cls, sizes: list[int], timesteps: int, count_dtype) -> _Workspace:
+        """Buffers for runs fed a train of ``sizes[0]`` values a step,
+        through spiking layers of ``sizes[1:-1]`` to a head of ``sizes[-1]``."""
+        neurons = max(sizes[1:-1], default=0)
+        return cls(
+            v=np.empty(neurons),
+            k=np.empty(max(sizes[1:])),
+            amp=np.empty(max(sizes)),
+            counts=tuple(np.empty(timesteps * neurons, count_dtype) for _ in sizes[1:-1][:2]),
+        )
+
+
+def _view(buf: np.ndarray, shape) -> np.ndarray:
+    """The front of a flat buffer as an array of ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _single_dense(feed) -> bool:
+    """Whether ``feed``, a run plan's feeding layers, is one dense layer."""
+    return len(feed) == 1 and feed[0][1] is not None
+
+
+def _trial(plan: _RunPlan, start: int, train, out: np.ndarray, ws: _Workspace,
+           membrane_init: float) -> None:
+    """Write into ``out`` the scores [N, classes] of the run of ``plan``
+    resumed at graph index ``start`` from ``train``, where every feeder is
+    one dense layer: bit for bit the last row of ``_simulate(plan, start,
+    train, T, membrane_init)``'s scores.
+
+    The run goes layer by layer in ``ws``: each spiking layer runs all T
+    steps on the counts of the one before it (the train's, then a count
+    buffer's), writing its own counts into the other count buffer, and the
+    head adds its T outputs into ``out``. A layer's input at step t is
+    ``counts[t] * threshold``, the emissions bit for bit. Its product goes
+    into ``ws.k``, and the bias is added as ``nn.apply_layer`` adds it, from
+    a copy broadcast into the amplitude buffer, which the product has freed:
+    adding a broadcast bias would allocate numpy's iteration buffer on every
+    call. ``_fire`` then reads ``ws.k`` as the current before writing the
+    step's counts over it. The run allocates nothing and calls nothing
+    public.
+    """
+    first = bisect.bisect_right(plan.begins, start) - 1
+    counts, threshold = train.counts, train.threshold
+    timesteps, n = counts.shape[:2]
+    for s, (feed, spiking) in enumerate(zip(plan.feeds[first:], (*plan.spiking[first:], None))):
+        ((_, (w_t, b)),) = feed
+        shape = (n, w_t.shape[1])
+        amp = _view(ws.amp, counts.shape[1:])
+        # the amplitude buffer's front holds the bias, then the emissions
+        k, front = _view(ws.k, shape), _view(ws.amp, shape)
+        if spiking is not None:
+            _, _, layer_threshold, phi = spiking
+            v = _view(ws.v, shape)
+            v.fill(membrane_init * layer_threshold)
+            written = _view(ws.counts[s % 2], (timesteps, *shape))
+        for t in range(timesteps):
+            # cast, then scale in place: a mixed-dtype multiply takes a cast buffer
+            np.copyto(amp, counts[t])
+            np.multiply(amp, threshold, out=amp)
+            current = np.matmul(amp, w_t, out=k)
+            np.copyto(front, b)
+            current += front
+            if spiking is not None:
+                _fire(v, current, k, layer_threshold, phi, emitted=front)
+                np.copyto(written[t], k, casting="unsafe")
+            elif t == 0:  # the head's outputs add up in ``out``
+                np.copyto(out, current)
+            else:
+                np.add(out, current, out=out)
+        if spiking is not None:
+            counts, threshold = written, layer_threshold
+    np.divide(out, float(timesteps), out=out)
+
+
+def _run_trials(plan: _RunPlan, start: int, trains: list, slots: np.ndarray, sizes: list[int],
+                membrane_init: float) -> None:
+    """Each of ``trains``' downstream runs, resumed at graph index
+    ``start``, into its slot of ``slots``.
+
+    When every feeder downstream is one dense layer, the runs go through
+    ``_trial``: the calling thread and, when there are two runs or more,
+    one helper thread pull them from one ordered list, each in its own
+    workspace (``_Workspace.of`` ``sizes``), made here. The helper is joined
+    before this returns, and what it raised is raised here. Other runs
+    (every CNN's) are ``_simulate`` on the calling thread: for conv layers
+    the layer-major loop's count buffers cost more memory and time than
+    the time-major run.
+    """
+    if not trains:
+        return
+    timesteps, first = len(trains[0].counts), bisect.bisect_right(plan.begins, start) - 1
+    if not all(map(_single_dense, plan.feeds[first:])):
+        for train, slot in zip(trains, slots):
+            slot[...] = _simulate(plan, start, train, timesteps, membrane_init)[0][-1]
+        return
+    dtype = np.min_scalar_type(max((c.phi for _, c, *_ in plan.spiking[first:]), default=1))
+    workspaces = [_Workspace.of(sizes, timesteps, dtype) for _ in trains[:2]]
+    jobs = collections.deque(zip(trains, slots))  # popleft is thread-safe
+    errors, helper = [], None
+    if len(workspaces) > 1:
+        helper = threading.Thread(
+            target=_helper_lane, args=(plan, start, jobs, workspaces[1], membrane_init, errors),
+            name="spikecal-trials",
+        )
+        helper.start()
+    try:
+        _lane(plan, start, jobs, workspaces[0], membrane_init)
+    finally:
+        jobs.clear()  # a failed lane stops the other after its current run
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
+def _lane(plan, start, jobs, ws, membrane_init) -> None:
+    """Take runs off ``jobs`` and make them in ``ws`` until none is left."""
+    while True:
+        try:
+            train, slot = jobs.popleft()
+        except IndexError:
+            return
+        _trial(plan, start, train, slot, ws, membrane_init)
+
+
+def _helper_lane(plan, start, jobs, ws, membrane_init, errors: list) -> None:
+    """The helper thread's whole work: ``_lane``. Any error, whatever its
+    kind, is kept in ``errors`` and raised again on the calling thread."""
+    try:
+        _lane(plan, start, jobs, ws, membrane_init)
+    except BaseException as err:
+        errors.append(err)
 
 
 def _merge_plans(table: SensitivityTable):

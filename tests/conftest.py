@@ -1,5 +1,8 @@
+import functools
+import inspect
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -91,3 +94,39 @@ def _injected_charge(model, run, batch, timesteps):
 def injected_charge():
     """``injected_charge(model, run, batch, timesteps)`` -> {spiking layer: summed current}."""
     return _injected_charge
+
+
+def _thread_log(monkeypatch, modules, private=()):
+    """Wrap every public function of ``modules``, and each function in
+    ``private``, rebinding the wrapper in every ``spikecal`` module that
+    holds the original; returns the list each call appends its
+    ``(module.name, thread ident)`` to."""
+    calls = []
+
+    def recorded(fn, name):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = {
+        obj: f"{mod.__name__.rpartition('.')[2]}.{attr}"
+        for mod in modules
+        for attr, obj in vars(mod).items()
+        if not attr.startswith("_") and inspect.isfunction(obj) and obj.__module__ == mod.__name__
+    }
+    names.update({fn: f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}" for fn in private})
+    wrappers = {fn: recorded(fn, name) for fn, name in names.items()}
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("spikecal"):
+            for attr, obj in list(vars(module).items()):
+                if inspect.isfunction(obj) and obj in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[obj])
+    return calls
+
+
+@pytest.fixture()
+def thread_log(monkeypatch):
+    """``thread_log(modules, private=())`` -> the (name, thread ident) of
+    every later call of a public function of ``modules`` or of ``private``."""
+    return functools.partial(_thread_log, monkeypatch)

@@ -1,4 +1,3 @@
-import inspect
 import json
 import sys
 import threading
@@ -302,16 +301,7 @@ def test_bias_calibration_checks_configs_given_one_at_a_time(trained_mlp, calibr
     assert len(pulled) == 1 + 3  # the iterators are read up to the mismatch
 
 
-def _public_functions(modules):
-    return {
-        obj: f"{mod.__name__.rpartition('.')[2]}.{attr}"
-        for mod in modules
-        for attr, obj in vars(mod).items()
-        if not attr.startswith("_") and inspect.isfunction(obj) and obj.__module__ == mod.__name__
-    }
-
-
-def test_convert_calls_every_public_function_on_the_main_thread(tmp_path, monkeypatch):
+def test_convert_calls_every_public_function_on_the_main_thread(tmp_path, thread_log):
     """The walk's helper thread runs only the private scoring loop: every
     public ``calibrate``, ``engine`` and ``nn`` function that ``convert``
     calls runs on the main thread, and every fit but the first is scored on
@@ -323,21 +313,7 @@ def test_convert_calls_every_public_function_on_the_main_thread(tmp_path, monkey
         "model": {"hidden": [6, 5, 4]}, "train": {"epochs": 1},
     }))
     assert cli.main(["train", "--config", str(config)]) == 0
-    calls = []
-
-    def recorded(fn, name):
-        def wrapper(*args, **kwargs):
-            calls.append((name, threading.get_ident()))
-            return fn(*args, **kwargs)
-        return wrapper
-
-    wrappers = {fn: recorded(fn, name) for fn, name in _public_functions((calibrate, engine, nn)).items()}
-    wrappers[calibrate._score_grid] = recorded(calibrate._score_grid, "calibrate._score_grid")
-    for modname, module in list(sys.modules.items()):
-        if modname.startswith("spikecal"):
-            for attr, obj in list(vars(module).items()):
-                if inspect.isfunction(obj) and obj in wrappers:
-                    monkeypatch.setattr(module, attr, wrappers[obj])
+    calls = thread_log((calibrate, engine, nn), [calibrate._score_grid])
     assert cli.main(["convert", "--config", str(config)]) == 0
     main = threading.get_ident()
     public = {name for name, ident in calls if name != "calibrate._score_grid"}

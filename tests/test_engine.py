@@ -111,6 +111,39 @@ def test_step_clamp_equals_np_clip(v_th, rho, phi):
         assert got_state.v.tobytes() == want_v.tobytes(), current
 
 
+_SIGNED_ZEROS_AND_EDGES = st.sampled_from([0.0, -0.0, -1e-320, -5e-324, 5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(-1e6, 1e6), _SIGNED_ZEROS_AND_EDGES), min_size=1, max_size=12),
+    st.data(),
+    st.floats(1.2e-38, 1e10),
+    st.integers(1, 300),
+)
+def test_fire_into_a_buffer_equals_the_allocating_call(v, data, threshold, phi):
+    """``_fire(..., emitted=buf)`` writes the emissions into ``buf`` and
+    leaves ``v`` and ``k`` as the allocating call does, bit for bit, ``-0.0``
+    included, also when the current is ``k`` itself."""
+    v = np.array(v)
+    current = np.array(data.draw(st.lists(
+        st.one_of(st.floats(-1e6, 1e6), _SIGNED_ZEROS_AND_EDGES), min_size=len(v), max_size=len(v),
+    )))
+    v_want, k_want = v.copy(), np.empty_like(v)
+    want = engine._fire(v_want, current, k_want, threshold, float(phi))
+    v_got, k_got, buf = v.copy(), np.empty_like(v), np.full_like(v, np.nan)
+    got = engine._fire(v_got, current, k_got, threshold, float(phi), emitted=buf)
+    assert got is buf
+    assert buf.tobytes() == want.tobytes()
+    assert v_got.tobytes() == v_want.tobytes()
+    assert k_got.tobytes() == k_want.tobytes()
+    v_got, k_got = v.copy(), current.copy()
+    engine._fire(v_got, k_got, k_got, threshold, float(phi), emitted=buf)
+    assert buf.tobytes() == want.tobytes()
+    assert v_got.tobytes() == v_want.tobytes()
+    assert k_got.tobytes() == k_want.tobytes()
+
+
 @pytest.mark.parametrize("phi", [1, 3, 255, 256, 65535, 65536])
 def test_owned_state_steps_equal_functional_reference(phi):
     """Stepping the state ``step_layer`` returned, in place, equals the

@@ -1,10 +1,15 @@
+import dataclasses
 import itertools
+import json
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from spikecal import calibrate, engine, nn, search, store, train
+from spikecal import calibrate, cli, engine, nn, search, store, train
 
 
 def make_table(layers, candidates, s, e, kind="phi"):
@@ -413,15 +418,18 @@ def test_build_table_equals_layer_sensitivity(random_net, arch, timesteps):
 
 @pytest.fixture()
 def downstream_starts(monkeypatch):
-    """The start layer of every downstream run ``build_table`` makes."""
+    """The start layer of every downstream run ``build_table`` makes: an
+    MLP's through ``_trial``, on either lane, a CNN's through ``_simulate``."""
     starts = []
-    real = search._simulate
 
-    def spy(plan, start, *args, **kwargs):
-        starts.append(start)
-        return real(plan, start, *args, **kwargs)
+    def spied(real):
+        def spy(plan, start, *args, **kwargs):
+            starts.append(start)
+            return real(plan, start, *args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(search, "_simulate", spy)
+    for name in ("_trial", "_simulate"):
+        monkeypatch.setattr(search, name, spied(getattr(search, name)))
     return starts
 
 
@@ -469,6 +477,179 @@ def test_build_table_groups_by_threshold_and_count_values(random_net, arch, down
         downstream_starts.clear()
         _table_equal_to_reference(model, cache, configs, 4, "phi", [255, 256], em)
         assert silent + 1 not in downstream_starts
+
+
+# ---------------------------------------------------------------------------
+# the trials' two lanes
+
+
+def test_lanes_under_constant_thread_switching_equal_layer_sensitivity(random_net):
+    """Mixed widths, trials shared by both lanes while the interpreter
+    switches threads every microsecond: every pair still equals its
+    whole-net run bit for bit, and no thread outlives ``build_table``."""
+    threads, interval = threading.enumerate(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            model, cache, configs = random_net("mlp", seed, n=12, widths=[16, 40, 8])
+            em = search.EnergyModel(mode="synop" if seed % 2 else "spike_count")
+            for kind, candidates in (("rho", [3, 4, 5]), ("phi", [1, 2, 3, 4])):
+                _table_equal_to_reference(model, cache, configs, 5, kind, candidates, em)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.enumerate() == threads
+
+
+def test_layers_with_one_or_no_distinct_trial(random_net, downstream_starts):
+    """A candidate set of the baseline alone makes no downstream run, and
+    one more ratio makes one per layer; both tables equal the reference."""
+    model, cache, configs = random_net("mlp", 4, n=10, widths=[16, 40, 8])
+    configs = [dataclasses.replace(c, rho=1) for c in configs]
+    threads, em = threading.enumerate(), search.EnergyModel()
+    table = _table_equal_to_reference(model, cache, configs, 4, "rho", [1], em)
+    assert downstream_starts == []
+    _table_equal_to_reference(model, cache, configs, 4, "rho", [3, 1], em)
+    assert downstream_starts == [layer + 1 for layer in table.layers]
+    assert threading.enumerate() == threads
+
+
+@pytest.fixture(scope="module")
+def wide_net():
+    """An untrained 8x128 MLP with fitted thresholds and 512 calibration
+    inputs, for T = 8: products large enough for BLAS to thread them."""
+    model = nn.build_mlp(64, [128] * 8, 10, seed=0)
+    rng = np.random.default_rng(0)
+    images = rng.standard_normal((512, 64)).astype(np.float32)
+    data = store.DatasetHandle(images=images, labels=rng.integers(0, 10, size=512))
+    cache = store.build_calibration_cache(model, data, 512, seed=0)
+    configs = calibrate.configs_from_fits(calibrate.fit_all_thresholds(model, cache, 8))
+    return model, cache, configs
+
+
+def test_wide_net_lanes_equal_layer_sensitivity(wide_net):
+    """Under the default BLAS thread count, two lanes calling the same
+    products at once still give every pair's whole-net (S, E) bit for bit."""
+    model, cache, configs = wide_net
+    threads = threading.enumerate()
+    _table_equal_to_reference(model, cache, configs, 8, "rho", [1, 2, 4], search.EnergyModel())
+    assert threading.enumerate() == threads
+
+
+# tracemalloc peaks of the serial table on ``wide_net`` (candidates as the
+# CLI's defaults), before the trials ran on two lanes
+_SERIAL_PEAK = {"phi": 18_441_438, "rho": 17_582_484}
+
+
+@pytest.mark.parametrize("kind, candidates", [("phi", [1, 2, 3, 4]), ("rho", [1, 2, 4])])
+def test_two_lanes_hold_no_more_than_the_serial_table(wide_net, kind, candidates):
+    """Dropping the feeder currents before the downstream runs pays for the
+    second lane's workspace."""
+    model, cache, configs = wide_net
+    tracemalloc.start()
+    try:
+        search.build_table(model, configs, cache, 8, kind, candidates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _SERIAL_PEAK[kind], peak
+
+
+def test_trial_loop_allocates_nothing_in_a_prepared_workspace(wide_net):
+    """A downstream run through dense feeders writes ``_simulate``'s last
+    scores into its slot bit for bit, allocating under 4 KiB."""
+    model, cache, configs = wide_net
+    run = engine.run_snn(model, configs, cache.inputs, 8, record_trains=True)
+    plan = engine._prepare(model, configs)
+    layers = engine.spiking_layer_indices(model)
+    ws = search._Workspace.of([512 * 128] * 9 + [512 * 10], 8, np.uint8)
+    out = np.empty((512, 10))
+    for layer in layers:
+        want = engine._simulate(plan, layer + 1, run.trains[layer], 8, 0.5)[0][-1]
+        search._trial(plan, layer + 1, run.trains[layer], out, ws, 0.5)
+        assert out.tobytes() == want.tobytes(), layer
+    tracemalloc.start()
+    try:
+        search._trial(plan, layers[0] + 1, run.trains[layers[0]], out, ws, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
+
+
+def _fail_on_the_helper(monkeypatch):
+    """Make the first trial the helper takes raise ``MemoryError``, with
+    the calling thread's first trial held until the helper has taken one."""
+    trial, taken = search._trial, threading.Event()
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            taken.set()
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+        assert taken.wait(10)
+        return trial(*args)
+
+    monkeypatch.setattr(search, "_trial", failing)
+
+
+def test_an_error_on_the_helper_comes_out_of_build_table(random_net, monkeypatch):
+    model, cache, configs = random_net("mlp", 1, n=8, widths=[16, 40, 8])
+    _fail_on_the_helper(monkeypatch)
+    threads = threading.enumerate()
+    with pytest.raises(MemoryError, match="8.00 EiB"):
+        search.build_table(model, configs, cache, 3, "rho", [3, 4])
+    assert threading.enumerate() == threads
+
+
+@pytest.fixture(scope="module")
+def searched_run(tmp_path_factory):
+    """A converted 8-6-5-4 MLP and its config, burst plan searched."""
+    tmp_path = tmp_path_factory.mktemp("search-run")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "out_dir": str(tmp_path / "run"), "timesteps": 3, "calib_samples": 16,
+        "dataset": {"kind": "blobs", "n": 40, "eval_n": 20, "dim": [8], "classes": 3},
+        "model": {"hidden": [6, 5, 4]}, "train": {"epochs": 1},
+    }))
+    for stage in ("train", "convert", "search-phi"):
+        assert cli.main([stage, "--config", str(config)]) == 0
+    return str(config)
+
+
+def test_search_stages_call_every_public_function_on_the_main_thread(searched_run, thread_log,
+                                                                     monkeypatch):
+    """The trials' helper runs only ``_trial``: every public ``engine``,
+    ``nn`` and ``search`` function that ``search-phi`` and ``search-rho``
+    call runs on the main thread, and the helper takes trials."""
+    calls = thread_log((engine, nn, search), [search._trial])
+    trial, helped = search._trial, threading.Event()
+
+    def waiting(*args):  # the main thread waits for the first helper to take a trial
+        if threading.current_thread() is not threading.main_thread():
+            helped.set()
+        elif any(t.name == "spikecal-trials" for t in threading.enumerate()):
+            assert helped.wait(10)
+        return trial(*args)
+
+    monkeypatch.setattr(search, "_trial", waiting)
+    for stage in ("search-phi", "search-rho"):
+        assert cli.main([stage, "--config", searched_run]) == 0
+    main = threading.get_ident()
+    public = {name for name, _ in calls if name != "search._trial"}
+    assert {"search.build_table", "search.pareto_search", "engine.run_snn",
+            "nn.apply_layer"} <= public
+    assert all(ident == main for name, ident in calls if name != "search._trial"), calls
+    assert helped.is_set()
+    assert {ident for name, ident in calls if name == "search._trial"} - {main}
+
+
+def test_search_stage_labels_an_error_on_the_helper(searched_run, capsys, monkeypatch):
+    _fail_on_the_helper(monkeypatch)
+    threads = threading.enumerate()
+    capsys.readouterr()
+    assert cli.main(["search-rho", "--config", searched_run]) == 1
+    assert threading.enumerate() == threads
+    err = capsys.readouterr().err
+    assert err.startswith("error: [sensitivity-table] out of memory (Unable to allocate 8.00 EiB"), err
 
 
 @pytest.mark.parametrize("candidates, message", [
