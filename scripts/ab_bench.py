@@ -8,7 +8,7 @@ a shared machine does not always land on the same side. Each run's last
 stdout line is its result. For every end-to-end metric in BENCHMARK.json it
 prints the parent's median and quartiles, the change's, the ratio of the
 medians (change over parent) and in how many pairs the change was better
-(ties count for neither side).
+(ties count for neither side), then a verdict line (``verdict``).
 
 Exits 1, naming the run, if a run exits non-zero, prints no result or
 reports ``"correct": false``. Each checkout runs its own ``perfbench/`` on
@@ -54,13 +54,16 @@ def parse_result(stdout: str) -> dict:
     return result
 
 
+def _values(results: list[dict], name: str) -> np.ndarray:
+    return np.array([r["metrics"][name]["value"] for r in results], dtype=np.float64)
+
+
 def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> list[str]:
     """One line per metric from the pairs ``zip(parent, change)`` of results."""
     lines = []
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
-        a = np.array([r["metrics"][name]["value"] for r in parent], dtype=np.float64)
-        b = np.array([r["metrics"][name]["value"] for r in change], dtype=np.float64)
+        a, b = _values(parent, name), _values(change, name)
         qa, qb = np.percentile(a, [25, 50, 75]), np.percentile(b, [25, 50, 75])
         wins = int(np.sum(sign * (a - b) > 0))
         ratio = qb[1] / qa[1] if qa[1] else float("nan")
@@ -70,6 +73,34 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
             f"change better in {wins} of {len(a)}"
         )
     return lines
+
+
+def verdict(a, b, metric: dict) -> str:
+    """The verdict on one metric's pairs ``zip(a, b)`` (parent, change).
+
+    ``metric`` carries ``better`` and ``bound`` as in BENCHMARK.json; the
+    bound is a fraction of the parent's median. In order:
+
+    - ``gain``: the change is better in at least 9 of 10 pairs, ties
+      counting for neither side, and its median is better than the
+      parent's by more than the parent's interquartile range;
+    - ``regression``: the change's median is worse than the parent's by
+      more than the bound;
+    - ``unresolved``: the parent's interquartile range is more than the
+      bound, so the runs spread too widely to call the metric unchanged;
+    - ``no change``: none of these.
+    """
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    low, median, high = np.percentile(a, [25, 50, 75])
+    gap = sign * (median - np.median(b))  # how much better the change's median is
+    if 10 * int(np.sum(sign * (a - b) > 0)) >= 9 * len(a) and gap > high - low:
+        return "gain"
+    if -gap > metric["bound"] * abs(median):
+        return "regression"
+    if high - low > metric["bound"] * abs(median):
+        return "unresolved"
+    return "no change"
 
 
 def run_once(tree: str, workload: str, seed: int) -> dict:
@@ -110,8 +141,11 @@ def main() -> int:
                 return 1
         print(f"pair {pair + 1} of {args.pairs} done ({order[0]} first)", file=sys.stderr)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs")
-    for line in summarize(results["parent"], results["change"], end_to_end_metrics()):
+    metrics = end_to_end_metrics()
+    for metric, line in zip(metrics, summarize(results["parent"], results["change"], metrics)):
         print(line)
+        a, b = (_values(results[side], metric["name"]) for side in ("parent", "change"))
+        print(f"  verdict: {verdict(a, b, metric)}")
     return 0
 
 

@@ -18,7 +18,7 @@ quantization, and timing (unevenness) components without simulating again.
 
 from __future__ import annotations
 
-import threading
+import functools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -32,6 +32,7 @@ from .engine import (
     SpikeTrain,
     _V_TH_MIN,
     _currents,
+    _on_helper,
     _run_layer,
     spiking_layer_indices,
 )
@@ -192,31 +193,14 @@ def _walk(taps, indices: list[int], timesteps: int, grid_size: int):
         return
     pending = _fit_setup(taps[indices[0]], timesteps, grid_size, indices[0])
     _score_grid(pending)
-    for nxt in (*indices[1:], None):
+    for nxt in indices[1:]:
         # drop the scored fit's buffers before the next fit makes its own
-        fit, pending, helper, errors = pending.fit(), None, None, []
-        if nxt is not None:
-            pending = _fit_setup(taps[nxt], timesteps, grid_size, nxt)
-            helper = threading.Thread(target=_score_on_helper, args=(pending, errors),
-                                      name="spikecal-fit")
-            helper.start()
-        try:
+        fit, pending = pending.fit(), None
+        pending = _fit_setup(taps[nxt], timesteps, grid_size, nxt)
+        with _on_helper(functools.partial(_score_grid, pending), "spikecal-fit"):
             yield fit
-        finally:
-            if helper is not None:
-                helper.join()
-        if errors:
-            raise errors[0]
-
-
-def _score_on_helper(pending: _PendingFit, errors: list) -> None:
-    """The helper thread's whole work: ``_score_grid``. Any error, whatever
-    its kind, is kept in ``errors`` and re-raised by the walk on the calling
-    thread, so a fit never comes back half scored."""
-    try:
-        _score_grid(pending)
-    except BaseException as err:
-        errors.append(err)
+    fit, pending = pending.fit(), None  # and the last fit's before the last layer's work
+    yield fit
 
 
 def configs_from_fits(fits: list[ThresholdFit]) -> list[LayerSnnConfig]:

@@ -661,11 +661,11 @@ def cmd_ablate(cfg: RunConfig) -> int:
         variants = [(name, _load_configs(path, model)) for name, path in paths]
         cache = store.load_cache(art.cache)
         images, labels = _model_inputs(cfg, model, "eval")
+        cache.check_model(model)  # before any simulation or thread starts
+        runs = _ablation_runs(cfg, model, variants, cache, images)
+        del images  # an MLP's runs keep only the current they make of the images
         fixed, gated = [], []  # (variant, mean_t, accuracy, spikes, energy)
-        for name, configs in variants:
-            # fit first, drop the run after: no two simulations are held at once
-            policy = None if name == "baseline" else _fit_policy(cfg, model, configs, cache, T)
-            run = engine.run_snn(model, configs, images, T, membrane_init=cfg.membrane_init)
+        for name, run, policy in runs:
             fixed.append((name, float(T), *_fixed_eval(model, run, T, labels, em)))
             if policy is not None:
                 tr = early_exit.apply_gate(model, run, policy, labels)
@@ -685,6 +685,40 @@ def cmd_ablate(cfg: RunConfig) -> int:
     for row in rows:
         print("  " + row)
     return 0
+
+
+def _ablation_runs(cfg: RunConfig, model, variants, cache, images):
+    """Yield ``(name, eval-set run, exit policy)`` for each config set in
+    ``variants``, with no policy for the baseline; each policy is fitted
+    on the calibration inputs at ``timesteps``.
+
+    An MLP's five runs go layer by layer (``engine._whole_runs``): the
+    three eval-set runs on the calling thread while one helper thread makes
+    the two policy-fit runs. A model with any other feeder (every CNN) runs
+    serially through ``run_snn``, fitting each policy before its eval-set
+    run, so that at most one simulation is held at once.
+    """
+    T, init = cfg.timesteps, cfg.membrane_init
+    if not all(map(engine._single_dense, engine._check_run(model, variants[0][1], T).feeds[1:])):
+        for name, configs in variants:
+            policy = None if name == "baseline" else _fit_policy(cfg, model, configs, cache, T)
+            yield name, engine.run_snn(model, configs, images, T, membrane_init=init), policy
+        return
+    plans = [engine._check_run(model, configs, T) for _, configs in variants]
+    # every record and each lane's workspace, sized for that lane's own
+    # inputs, before the helper starts: workspaces sized for the eval set on
+    # both lanes, sharing one job list, cost 10% more peak RSS
+    make_eval, scores, spikes = engine._whole_runs(model, plans, images, T, init, spikes=True)
+    del images
+    make_fits, fit_scores, _ = engine._whole_runs(model, plans[1:], cache.inputs, T, init,
+                                                  spikes=False)
+    with engine._on_helper(make_fits, "spikecal-ablate"):
+        make_eval()
+    del make_eval, make_fits  # the workspaces go before the rows are formed
+    policies = [None, *(early_exit._policy(s, cfg.exit.alpha_base, cfg.exit.beta, cfg.exit.delta)
+                        for s in fit_scores)]
+    for (name, _), plan, s, k, policy in zip(variants, plans, scores, spikes, policies):
+        yield name, engine._recorded(plan, s, k), policy
 
 
 def cmd_report(cfg: RunConfig) -> int:

@@ -135,13 +135,18 @@ def fit_exit_policy(
         raise ValueError(f"delta must be positive, got {delta}")
     cache.check_model(model)
     run = run_snn(model, configs, cache.inputs, t_max, membrane_init=membrane_init)
-    probs = softmax(run.step_scores, axis=-1)  # [T, N, classes]
-    ebar = entropy(probs).mean(axis=1)
+    return _policy(run.step_scores, alpha_base, beta, delta)
+
+
+def _policy(step_scores: np.ndarray, alpha_base: float, beta: float, delta: float) -> ExitPolicy:
+    """The policy of a calibration run's [T, N, classes] cumulative scores:
+    the mean entropy of each step's softmax, one boundary per step."""
+    ebar = entropy(softmax(step_scores, axis=-1)).mean(axis=1)
     return ExitPolicy(
         alpha_base=float(alpha_base),
         beta=float(beta),
         delta=float(delta),
-        t_max=int(t_max),
+        t_max=len(step_scores),
         mean_entropy=np.asarray(ebar, dtype=np.float64),
     )
 

@@ -18,17 +18,23 @@ The analog input batch is injected as a constant current every timestep, and
 the dense head never spikes; its accumulated membrane divided by T is the
 score vector. Membranes are carried in float64.
 
-Every run goes through one loop, ``_simulate``: each step runs every layer
-from the input (or from a recorded spike train) to the head, so a run can
-stop after any step. The sensitivity table's downstream trial runs on an
-MLP are the one exception (``search._trial``). The README's "Simulation
-order" section says why and how.
+Runs go through one of two loops. ``_simulate`` is time-major: each step
+runs every layer from the input (or from a recorded spike train) to the
+head, so a run can stop after any step; eval, report, fit-exit, serve and
+the table's trunks use it. ``_layer_major`` runs an MLP layer by layer in
+buffers its caller made and allocates nothing: the sensitivity table's
+downstream trials and ``ablate``'s runs, which also use two threads
+(``_on_helper``). Both give the same records bit for bit. The README's
+"Simulation order" section says why and how.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
+import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -434,6 +440,185 @@ def _simulate(
     v_last = {i: v for (i, *_), v in zip(spiking, vs)}
     trains = {i: SpikeTrain(c[:steps], thr) for (i, _, thr, _), c in zip(spiking, counts)}
     return step_scores[:steps], step_spikes[:steps], v_last, (trains if keep_trains else None)
+
+
+@dataclass(frozen=True)
+class _Workspace:
+    """One lane's buffers for ``_layer_major``, each flat and as large as the
+    largest array it holds: float64 for the membrane, ``k`` (which also
+    takes each product) and the amplitudes (a step's input, then the bias
+    broadcast to the product's shape, then the emissions, then the step's
+    unit-spike count); up to two count buffers, each T steps of a spiking
+    layer's counts, that the spiking layers of a run fill in turn, each
+    sized for the widest layer it takes; and the ones that count a step's
+    unit spikes."""
+
+    v: np.ndarray
+    k: np.ndarray
+    amp: np.ndarray
+    counts: tuple
+    ones: np.ndarray
+
+    @classmethod
+    def of(cls, sizes: list[int], timesteps: int, count_dtype, units: int = 0) -> _Workspace:
+        """Buffers for runs fed ``sizes[0]`` values a step, through spiking
+        layers of ``sizes[1:-1]`` to a head of ``sizes[-1]``; ``units`` is
+        the widest spiking layer's width when the runs record unit spikes."""
+        spiking = sizes[1:-1]  # the even-numbered layers fill the first count buffer
+        return cls(
+            v=np.empty(max(spiking, default=0)),
+            k=np.empty(max(sizes[1:])),
+            amp=np.empty(max(sizes)),
+            counts=tuple(np.empty(timesteps * max(spiking[i::2]), count_dtype)
+                         for i in range(min(2, len(spiking)))),
+            ones=np.ones(units),
+        )
+
+
+def _view(buf: np.ndarray, shape) -> np.ndarray:
+    """The front of a flat buffer as an array of ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _single_dense(feed) -> bool:
+    """Whether ``feed``, a run plan's feeding layers, is one dense layer."""
+    return len(feed) == 1 and feed[0][1] is not None
+
+
+def _layer_major(plan: _RunPlan, start: int, source, timesteps: int, ws: _Workspace,
+                 membrane_init: float, scores: np.ndarray, spikes: np.ndarray | None = None) -> None:
+    """Run ``plan``'s model from ``source`` to the head for ``timesteps``
+    steps, layer by layer in ``ws``: bit for bit what ``_simulate`` records.
+
+    ``source`` is the train entering graph index ``start``, or, with
+    ``start`` 0, the constant current entering the first spiking layer
+    (the output of the layers before it). Every feeder after that must be
+    one dense layer. ``scores`` takes the final scores [N, classes], or the
+    cumulative scores after every step [T, N, classes]; ``spikes``, when
+    given, takes each spiking layer's unit spikes per step [T, L, N].
+
+    Each spiking layer runs all T steps on the counts of the one before it
+    (the train's, then a count buffer's), writing its own counts into the
+    other count buffer, and the head adds its T outputs into the last row
+    of ``scores``. A layer's input at step t is ``counts[t] * threshold``,
+    the emissions bit for bit. Its product goes into ``ws.k``, and the bias
+    is added as ``nn.apply_layer`` adds it, from a copy broadcast into the
+    amplitude buffer, which the product has freed: adding a broadcast bias
+    would allocate numpy's iteration buffer on every call. ``_fire`` then
+    reads ``ws.k`` as the current before writing the step's counts over it.
+    The run allocates nothing and calls nothing public.
+    """
+    first = bisect.bisect_right(plan.begins, start) - 1
+    if isinstance(source, SpikeTrain):
+        counts, threshold = source.counts, source.threshold
+        n = counts.shape[1]
+    else:
+        counts, n = None, len(source)
+    out = scores[-1] if scores.ndim == 3 else scores  # where the head's outputs add up
+    for s, (feed, spiking) in enumerate(zip(plan.feeds[first:], (*plan.spiking[first:], None))):
+        if counts is None:
+            shape = source.shape
+        else:
+            ((_, (w_t, b)),) = feed
+            shape = (n, w_t.shape[1])
+            amp = _view(ws.amp, counts.shape[1:])
+        # the amplitude buffer's front holds the bias, then the emissions
+        k, front = _view(ws.k, shape), _view(ws.amp, shape)
+        if spiking is not None:
+            _, _, layer_threshold, phi = spiking
+            v = _view(ws.v, shape)
+            v.fill(membrane_init * layer_threshold)
+            written = _view(ws.counts[s % 2], (timesteps, *shape))
+            ones, count = ws.ones[: shape[1]], ws.amp[:n]
+        for t in range(timesteps):
+            if counts is None:
+                current = source
+            else:
+                # cast, then scale in place: a mixed-dtype multiply takes a cast buffer
+                np.copyto(amp, counts[t])
+                np.multiply(amp, threshold, out=amp)
+                current = np.matmul(amp, w_t, out=k)
+                np.copyto(front, b)
+                current += front
+            if spiking is not None:
+                _fire(v, current, k, layer_threshold, phi, emitted=front)
+                np.copyto(written[t], k, casting="unsafe")
+                if spikes is not None:  # as ``_simulate`` counts them
+                    np.dot(k, ones, out=count)
+                    np.copyto(spikes[t, s], count, casting="unsafe")
+                continue
+            if t == 0:
+                np.copyto(out, current)
+            else:
+                np.add(out, current, out=out)
+            if out is not scores and t + 1 < timesteps:
+                np.divide(out, float(t + 1), out=scores[t])
+        if spiking is not None:
+            counts, threshold = written, layer_threshold
+    np.divide(out, float(timesteps), out=out)
+
+
+def _whole_runs(model: ModelGraph, plans: list[_RunPlan], batch, timesteps: int,
+                membrane_init: float, *, spikes: bool):
+    """Whole runs of ``plans`` (config lists of ``model``, whose every
+    feeder after the first is one dense layer) on ``batch``, set up here.
+
+    The constant current entering the first spiking layer is computed once
+    for all of them, and one workspace, sized for ``batch`` and the largest
+    ``phi``, and every record are allocated. Returns ``(make, step_scores,
+    step_spikes)``: ``make()`` runs the plans one after another through
+    ``_layer_major`` into ``step_scores`` [R, T, N, classes] and, with
+    ``spikes``, ``step_spikes`` [R, T, L, N] (None without). It allocates
+    nothing and calls nothing public, so a helper thread may run it.
+    """
+    x = _check_batch(model, np.asarray(batch, dtype=np.float64))
+    for layer, op in plans[0].feeds[0]:
+        x = apply_layer(layer, x, op)
+    n, widths = len(x), [x.shape[1], *(ops[0].shape[1] for ((_, ops),) in plans[0].feeds[1:])]
+    phi = max(c.phi for plan in plans for _, c, *_ in plan.spiking)
+    ws = _Workspace.of([n * w for w in (widths[0], *widths)], timesteps, np.min_scalar_type(phi),
+                       units=max(widths[:-1]) if spikes else 0)
+    step_scores = np.empty((len(plans), timesteps, n, widths[-1]))
+    shape = (len(plans), timesteps, len(widths) - 1, n)
+    step_spikes = np.empty(shape, np.int64) if spikes else None
+
+    def make():
+        for i, plan in enumerate(plans):
+            _layer_major(plan, 0, x, timesteps, ws, membrane_init, step_scores[i],
+                         None if step_spikes is None else step_spikes[i])
+
+    return make, step_scores, step_spikes
+
+
+def _recorded(plan: _RunPlan, step_scores: np.ndarray, step_spikes: np.ndarray) -> SnnRun:
+    """The ``SnnRun`` of a whole run of ``plan`` that ``_whole_runs``
+    recorded; such a run keeps no membranes."""
+    return SnnRun(scores=step_scores[-1], stats=_stats(plan.fanout, step_spikes), v_last={},
+                  step_scores=step_scores, step_spikes=step_spikes)
+
+
+@contextlib.contextmanager
+def _on_helper(work, name: str):
+    """Run ``work()`` on one helper thread, named ``name``, while the
+    ``with`` block runs on the calling thread. Leaving the block, however
+    it is left, joins the helper; then what ``work`` raised, whatever its
+    kind, is raised again here, unless the block raised first."""
+    errors = []
+
+    def target():
+        try:
+            work()
+        except BaseException as err:  # raised again on the calling thread
+            errors.append(err)
+
+    helper = threading.Thread(target=target, name=name)
+    helper.start()
+    try:
+        yield
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 def _counted(step_spikes: np.ndarray, last) -> np.ndarray:

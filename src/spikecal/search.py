@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import bisect
 import collections
+import contextlib
+import functools
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,11 +39,14 @@ from .engine import (
     LayerSnnConfig,
     RunStats,
     _currents,
-    _fire,
+    _layer_major,
+    _on_helper,
     _prepare,
     _run_layer,
     _RunPlan,
     _simulate,
+    _single_dense,
+    _Workspace,
     layer_fanout,
     run_snn,
     spiking_layer_indices,
@@ -246,93 +250,13 @@ def build_table(
     return table
 
 
-@dataclass(frozen=True)
-class _Workspace:
-    """One lane's buffers for ``_trial``, each flat and as large as the
-    largest array it holds: float64 for the membrane, ``k`` (which also
-    takes each product) and the amplitudes (a step's input, then the bias
-    broadcast to the product's shape, then the emissions), and up to two
-    count buffers, each T steps of a spiking layer's counts, that the
-    spiking layers of a run fill in turn."""
-
-    v: np.ndarray
-    k: np.ndarray
-    amp: np.ndarray
-    counts: tuple
-
-    @classmethod
-    def of(cls, sizes: list[int], timesteps: int, count_dtype) -> _Workspace:
-        """Buffers for runs fed a train of ``sizes[0]`` values a step,
-        through spiking layers of ``sizes[1:-1]`` to a head of ``sizes[-1]``."""
-        neurons = max(sizes[1:-1], default=0)
-        return cls(
-            v=np.empty(neurons),
-            k=np.empty(max(sizes[1:])),
-            amp=np.empty(max(sizes)),
-            counts=tuple(np.empty(timesteps * neurons, count_dtype) for _ in sizes[1:-1][:2]),
-        )
-
-
-def _view(buf: np.ndarray, shape) -> np.ndarray:
-    """The front of a flat buffer as an array of ``shape``."""
-    return buf[: math.prod(shape)].reshape(shape)
-
-
-def _single_dense(feed) -> bool:
-    """Whether ``feed``, a run plan's feeding layers, is one dense layer."""
-    return len(feed) == 1 and feed[0][1] is not None
-
-
 def _trial(plan: _RunPlan, start: int, train, out: np.ndarray, ws: _Workspace,
            membrane_init: float) -> None:
-    """Write into ``out`` the scores [N, classes] of the run of ``plan``
-    resumed at graph index ``start`` from ``train``, where every feeder is
-    one dense layer: bit for bit the last row of ``_simulate(plan, start,
-    train, T, membrane_init)``'s scores.
-
-    The run goes layer by layer in ``ws``: each spiking layer runs all T
-    steps on the counts of the one before it (the train's, then a count
-    buffer's), writing its own counts into the other count buffer, and the
-    head adds its T outputs into ``out``. A layer's input at step t is
-    ``counts[t] * threshold``, the emissions bit for bit. Its product goes
-    into ``ws.k``, and the bias is added as ``nn.apply_layer`` adds it, from
-    a copy broadcast into the amplitude buffer, which the product has freed:
-    adding a broadcast bias would allocate numpy's iteration buffer on every
-    call. ``_fire`` then reads ``ws.k`` as the current before writing the
-    step's counts over it. The run allocates nothing and calls nothing
-    public.
-    """
-    first = bisect.bisect_right(plan.begins, start) - 1
-    counts, threshold = train.counts, train.threshold
-    timesteps, n = counts.shape[:2]
-    for s, (feed, spiking) in enumerate(zip(plan.feeds[first:], (*plan.spiking[first:], None))):
-        ((_, (w_t, b)),) = feed
-        shape = (n, w_t.shape[1])
-        amp = _view(ws.amp, counts.shape[1:])
-        # the amplitude buffer's front holds the bias, then the emissions
-        k, front = _view(ws.k, shape), _view(ws.amp, shape)
-        if spiking is not None:
-            _, _, layer_threshold, phi = spiking
-            v = _view(ws.v, shape)
-            v.fill(membrane_init * layer_threshold)
-            written = _view(ws.counts[s % 2], (timesteps, *shape))
-        for t in range(timesteps):
-            # cast, then scale in place: a mixed-dtype multiply takes a cast buffer
-            np.copyto(amp, counts[t])
-            np.multiply(amp, threshold, out=amp)
-            current = np.matmul(amp, w_t, out=k)
-            np.copyto(front, b)
-            current += front
-            if spiking is not None:
-                _fire(v, current, k, layer_threshold, phi, emitted=front)
-                np.copyto(written[t], k, casting="unsafe")
-            elif t == 0:  # the head's outputs add up in ``out``
-                np.copyto(out, current)
-            else:
-                np.add(out, current, out=out)
-        if spiking is not None:
-            counts, threshold = written, layer_threshold
-    np.divide(out, float(timesteps), out=out)
+    """One downstream run of the table: write into ``out`` the scores [N,
+    classes] of the run of ``plan`` resumed at graph index ``start`` from
+    ``train`` (``engine._layer_major``), bit for bit the last row of
+    ``_simulate(plan, start, train, T, membrane_init)``'s scores."""
+    _layer_major(plan, start, train, len(train.counts), ws, membrane_init, out)
 
 
 def _run_trials(plan: _RunPlan, start: int, trains: list, slots: np.ndarray, sizes: list[int],
@@ -359,21 +283,15 @@ def _run_trials(plan: _RunPlan, start: int, trains: list, slots: np.ndarray, siz
     dtype = np.min_scalar_type(max((c.phi for _, c, *_ in plan.spiking[first:]), default=1))
     workspaces = [_Workspace.of(sizes, timesteps, dtype) for _ in trains[:2]]
     jobs = collections.deque(zip(trains, slots))  # popleft is thread-safe
-    errors, helper = [], None
+    helper = contextlib.nullcontext()
     if len(workspaces) > 1:
-        helper = threading.Thread(
-            target=_helper_lane, args=(plan, start, jobs, workspaces[1], membrane_init, errors),
-            name="spikecal-trials",
-        )
-        helper.start()
-    try:
-        _lane(plan, start, jobs, workspaces[0], membrane_init)
-    finally:
-        jobs.clear()  # a failed lane stops the other after its current run
-        if helper is not None:
-            helper.join()
-    if errors:
-        raise errors[0]
+        helper = _on_helper(functools.partial(_lane, plan, start, jobs, workspaces[1], membrane_init),
+                            "spikecal-trials")
+    with helper:
+        try:
+            _lane(plan, start, jobs, workspaces[0], membrane_init)
+        finally:
+            jobs.clear()  # a failed lane stops the other after its current run
 
 
 def _lane(plan, start, jobs, ws, membrane_init) -> None:
@@ -384,15 +302,6 @@ def _lane(plan, start, jobs, ws, membrane_init) -> None:
         except IndexError:
             return
         _trial(plan, start, train, slot, ws, membrane_init)
-
-
-def _helper_lane(plan, start, jobs, ws, membrane_init, errors: list) -> None:
-    """The helper thread's whole work: ``_lane``. Any error, whatever its
-    kind, is kept in ``errors`` and raised again on the calling thread."""
-    try:
-        _lane(plan, start, jobs, ws, membrane_init)
-    except BaseException as err:
-        errors.append(err)
 
 
 def _merge_plans(table: SensitivityTable):

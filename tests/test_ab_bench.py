@@ -61,3 +61,35 @@ def test_failed_run_is_rejected(stdout, message):
 def test_end_to_end_metrics_come_from_the_benchmark():
     names = [m["name"] for m in ab_bench.end_to_end_metrics()]
     assert "stage.convert_s" in names and "serve.p90_ms" in names
+
+
+_LOWER = {"name": "stage.ablate_s", "unit": "s", "better": "lower", "bound": 0.25}
+_HIGHER = {"name": "accuracy_fixed", "unit": "ratio", "better": "higher", "bound": 0.25}
+_PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+
+
+@pytest.mark.parametrize("metric, parent, change, want", [
+    # faster in every pair, the medians 0.20 apart against a parent IQR of 0.02
+    (_LOWER, _PARENT, [v - 0.2 for v in _PARENT], "gain"),
+    # nine of ten pairs suffice
+    (_LOWER, _PARENT, [v - 0.2 for v in _PARENT[:9]] + [1.5], "gain"),
+    # eight of ten do not, and a gap within the bound is no change
+    (_LOWER, _PARENT, [v - 0.2 for v in _PARENT[:8]] + [1.5, 1.5], "no change"),
+    # better in every pair, but by less than the parent's IQR
+    (_LOWER, _PARENT, [v - 0.01 for v in _PARENT], "no change"),
+    # a higher-is-better metric gains upward
+    (_HIGHER, _PARENT, [v + 0.2 for v in _PARENT], "gain"),
+    (_HIGHER, _PARENT, [v - 0.2 for v in _PARENT], "no change"),
+    # worse than the parent's median by more than a quarter of it
+    (_LOWER, _PARENT, [v * 1.3 for v in _PARENT], "regression"),
+    (_HIGHER, _PARENT, [v * 0.7 for v in _PARENT], "regression"),
+    # worse, but within the bound
+    (_LOWER, _PARENT, [v * 1.2 for v in _PARENT], "no change"),
+    # the parent's own runs spread wider than the bound
+    (_LOWER, [0.8, 1.2] * 5, [0.7, 1.1] * 5, "unresolved"),
+    # a wide spread still lets a clear gain through, and a regression out
+    (_LOWER, [0.8, 1.2] * 5, [0.3] * 10, "gain"),
+    (_LOWER, [0.9, 1.0, 1.1, 1.0] * 3, [2.0] * 12, "regression"),
+])
+def test_verdict(metric, parent, change, want):
+    assert ab_bench.verdict(parent, change, metric) == want

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spikecal import cli, store
+from spikecal import cli, nn, store
 
 
 def write_config(tmp_path, **overrides):
@@ -602,6 +602,114 @@ def test_ablate_with_silent_baseline_writes_nan_deltas(finished_run, tmp_path, c
         ("baseline", "0.0", "0.0"), ("burst", "0.0", "nan"), ("burst+compress", "0.0", "nan"),
         ("burst+exit", "0.0", "nan"), ("burst+compress+exit", "0.0", "nan"),
     ]
+
+
+@pytest.fixture(scope="module")
+def cnn_run(tmp_path_factory):
+    """A tiny CNN run through ablate, with ``timesteps == t_max``."""
+    tmp_path = tmp_path_factory.mktemp("cnn-pipeline")
+    config, raw = write_config(
+        tmp_path, timesteps=4, t_max=4, calib_samples=32,
+        dataset={"kind": "blobs", "n": 120, "eval_n": 40, "dim": [1, 8, 8], "classes": 3,
+                 "separation": 24.0},
+        model={"arch": "cnn", "channels": [2, 3]}, train={"epochs": 3},
+    )
+    for stage in ALL_STAGES[:-1]:
+        assert cli.main([stage, "--config", str(config)]) == 0, stage
+    return tmp_path, config, raw
+
+
+@pytest.mark.parametrize("run", ["finished_run", "cnn_run"])
+def test_ablation_rows_equal_the_eval_rows_of_the_same_run(request, run):
+    """``burst+compress`` is ``eval``'s fixed row (the full configs at T on
+    the eval set), and with ``timesteps == t_max`` its exit row is the
+    adaptive row: the MLP's layer-major runs on two lanes and the CNN's
+    serial runs both give the time-major run's numbers."""
+    _, _, raw = request.getfixturevalue(run)
+    assert raw["timesteps"] == raw["t_max"]
+    art = cli.Artifacts(raw["out_dir"])
+    with open(art.ablation) as fh:
+        ablation = {row["variant"]: row for row in csv.DictReader(fh)}
+    with open(art.eval_report) as fh:
+        evaluated = {row["mode"]: row for row in csv.DictReader(fh)}
+    fixed, adaptive = evaluated["fixed"], evaluated["adaptive"]
+    full, gated = ablation["burst+compress"], ablation["burst+compress+exit"]
+    for key in ("accuracy", "spikes_per_input", "energy"):
+        assert full[key] == fixed[key], key
+        assert gated[key] == adaptive[key], key
+    assert gated["mean_t"] == adaptive["mean_exit_t"]
+    assert float(full["spikes_per_input"]) > 0
+
+
+@pytest.mark.parametrize("error, code, start", [
+    (MemoryError("Unable to allocate 8.00 EiB for an array"), 1,
+     "error: [ablate] out of memory (Unable to allocate 8.00 EiB"),
+    (cli.engine.ConfigMismatchError("3 configs for 2 spiking layers"), 2,
+     "internal error: ConfigMismatchError: 3 configs for 2 spiking layers"),
+])
+def test_ablate_reports_an_error_of_a_policy_fit_on_the_helper(finished_run, tmp_path, capsys,
+                                                               monkeypatch, error, code, start):
+    """A policy-fit run that raises on the helper thread exits as the same
+    error from ``run_snn`` does, and no thread outlives the stage."""
+    config, art = _copy_run(finished_run, tmp_path)
+    before = open(art.ablation, "rb").read()
+    runner, run_snn, failed = cli.engine._layer_major, cli.early_exit.run_snn, []
+    calib = finished_run[2]["calib_samples"]
+
+    def failing(plan, start, source, *args):
+        if len(source) == calib:
+            failed.append(threading.current_thread() is not threading.main_thread())
+            raise error
+        return runner(plan, start, source, *args)
+
+    def failing_serially(model, configs, batch, *args, **kwargs):
+        if len(batch) == calib:
+            raise error
+        return run_snn(model, configs, batch, *args, **kwargs)
+
+    monkeypatch.setattr(cli.engine, "_layer_major", failing)
+    threads = threading.enumerate()
+    capsys.readouterr()
+    assert cli.main(["ablate", "--config", config]) == code
+    assert threading.enumerate() == threads
+    assert failed == [True]
+    err = capsys.readouterr().err
+    assert err.startswith(start), err
+    assert open(art.ablation, "rb").read() == before
+    # the serial path, which a CNN takes, fails the same way on the same error
+    monkeypatch.setattr(cli.early_exit, "run_snn", failing_serially)
+    monkeypatch.setattr(cli.engine, "_single_dense", lambda feed: False)
+    assert cli.main(["ablate", "--config", config]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_ablate_rejects_a_cache_of_another_model_before_any_thread(finished_run, tmp_path,
+                                                                   capsys, monkeypatch):
+    config, art = _copy_run(finished_run, tmp_path)
+    other = nn.build_mlp(32, [24, 16], 4, seed=99)
+    data = store.make_synthetic("blobs", 40, seed=0, classes=4, dim=32)
+    store.save_cache(store.build_calibration_cache(other, data, 16, seed=0), art.cache)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    capsys.readouterr()
+    assert cli.main(["ablate", "--config", config]) == 1
+    assert started == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: [ablate] cache was built for model "), err
+
+
+def test_ablate_calls_every_public_function_on_the_main_thread(finished_run, tmp_path, thread_log):
+    """``ablate``'s helper runs only the layer-major runner, on the
+    calibration inputs; the eval-set runs and every public call stay on the
+    main thread."""
+    config, _ = _copy_run(finished_run, tmp_path)
+    calls = thread_log((cli.early_exit, cli.engine, nn, cli.search), [cli.engine._layer_major])
+    assert cli.main(["ablate", "--config", config]) == 0
+    main = threading.get_ident()
+    runs = [ident for name, ident in calls if name == "engine._layer_major"]
+    assert len(runs) == 5 and runs.count(main) == 3 and len(set(runs)) == 2
+    assert {"early_exit.apply_gate", "nn.apply_layer"} <= {name for name, _ in calls}
+    assert all(ident == main for name, ident in calls if name != "engine._layer_major"), calls
 
 
 def _write_idx(tmp_path, labels):

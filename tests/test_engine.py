@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -596,6 +596,72 @@ def test_resumed_run_equals_one_pass(random_net, arch, chunk):
                     assert train.counts.dtype == want.dtype, (start, steps, i)
                     assert train.counts.tobytes() == want.tobytes(), (start, steps, i)
                     assert v_last[i].tobytes() == prefix[2][i].tobytes(), (start, steps, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    dim=st.integers(1, 8),
+    classes=st.integers(2, 4),
+    knobs=st.lists(st.tuples(st.integers(1, 255), st.integers(1, 4), st.floats(0.05, 2.0)),
+                   min_size=4, max_size=4),
+    timesteps=st.integers(1, 6),
+    n=st.sampled_from([1, 7]),
+    membrane_init=st.sampled_from([0.5, 0.0, -0.3, 0.9]),
+    seed=st.integers(0, 2**16),
+)
+@example(widths=[9, 3, 11], dim=5, classes=3, knobs=[(2, 1, 0.3)] * 4, timesteps=4, n=7,
+         membrane_init=0.5, seed=0)  # shrinks, then grows past the first
+def test_layer_major_whole_run_equals_simulate(widths, dim, classes, knobs, timesteps, n,
+                                               membrane_init, seed):
+    """A whole run through the layer-major runner records ``_simulate``'s
+    ``step_scores`` and ``step_spikes`` bit for bit, for every config list
+    sharing one workspace, with the spike record or without it."""
+    rng = np.random.default_rng(seed)
+    model = nn.build_mlp(dim, widths, classes, seed=seed)
+    x = rng.standard_normal((n, dim)) * 2.0
+    config_lists = [
+        [engine.LayerSnnConfig(v_th=v_th, rho=rho, phi=phi) for phi, rho, v_th in knobs[:len(widths)]],
+        [engine.LayerSnnConfig(v_th=v_th, rho=1, phi=1) for _, _, v_th in knobs[:len(widths)]],
+    ]
+    plans = [engine._prepare(model, configs) for configs in config_lists]
+    make, step_scores, step_spikes = engine._whole_runs(
+        model, plans, x, timesteps, membrane_init, spikes=True
+    )
+    make_scores, scores_only, none = engine._whole_runs(
+        model, plans, x, timesteps, membrane_init, spikes=False
+    )
+    make()
+    make_scores()
+    assert none is None and step_spikes.dtype == np.int64
+    for i, plan in enumerate(plans):
+        want_scores, want_spikes = engine._simulate(plan, 0, x, timesteps, membrane_init)[:2]
+        assert step_scores[i].tobytes() == want_scores.tobytes(), i
+        assert scores_only[i].tobytes() == want_scores.tobytes(), i
+        assert step_spikes[i].shape == want_spikes.shape
+        assert step_spikes[i].tobytes() == want_spikes.tobytes(), i
+        run = engine._recorded(plan, step_scores[i], step_spikes[i])
+        assert run.stats == engine.run_snn(model, config_lists[i], x, timesteps,
+                                           membrane_init=membrane_init).stats
+
+
+def test_whole_runs_allocate_nothing_once_set_up():
+    """Whole runs in a prepared workspace, spikes recorded, allocate under
+    4 KiB, the products large enough for numpy to buffer a careless call."""
+    rng = np.random.default_rng(0)
+    model = nn.build_mlp(64, [128, 96, 128], 10, seed=0)
+    x = rng.standard_normal((512, 64))
+    configs = [engine.LayerSnnConfig(v_th=0.2, rho=rho, phi=3) for rho in (1, 2, 1)]
+    make, _, _ = engine._whole_runs(model, [engine._prepare(model, configs)], x, 6, 0.5,
+                                    spikes=True)
+    make()
+    tracemalloc.start()
+    try:
+        make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
