@@ -9,6 +9,10 @@ file the runs left there and everything they printed, byte for byte:
 - ``deep-search`` and ``cnn-exit``: those configs of
   ``perfbench/workloads.py`` at seed 7, one ``python -m spikecal`` per stage.
 
+Each then runs ``eval --trace`` once more, which also writes
+``spike_trace.csv``: eval's run on the trace path, where the one-input
+trace run follows the eval-set run.
+
 After its stages, each checkout also serves every eval input from its own
 artifacts, one ``early_exit.infer_adaptive`` call per input as the
 benchmark's serve phase does, and the two traces are compared field by field
@@ -79,6 +83,7 @@ def run(tree: str, name: str, out: str) -> dict[str, bytes]:
         with open(config, "w", encoding="utf-8") as fh:
             json.dump(make_config(name, SEED, out), fh, indent=2)
         commands = [[sys.executable, "-m", "spikecal", s, "--config", config] for s in STAGES]
+    commands.append([sys.executable, "-m", "spikecal", "eval", "--trace", "--config", config])
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     printed = []

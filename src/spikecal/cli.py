@@ -612,7 +612,11 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
     with _stage("eval-fixed"):
         # one run answers the fixed horizon and the exit gate alike
         horizon = cfg.timesteps if policy is None else max(cfg.timesteps, policy.t_max)
-        run = engine.run_snn(model, configs, images, horizon, membrane_init=cfg.membrane_init)
+        go = engine._eval_run(model, configs, images, horizon, cfg.membrane_init)
+        first = images[:1].copy() if trace else None  # a view would keep the batch
+        del images  # an MLP's run keeps only the current it makes of the images
+        run = go()
+        del go  # the lanes' workspaces
         acc, spikes, energy = _fixed_eval(model, run, cfg.timesteps, labels, cfg.energy)
         rows.append(
             f"fixed,{cfg.timesteps},{acc!r},{float(cfg.timesteps)!r},{spikes!r},{energy!r}"
@@ -620,7 +624,7 @@ def cmd_eval(cfg: RunConfig, trace: bool = False) -> int:
     if trace:
         with _stage("spike-trace"):
             one = engine.run_snn(
-                model, configs, images[:1], cfg.timesteps,
+                model, configs, first, cfg.timesteps,
                 membrane_init=cfg.membrane_init, record_trains=True,
             )
             engine.dump_trace(one, art.spike_trace)
@@ -692,9 +696,12 @@ def _ablation_runs(cfg: RunConfig, model, variants, cache, images):
     ``variants``, with no policy for the baseline; each policy is fitted
     on the calibration inputs at ``timesteps``.
 
-    An MLP's five runs go layer by layer (``engine._whole_runs``): the
-    three eval-set runs on the calling thread while one helper thread makes
-    the two policy-fit runs. A model with any other feeder (every CNN) runs
+    An MLP's five runs go through the layer-major runner serially, each
+    layer all T steps at a time in one workspace per lane
+    (``engine._whole_runs``): the three eval-set runs on the calling
+    thread while one helper thread makes the two policy-fit runs. (One run
+    split over two lanes, as ``eval`` and ``report`` make theirs, is
+    ``engine._eval_run``.) A model with any other feeder (every CNN) runs
     serially through ``run_snn``, fitting each policy before its eval-set
     run, so that at most one simulation is held at once.
     """
@@ -747,11 +754,18 @@ def cmd_report(cfg: RunConfig) -> int:
                     f"but report needs a {kind} plan for the spiking layers {spiking} "
                     f"of {art.calibrated}"
                 )
+        exits = early_exit.load_exit_steps(art.exit_trace, policy.t_max)
+        if len(exits) != len(labels):
+            raise UserError(
+                f"[report-setup] {art.exit_trace} holds {len(exits)} rows "
+                f"for {len(labels)} eval inputs"
+            )
     with _stage("accuracy-curve"):
-        run = engine.run_snn(
-            model, configs, images, max(ACCURACY_CURVE_TIMESTEPS),
-            membrane_init=cfg.membrane_init,
-        )
+        go = engine._eval_run(model, configs, images, max(ACCURACY_CURVE_TIMESTEPS),
+                              cfg.membrane_init)
+        del images  # an MLP's run keeps only the current it makes of the images
+        run = go()
+        del go  # the lanes' workspaces
         rows = []
         for t in ACCURACY_CURVE_TIMESTEPS:
             acc, spikes, energy = _fixed_eval(model, run, t, labels, cfg.energy)
@@ -766,12 +780,6 @@ def cmd_report(cfg: RunConfig) -> int:
                 rows.append(f"{kind},{s!r},{e!r}")
         store.write_atomic(art.frontier, ["kind,s_sum,e_sum", *rows])
     with _stage("exit-histogram"):
-        exits = early_exit.load_exit_steps(art.exit_trace, policy.t_max)
-        if len(exits) != len(labels):
-            raise UserError(
-                f"[exit-histogram] {art.exit_trace} holds {len(exits)} rows "
-                f"for {len(labels)} eval inputs"
-            )
         rows = [f"{t},{int(np.sum(exits == t))}" for t in range(1, policy.t_max + 1)]
         store.write_atomic(art.exit_histogram, ["exit_t,count", *rows])
     print(f"report bundle -> {art.report_dir}")

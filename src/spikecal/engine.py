@@ -20,11 +20,20 @@ score vector. Membranes are carried in float64.
 
 Runs go through one of two loops. ``_simulate`` is time-major: each step
 runs every layer from the input (or from a recorded spike train) to the
-head, so a run can stop after any step; eval, report, fit-exit, serve and
-the table's trunks use it. ``_layer_major`` runs an MLP layer by layer in
-buffers its caller made and allocates nothing: the sensitivity table's
-downstream trials and ``ablate``'s runs, which also use two threads
-(``_on_helper``). Both give the same records bit for bit. The README's
+head, so a run can stop after any step; ``run_snn``, fit-exit, serve, the
+table's trunks and every CNN run use it. ``_layer_major`` runs an MLP layer
+by layer in buffers its caller made and allocates nothing, so a helper
+thread (``_on_helper``) may run it: serially, all T steps a layer, for the
+sensitivity table's downstream trials and ``ablate``'s runs, which two
+threads share out; and on two lanes for the eval-set run of ``eval`` and
+``report`` (``_eval_run``) of an MLP of three spiking layers or more. There
+spiking layer s runs on lane s % 2 and the head on lane L % 2, ``_CHUNK`` =
+4 steps at a time through a pair of count buffers 4 steps deep, each layer
+from its own membrane, and ``_Lanes`` lets layer s run step g once layer
+s - 1 has finished it. The chunk bounds the count buffers: an unchunked
+prototype on demo-mlp, its buffers T = 32 steps deep, took ``report``'s
+traced peak from 19.43 to 32.96 MiB and ``peak_rss_mb`` up 18% (2-vCPU
+VM). Every loop gives the same records bit for bit. The README's
 "Simulation order" section says why and how.
 """
 
@@ -32,6 +41,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import math
 import operator
 import threading
@@ -445,15 +455,16 @@ def _simulate(
 @dataclass(frozen=True)
 class _Workspace:
     """One lane's buffers for ``_layer_major``, each flat and as large as the
-    largest array it holds: float64 for the membrane, ``k`` (which also
-    takes each product) and the amplitudes (a step's input, then the bias
-    broadcast to the product's shape, then the emissions, then the step's
-    unit-spike count); up to two count buffers, each T steps of a spiking
-    layer's counts, that the spiking layers of a run fill in turn, each
-    sized for the widest layer it takes; and the ones that count a step's
-    unit spikes."""
+    largest array it holds: float64 for the membranes (``v``, one that the
+    spiking layers take in turn, or one per spiking layer in a chunked run),
+    ``k`` (which also takes each product) and the amplitudes (a step's
+    input, then the bias broadcast to the product's shape, then the
+    emissions, then the step's unit-spike count); up to two count buffers
+    that the spiking layers of a run fill in turn, each as many steps deep
+    as the run takes at a time and each step sized for the widest layer it
+    takes; and the ones that count a step's unit spikes."""
 
-    v: np.ndarray
+    v: tuple
     k: np.ndarray
     amp: np.ndarray
     counts: tuple
@@ -464,15 +475,35 @@ class _Workspace:
         """Buffers for runs fed ``sizes[0]`` values a step, through spiking
         layers of ``sizes[1:-1]`` to a head of ``sizes[-1]``; ``units`` is
         the widest spiking layer's width when the runs record unit spikes."""
-        spiking = sizes[1:-1]  # the even-numbered layers fill the first count buffer
         return cls(
-            v=np.empty(max(spiking, default=0)),
+            v=(np.empty(max(sizes[1:-1], default=0)),),
             k=np.empty(max(sizes[1:])),
             amp=np.empty(max(sizes)),
-            counts=tuple(np.empty(timesteps * max(spiking[i::2]), count_dtype)
-                         for i in range(min(2, len(spiking)))),
+            counts=_count_pair(sizes[1:-1], timesteps, count_dtype),
             ones=np.ones(units),
         )
+
+    @classmethod
+    def lanes(cls, sizes: list[int], count_dtype, units: int) -> tuple[_Workspace, _Workspace]:
+        """The two lanes' buffers for one chunked run (``of``'s ``sizes``):
+        both hold every spiking layer's membrane and one pair of count
+        buffers ``_CHUNK`` steps deep, and each its own ``k`` and amplitude
+        buffer, sized for the layers on that lane."""
+        v = tuple(np.empty(size) for size in sizes[1:-1])
+        counts = _count_pair(sizes[1:-1], _CHUNK, count_dtype)
+        return tuple(
+            cls(v=v, k=np.empty(max(sizes[1 + lane::2])), amp=np.empty(max(sizes[lane:])),
+                counts=counts, ones=np.ones(units))
+            for lane in (0, 1)
+        )
+
+
+def _count_pair(spiking: list[int], depth: int, count_dtype) -> tuple:
+    """Up to two count buffers, ``depth`` steps deep: the even-numbered
+    layers of ``spiking`` (sizes per step) fill the first, the others the
+    second, and each step of a buffer is sized for the largest of its own."""
+    return tuple(np.empty(depth * max(spiking[i::2]), count_dtype)
+                 for i in range(min(2, len(spiking))))
 
 
 def _view(buf: np.ndarray, shape) -> np.ndarray:
@@ -480,13 +511,70 @@ def _view(buf: np.ndarray, shape) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
+def _rows(buf: np.ndarray, depth: int, shape) -> np.ndarray:
+    """A count buffer as ``depth`` steps of ``shape``, each step at the
+    front of its own equal share of ``buf``."""
+    return np.reshape(buf.reshape(depth, -1)[:, : math.prod(shape)], (depth, *shape), copy=False)
+
+
 def _single_dense(feed) -> bool:
     """Whether ``feed``, a run plan's feeding layers, is one dense layer."""
     return len(feed) == 1 and feed[0][1] is not None
 
 
+_CHUNK = 4  # the steps a layer of a two-lane run takes at a time (module docstring)
+# the fewest spiking layers a run goes on two lanes with: the first takes the
+# constant current and makes no product, so below three lane 0 holds no spiking
+# layer's product, and demo-mlp's two layers read no gain (README)
+_LANES_MIN_LAYERS = 3
+
+
+class _Lanes:
+    """The order of the two lanes of a chunked run of ``layers`` spiking
+    layers and a head (``_layer_major``), over one condition.
+
+    ``done[s]`` counts the steps layer s (the head is layer L) has
+    finished. Layer s may run step t once layer s - 1, on the other lane,
+    has finished it. The first writer of a count buffer, layer 0 or 1, may
+    begin a chunk once the buffer's last reader has finished the chunk
+    before. A lane that raises calls ``fail``; every wait then returns
+    false, and the other lane stops.
+    """
+
+    def __init__(self, layers: int):
+        self.cond = threading.Condition()
+        self.done = [0] * (layers + 1)
+        self.writers = min(2, layers)
+        # the last reader of each count buffer: the head (layer L) reads buffer
+        # (L - 1) % 2, and layer L - 1 the other
+        self.readers = tuple(layers - (layers - 1 - b) % 2 for b in range(2))
+        self.failed = False
+
+    def _ready(self, s: int, t: int) -> bool:
+        if s and self.done[s - 1] <= t:
+            return False
+        return s >= self.writers or t % _CHUNK or self.done[self.readers[s]] >= t
+
+    def wait(self, s: int, t: int) -> bool:
+        """Block until layer s may run step t; false once a lane failed."""
+        with self.cond:
+            self.cond.wait_for(lambda: self.failed or self._ready(s, t))
+            return not self.failed
+
+    def finish(self, s: int, t: int) -> None:
+        with self.cond:
+            self.done[s] = t + 1
+            self.cond.notify_all()
+
+    def fail(self) -> None:
+        with self.cond:
+            self.failed = True
+            self.cond.notify_all()
+
+
 def _layer_major(plan: _RunPlan, start: int, source, timesteps: int, ws: _Workspace,
-                 membrane_init: float, scores: np.ndarray, spikes: np.ndarray | None = None) -> None:
+                 membrane_init: float, scores: np.ndarray, spikes: np.ndarray | None = None,
+                 lanes: tuple | None = None) -> None:
     """Run ``plan``'s model from ``source`` to the head for ``timesteps``
     steps, layer by layer in ``ws``: bit for bit what ``_simulate`` records.
 
@@ -497,65 +585,99 @@ def _layer_major(plan: _RunPlan, start: int, source, timesteps: int, ws: _Worksp
     cumulative scores after every step [T, N, classes]; ``spikes``, when
     given, takes each spiking layer's unit spikes per step [T, L, N].
 
-    Each spiking layer runs all T steps on the counts of the one before it
-    (the train's, then a count buffer's), writing its own counts into the
-    other count buffer, and the head adds its T outputs into the last row
-    of ``scores``. A layer's input at step t is ``counts[t] * threshold``,
-    the emissions bit for bit. Its product goes into ``ws.k``, and the bias
-    is added as ``nn.apply_layer`` adds it, from a copy broadcast into the
-    amplitude buffer, which the product has freed: adding a broadcast bias
-    would allocate numpy's iteration buffer on every call. ``_fire`` then
-    reads ``ws.k`` as the current before writing the step's counts over it.
-    The run allocates nothing and calls nothing public.
+    Serially (``lanes`` None), each spiking layer runs all T steps on the
+    counts of the one before it (the train's, then a count buffer's),
+    writing its own counts into the other count buffer, from one membrane
+    that the layers take in turn, and the head adds its T outputs into the
+    last row of ``scores``. ``lanes``, a ``(_Lanes, lane)`` pair, makes
+    this one lane of a chunked run of a constant current: only layer s
+    with s % 2 == lane runs here, ``_CHUNK`` steps at a time, each from its
+    own membrane, through count buffers ``_CHUNK`` steps deep, and each
+    step waits as ``_Lanes`` orders it.
+
+    A layer's input at step t is ``counts[t] * threshold``, the emissions
+    bit for bit. Its product goes into ``ws.k``, and the bias is added as
+    ``nn.apply_layer`` adds it, from a copy broadcast into the amplitude
+    buffer, which the product has freed: adding a broadcast bias would
+    allocate numpy's iteration buffer on every call. ``_fire`` then reads
+    ``ws.k`` as the current before writing the step's counts over it. The
+    run allocates nothing and calls nothing public.
     """
     first = bisect.bisect_right(plan.begins, start) - 1
-    if isinstance(source, SpikeTrain):
-        counts, threshold = source.counts, source.threshold
-        n = counts.shape[1]
-    else:
-        counts, n = None, len(source)
+    layers = tuple(zip(plan.feeds[first:], (*plan.spiking[first:], None)))
+    from_train = isinstance(source, SpikeTrain)
+    n = source.counts.shape[1] if from_train else len(source)
     out = scores[-1] if scores.ndim == 3 else scores  # where the head's outputs add up
-    for s, (feed, spiking) in enumerate(zip(plan.feeds[first:], (*plan.spiking[first:], None))):
-        if counts is None:
-            shape = source.shape
-        else:
-            ((_, (w_t, b)),) = feed
-            shape = (n, w_t.shape[1])
-            amp = _view(ws.amp, counts.shape[1:])
-        # the amplitude buffer's front holds the bias, then the emissions
-        k, front = _view(ws.k, shape), _view(ws.amp, shape)
-        if spiking is not None:
-            _, _, layer_threshold, phi = spiking
-            v = _view(ws.v, shape)
-            v.fill(membrane_init * layer_threshold)
-            written = _view(ws.counts[s % 2], (timesteps, *shape))
-            ones, count = ws.ones[: shape[1]], ws.amp[:n]
-        for t in range(timesteps):
-            if counts is None:
-                current = source
+    order, lane = (None, 0) if lanes is None else lanes
+    depth = timesteps if order is None else _CHUNK  # a count buffer's steps
+    for t0 in range(0, timesteps, depth):
+        for s in range(lane, len(layers), 1 if order is None else 2):
+            feed, spiking = layers[s]
+            if s or from_train:
+                ((_, (w_t, b)),) = feed
+                shape = (n, w_t.shape[1])
+                amp = _view(ws.amp, (n, w_t.shape[0]))
+                if s:
+                    counts = _rows(ws.counts[(s - 1) % 2], depth, amp.shape)
+                    threshold = layers[s - 1][1][2]
+                else:  # only a serial run takes a train, all T steps deep
+                    counts, threshold = source.counts, source.threshold
             else:
-                # cast, then scale in place: a mixed-dtype multiply takes a cast buffer
-                np.copyto(amp, counts[t])
-                np.multiply(amp, threshold, out=amp)
-                current = np.matmul(amp, w_t, out=k)
-                np.copyto(front, b)
-                current += front
+                shape = source.shape
+            # the amplitude buffer's front holds the bias, then the emissions
+            k, front = _view(ws.k, shape), _view(ws.amp, shape)
             if spiking is not None:
-                _fire(v, current, k, layer_threshold, phi, emitted=front)
-                np.copyto(written[t], k, casting="unsafe")
-                if spikes is not None:  # as ``_simulate`` counts them
-                    np.dot(k, ones, out=count)
-                    np.copyto(spikes[t, s], count, casting="unsafe")
-                continue
-            if t == 0:
-                np.copyto(out, current)
-            else:
-                np.add(out, current, out=out)
-            if out is not scores and t + 1 < timesteps:
-                np.divide(out, float(t + 1), out=scores[t])
-        if spiking is not None:
-            counts, threshold = written, layer_threshold
-    np.divide(out, float(timesteps), out=out)
+                _, _, layer_threshold, phi = spiking
+                v = _view(ws.v[s % len(ws.v)], shape)
+                if t0 == 0:
+                    v.fill(membrane_init * layer_threshold)
+                written = _rows(ws.counts[s % 2], depth, shape)
+                ones, count = ws.ones[: shape[1]], ws.amp[:n]
+            for t in range(t0, min(t0 + depth, timesteps)):
+                if order is not None and not order.wait(s, t):
+                    return  # the other lane failed, and raises
+                if s or from_train:
+                    # cast, then scale in place: a mixed-dtype multiply takes a cast buffer
+                    np.copyto(amp, counts[t % depth])
+                    np.multiply(amp, threshold, out=amp)
+                    current = np.matmul(amp, w_t, out=k)
+                    np.copyto(front, b)
+                    current += front
+                else:
+                    current = source
+                if spiking is not None:
+                    _fire(v, current, k, layer_threshold, phi, emitted=front)
+                    np.copyto(written[t % depth], k, casting="unsafe")
+                    if spikes is not None:  # as ``_simulate`` counts them
+                        np.dot(k, ones, out=count)
+                        np.copyto(spikes[t, s], count, casting="unsafe")
+                else:
+                    if t == 0:
+                        np.copyto(out, current)
+                    else:
+                        np.add(out, current, out=out)
+                    if t + 1 == timesteps:
+                        np.divide(out, float(timesteps), out=out)
+                    elif out is not scores:
+                        np.divide(out, float(t + 1), out=scores[t])
+                if order is not None:
+                    order.finish(s, t)
+
+
+def _prefix(model: ModelGraph, plan: _RunPlan, batch) -> np.ndarray:
+    """The constant current that a whole run of ``plan`` on ``batch`` feeds
+    its first spiking layer."""
+    x = _check_batch(model, np.asarray(batch, dtype=np.float64))
+    for layer, op in plan.feeds[0]:
+        x = apply_layer(layer, x, op)
+    return x
+
+
+def _widths(plan: _RunPlan, x: np.ndarray) -> list[int]:
+    """The widths of every spiking layer and of the head in a run of
+    ``plan`` (whose every feeder after the first is one dense layer) fed
+    the constant current ``x``."""
+    return [x.shape[1], *(ops[0].shape[1] for ((_, ops),) in plan.feeds[1:])]
 
 
 def _whole_runs(model: ModelGraph, plans: list[_RunPlan], batch, timesteps: int,
@@ -571,10 +693,8 @@ def _whole_runs(model: ModelGraph, plans: list[_RunPlan], batch, timesteps: int,
     ``spikes``, ``step_spikes`` [R, T, L, N] (None without). It allocates
     nothing and calls nothing public, so a helper thread may run it.
     """
-    x = _check_batch(model, np.asarray(batch, dtype=np.float64))
-    for layer, op in plans[0].feeds[0]:
-        x = apply_layer(layer, x, op)
-    n, widths = len(x), [x.shape[1], *(ops[0].shape[1] for ((_, ops),) in plans[0].feeds[1:])]
+    x = _prefix(model, plans[0], batch)
+    n, widths = len(x), _widths(plans[0], x)
     phi = max(c.phi for plan in plans for _, c, *_ in plan.spiking)
     ws = _Workspace.of([n * w for w in (widths[0], *widths)], timesteps, np.min_scalar_type(phi),
                        units=max(widths[:-1]) if spikes else 0)
@@ -591,10 +711,69 @@ def _whole_runs(model: ModelGraph, plans: list[_RunPlan], batch, timesteps: int,
 
 
 def _recorded(plan: _RunPlan, step_scores: np.ndarray, step_spikes: np.ndarray) -> SnnRun:
-    """The ``SnnRun`` of a whole run of ``plan`` that ``_whole_runs``
+    """The ``SnnRun`` of a whole run of ``plan`` that ``_layer_major``
     recorded; such a run keeps no membranes."""
     return SnnRun(scores=step_scores[-1], stats=_stats(plan.fanout, step_spikes), v_last={},
                   step_scores=step_scores, step_spikes=step_spikes)
+
+
+def _two_lanes(plan: _RunPlan, x: np.ndarray, timesteps: int, membrane_init: float):
+    """A whole run of ``plan`` (whose every feeder after the first is one
+    dense layer) fed the constant current ``x``, on two lanes of
+    ``_layer_major``, set up here: both lanes' workspaces
+    (``_Workspace.lanes``) and the records. Returns ``(lanes, step_scores,
+    step_spikes)``: ``lanes[i]()`` runs lane i, and the two must run at the
+    same time, on two threads. A lane that raises stops the other, which
+    then returns. Neither allocates an array or calls anything public.
+    """
+    n, widths = len(x), _widths(plan, x)
+    phi = max(c.phi for _, c, *_ in plan.spiking)
+    workspaces = _Workspace.lanes([n * w for w in (widths[0], *widths)],
+                                  np.min_scalar_type(phi), max(widths[:-1]))
+    step_scores = np.empty((timesteps, n, widths[-1]))
+    step_spikes = np.empty((timesteps, len(widths) - 1, n), np.int64)
+    order = _Lanes(len(widths) - 1)
+
+    def lane(i):
+        try:
+            _layer_major(plan, 0, x, timesteps, workspaces[i], membrane_init, step_scores,
+                         step_spikes, (order, i))
+        except BaseException:
+            order.fail()
+            raise
+
+    return (functools.partial(lane, 0), functools.partial(lane, 1)), step_scores, step_spikes
+
+
+def _eval_run(model: ModelGraph, configs: list[LayerSnnConfig], batch, timesteps: int,
+              membrane_init: float):
+    """A whole run of ``configs`` on ``batch``, begun now and made later:
+    returns ``go()``, which makes the run and returns its ``SnnRun``, whose
+    records are ``run_snn``'s bit for bit; it keeps no membranes.
+
+    A model whose every feeder after the first is one dense layer (an
+    MLP) with at least ``_LANES_MIN_LAYERS`` spiking layers runs on two
+    lanes (``_two_lanes``): spiking layer s on lane s % 2 and the head on
+    lane L % 2, the calling thread being lane 0 and one helper thread
+    lane 1. The constant current is computed here, so ``go``
+    keeps no reference to ``batch`` and the caller may drop it first; ``go``
+    then allocates the workspaces and records, on the calling thread,
+    before the helper starts. What a lane raises, ``go`` raises, after both
+    lanes have stopped. Any other model (every CNN, and an MLP of one or
+    two spiking layers) is ``run_snn`` on ``batch``, in ``go``.
+    """
+    plan = _check_run(model, configs, timesteps)
+    if not (len(plan.spiking) >= _LANES_MIN_LAYERS and all(map(_single_dense, plan.feeds[1:]))):
+        return lambda: run_snn(model, configs, batch, timesteps, membrane_init=membrane_init)
+    x = _prefix(model, plan, batch)
+
+    def go() -> SnnRun:
+        lanes, step_scores, step_spikes = _two_lanes(plan, x, timesteps, membrane_init)
+        with _on_helper(lanes[1], "spikecal-lane"):
+            lanes[0]()
+        return _recorded(plan, step_scores, step_spikes)
+
+    return go
 
 
 @contextlib.contextmanager

@@ -712,6 +712,95 @@ def test_ablate_calls_every_public_function_on_the_main_thread(finished_run, tmp
     assert all(ident == main for name, ident in calls if name != "engine._layer_major"), calls
 
 
+@pytest.fixture(scope="module")
+def deep_run(tmp_path_factory):
+    """A finished run of an MLP with three spiking layers, whose eval-set
+    runs take two lanes."""
+    tmp_path = tmp_path_factory.mktemp("deep-pipeline")
+    config, raw = write_config(tmp_path, model={"hidden": [24, 16, 12]})
+    for stage in ALL_STAGES:
+        assert cli.main([stage, "--config", str(config)]) == 0, stage
+    return tmp_path, config, raw
+
+
+@pytest.mark.parametrize("stage, written", [("eval", "eval_report"),
+                                             ("report", "accuracy_curve")])
+@pytest.mark.parametrize("lane", ["spikecal-lane", "calling"])
+@pytest.mark.parametrize("error, code, start", [
+    (MemoryError("Unable to allocate 8.00 EiB for an array"), 1,
+     "error: [{tag}] out of memory (Unable to allocate 8.00 EiB"),
+    (cli.engine.ConfigMismatchError("3 configs for 2 spiking layers"), 2,
+     "internal error: ConfigMismatchError: 3 configs for 2 spiking layers"),
+], ids=["out-of-memory", "engine-fault"])
+def test_a_failing_lane_stops_the_eval_set_run(deep_run, tmp_path, capsys, monkeypatch,
+                                               stage, written, lane, error, code, start):
+    """A lane of ``eval``'s or ``report``'s two-lane run that raises
+    mid-chunk, on the helper thread or the calling one, stops the other
+    lane; the stage exits as the same error from a serial run does, writes
+    nothing, and no thread outlives it."""
+    config, art = _copy_run(deep_run, tmp_path)
+    before = open(getattr(art, written), "rb").read()
+    fire, calls = cli.engine._fire, []
+
+    def failing(*args, **kwargs):
+        if (threading.current_thread().name == "spikecal-lane") == (lane == "spikecal-lane"):
+            calls.append(threading.current_thread().name)
+            if len(calls) == 3:
+                raise error
+        return fire(*args, **kwargs)
+
+    monkeypatch.setattr(cli.engine, "_fire", failing)
+    threads = threading.enumerate()
+    capsys.readouterr()
+    codes = []
+    calling = threading.Thread(target=lambda: codes.append(cli.main([stage, "--config", config])),
+                               name="calling", daemon=True)
+    calling.start()
+    calling.join(timeout=60)
+    assert not calling.is_alive(), "the stage hangs"
+    assert codes == [code] and set(calls) == {lane}
+    assert threading.enumerate() == threads
+    err = capsys.readouterr().err
+    tag = "eval-fixed" if stage == "eval" else "accuracy-curve"
+    assert err.startswith(start.format(tag=tag)), err
+    assert open(getattr(art, written), "rb").read() == before
+
+
+def test_report_rejects_a_short_exit_trace_before_any_thread(deep_run, tmp_path, capsys,
+                                                             monkeypatch):
+    config, art = _copy_run(deep_run, tmp_path)
+    lines = open(art.exit_trace).read().splitlines(keepends=True)
+    with open(art.exit_trace, "w") as fh:
+        fh.write("".join(lines[:-1]))
+    bundle = {path: open(path, "rb").read()
+              for path in (art.accuracy_curve, art.frontier, art.exit_histogram)}
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    capsys.readouterr()
+    assert cli.main(["report", "--config", config]) == 1
+    assert started == []
+    err = capsys.readouterr().err
+    rows, inputs = len(lines) - 2, len(lines) - 1
+    assert err == (f"error: [report-setup] {art.exit_trace} holds {rows} rows "
+                   f"for {inputs} eval inputs\n"), err
+    assert {path: open(path, "rb").read() for path in bundle} == bundle
+
+
+@pytest.mark.parametrize("stage", ["eval", "report"])
+def test_eval_set_runs_call_every_public_function_on_the_main_thread(deep_run, tmp_path,
+                                                                     thread_log, stage):
+    """``eval``'s and ``report``'s helper runs only its lane of the
+    layer-major runner; the calling thread runs the other lane and every
+    public call."""
+    config, _ = _copy_run(deep_run, tmp_path)
+    calls = thread_log((cli.early_exit, cli.engine, nn, cli.search), [cli.engine._layer_major])
+    assert cli.main([stage, "--config", config]) == 0
+    main = threading.get_ident()
+    runs = [ident for name, ident in calls if name == "engine._layer_major"]
+    assert len(runs) == 2 and main in runs and len(set(runs)) == 2
+    assert all(ident == main for name, ident in calls if name != "engine._layer_major"), calls
+
+
 def _write_idx(tmp_path, labels):
     images = tmp_path / "images.idx"
     images.write_bytes(
@@ -882,7 +971,7 @@ def test_out_of_memory_inside_a_stage_is_user_error(finished_run, tmp_path, caps
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 8.00 EiB for an array")
 
-    monkeypatch.setattr(cli.engine, "run_snn", exhausted)
+    monkeypatch.setattr(cli.engine, "_eval_run", exhausted)
     capsys.readouterr()
     assert cli.main(["eval", "--config", str(config)]) == 1
     err = capsys.readouterr().err
@@ -899,7 +988,7 @@ def test_engine_fault_inside_a_stage_exits_2(finished_run, tmp_path, capsys, mon
     def broken(*args, **kwargs):
         raise cli.engine.ConfigMismatchError("3 configs for 2 spiking layers")
 
-    monkeypatch.setattr(cli.engine, "run_snn", broken)
+    monkeypatch.setattr(cli.engine, "_eval_run", broken)
     capsys.readouterr()
     assert cli.main(["eval", "--config", str(config)]) == 2
     err = capsys.readouterr().err

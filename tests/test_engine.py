@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -662,6 +665,118 @@ def test_whole_runs_allocate_nothing_once_set_up():
     finally:
         tracemalloc.stop()
     assert peak < 4096, peak
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    dim=st.integers(1, 8),
+    classes=st.integers(2, 4),
+    knobs=st.lists(st.tuples(st.sampled_from([1, 2, 3, 255, 256, 700]), st.integers(1, 4),
+                             st.floats(0.05, 2.0)), min_size=4, max_size=4),
+    timesteps=st.integers(1, 11),
+    n=st.sampled_from([1, 7]),
+    membrane_init=st.sampled_from([0.5, 0.0, -0.3, 0.9]),
+    seed=st.integers(0, 2**16),
+)
+@example(widths=[9, 3, 11, 2], dim=5, classes=3, knobs=[(300, 1, 0.05)] * 4, timesteps=10, n=1,
+         membrane_init=-0.3, seed=0)  # shrinks and grows, uint16 counts, T = 2C + 2
+@example(widths=[4], dim=3, classes=2, knobs=[(2, 1, 0.3)] * 4, timesteps=3, n=7,
+         membrane_init=0.5, seed=1)  # the head on lane 1, T < C
+def test_two_lane_run_equals_run_snn(widths, dim, classes, knobs, timesteps, n, membrane_init,
+                                     seed):
+    """An MLP's two-lane run, ``_CHUNK`` steps at a time, and ``_eval_run``
+    record ``run_snn``'s ``step_scores`` and ``step_spikes`` bit for bit: one to
+    four spiking layers (so the head lands on either lane), widths that
+    shrink and grow, ``phi`` past 255 (uint16 counts), T below, at and past
+    ``_CHUNK`` and not a multiple of it, and a negative initial membrane."""
+    rng = np.random.default_rng(seed)
+    model = nn.build_mlp(dim, widths, classes, seed=seed)
+    x = rng.standard_normal((n, dim)) * 2.0
+    configs = [engine.LayerSnnConfig(v_th=v_th, rho=rho, phi=phi)
+               for phi, rho, v_th in knobs[:len(widths)]]
+    plan = engine._prepare(model, configs)
+    lanes, scores, spikes = engine._two_lanes(plan, engine._prefix(model, plan, x), timesteps,
+                                              membrane_init)
+    with engine._on_helper(lanes[1], "test-lane"):
+        lanes[0]()
+    want = engine.run_snn(model, configs, x, timesteps, membrane_init=membrane_init)
+    assert scores.tobytes() == want.step_scores.tobytes()
+    assert spikes.dtype == want.step_spikes.dtype
+    assert spikes.tobytes() == want.step_spikes.tobytes()
+    got = engine._eval_run(model, configs, x, timesteps, membrane_init)()
+    assert got.step_scores.tobytes() == want.step_scores.tobytes()
+    assert got.step_spikes.tobytes() == want.step_spikes.tobytes() and got.stats == want.stats
+
+
+@pytest.mark.parametrize("layers, lanes", [(1, False), (2, False), (3, True), (4, True)])
+def test_eval_run_takes_two_lanes_from_three_spiking_layers(monkeypatch, layers, lanes):
+    """An MLP of one or two spiking layers, whose lane 0 would hold no
+    spiking layer's product, runs serially; from three layers on the run
+    takes the two lanes."""
+    model = nn.build_mlp(6, [5] * layers, 3, seed=0)
+    configs = [engine.LayerSnnConfig(v_th=0.3, phi=2)] * layers
+    x = np.random.default_rng(0).standard_normal((4, 6))
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (started.append(thread.name), start(thread)))
+    got = engine._eval_run(model, configs, x, 6, 0.5)()
+    assert started == (["spikecal-lane"] if lanes else [])
+    want = engine.run_snn(model, configs, x, 6)
+    assert got.step_scores.tobytes() == want.step_scores.tobytes()
+    assert got.step_spikes.tobytes() == want.step_spikes.tobytes()
+
+
+def test_two_lanes_allocate_nothing_once_set_up():
+    """Once set up and the helper lane started, both lanes of a run
+    together allocate under 4 KiB, over three chunks and a partial one."""
+    rng = np.random.default_rng(0)
+    model = nn.build_mlp(64, [128, 96, 128], 10, seed=0)
+    x = rng.standard_normal((512, 64))
+    configs = [engine.LayerSnnConfig(v_th=0.2, rho=rho, phi=3) for rho in (1, 2, 1)]
+    plan = engine._prepare(model, configs)
+    engine._eval_run(model, configs, x, 6, 0.5)()
+    current = engine._prefix(model, plan, x)
+    lanes, _, _ = engine._two_lanes(plan, current, 3 * engine._CHUNK + 2, 0.5)
+    helper = threading.Thread(target=lanes[1])
+    helper.start()
+    # the helper's lane waits for lane 0's first step: trace from there on
+    while sys._current_frames()[helper.ident].f_code.co_name != "wait":
+        time.sleep(0.001)
+    tracemalloc.start()
+    try:
+        lanes[0]()
+        helper.join()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
+
+
+def test_two_lane_run_holds_its_buffers_and_the_records():
+    """The 8x128, N = 512, T = 32 run's peak on two lanes stays within what
+    it must hold: the L membranes, each lane's product and amplitude
+    buffers, one pair of count buffers ``_CHUNK`` steps deep, the constant
+    current, the score and int64 spike records and the float64 dense
+    operands, plus 64 KiB. Count buffers T steps deep, or one more
+    [N, width] float64 buffer, would not fit."""
+    layers, width, n, timesteps, classes = 8, 128, 512, 32, 10
+    model = nn.build_mlp(64, [width] * layers, classes, seed=0)
+    x = np.random.default_rng(0).standard_normal((n, 64))
+    configs = [engine.LayerSnnConfig(v_th=1.0, phi=4)] * layers
+    row = n * width * 8
+    operands = sum(8 * (ly.weight.size + ly.bias.size) for ly in model.layers if ly.parameterized)
+    records = timesteps * n * (classes + layers) * 8
+    counts = 2 * engine._CHUNK * n * width  # uint8
+    bound = layers * row + 2 * 2 * row + counts + row + records + operands + 64 * 1024
+    tracemalloc.start()
+    try:
+        engine._eval_run(model, configs, x, timesteps, 0.5)()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
